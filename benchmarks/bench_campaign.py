@@ -34,6 +34,8 @@ from repro.experiments.campaigns import (
 from repro.experiments.runner import CampaignRunner, CapturePoint, derive_seed
 from repro.experiments.store import CaptureStore
 
+from benchmarks.conftest import registry_values
+
 WORKERS = 4
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
@@ -58,6 +60,7 @@ def _timed(runner, points):
     return time.perf_counter() - started, outcomes
 
 
+
 def test_campaign_cold_parallel_and_warm_store():
     points = _campaign_points()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -69,13 +72,13 @@ def test_campaign_cold_parallel_and_warm_store():
         store = CaptureStore(root)
         parallel_runner = CampaignRunner(store=store, workers=WORKERS)
         parallel_s, parallel = _timed(parallel_runner, points)
-        assert parallel_runner.stats.simulated == len(points)
+        assert parallel_runner.manifest()["stats"]["simulated"] == len(points)
 
         warm_runner = CampaignRunner(store=store, workers=WORKERS)
         warm_s, warm = _timed(warm_runner, points)
-        assert warm_runner.stats.simulated == 0, \
+        assert warm_runner.manifest()["stats"]["simulated"] == 0, \
             "warm store must resolve every point without simulating"
-        assert warm_runner.stats.store_hits == len(points)
+        assert warm_runner.manifest()["stats"]["store_hits"] == len(points)
 
         serial_bytes = [_trace_bytes(trace) for _, trace in serial]
         assert serial_bytes == [_trace_bytes(trace) for _, trace in parallel], \
@@ -96,9 +99,9 @@ def test_campaign_cold_parallel_and_warm_store():
             "speedup_cold_parallel": round(parallel_speedup, 3),
             "speedup_warm_store": round(warm_speedup, 3),
             "byte_identical": True,
-            "store": store.stats.to_dict(),
-            "warm_runner": warm_runner.stats.to_dict(),
-            "parallel_runner": parallel_runner.stats.to_dict(),
+            "store": registry_values(store.registry, "store."),
+            "warm_runner": warm_runner.manifest()["stats"],
+            "parallel_runner": parallel_runner.manifest()["stats"],
         }
         OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         print(f"\ncampaign bench: cold serial {serial_s:.2f}s, cold parallel "

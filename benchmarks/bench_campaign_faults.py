@@ -80,12 +80,12 @@ def test_campaign_survives_sigkilled_worker():
         started = time.perf_counter()
         outcomes = runner.run(points)
         stressed_s = time.perf_counter() - started
-        stats = runner.stats
+        stats = runner.manifest()["stats"]
 
         assert all(outcome is not None for outcome in outcomes)
-        assert stats.pool_failures >= 1, \
+        assert stats["pool_failures"] >= 1, \
             "the SIGKILL must register as a pool failure"
-        assert stats.simulated == len(points)
+        assert stats["simulated"] == len(points)
         assert not runner.failures
 
         # Byte-identity against an undisturbed serial pass (the
@@ -104,11 +104,11 @@ def test_campaign_survives_sigkilled_worker():
             "serial_clean_s": round(serial_s, 4),
             "recovery_overhead_s": round(stressed_s - serial_s, 4),
             "byte_identical": True,
-            "stressed_runner": stats.to_dict(),
+            "stressed_runner": stats,
         }
         OUTPUT.write_text(json.dumps(report, indent=2) + "\n",
                           encoding="utf-8")
         print(f"\ncrash stress: {len(points)} points / {WORKERS} workers, "
               f"1 SIGKILL -> {stressed_s:.2f}s stressed vs {serial_s:.2f}s "
-              f"clean serial, {stats.pool_failures} pool failure(s), "
+              f"clean serial, {stats['pool_failures']} pool failure(s), "
               f"byte-identical -> {OUTPUT.name}")

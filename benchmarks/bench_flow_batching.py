@@ -44,6 +44,8 @@ from repro.net.backend import FlowRequest, TransportBackend, make_backend
 from repro.net.network import _DONE_EPS_BYTES
 from repro.simkit.core import Simulator
 
+from benchmarks.conftest import registry_values
+
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_flow_batching.json"
 
 MIN_SPEEDUP_16K = 2.0
@@ -175,7 +177,7 @@ def _run(arm, hosts_n, fattree_k, flows_per_wave, waves, collect=False):
     return {
         "elapsed_s": elapsed,
         "flows": completed,
-        "perf": net.perf,
+        "perf": registry_values(sim.telemetry.registry, "net."),
         "tuples": tuples,
     }
 
@@ -198,10 +200,10 @@ def test_batched_admission_speedup_and_scale():
         pr6 = _run("pr6", hosts_n, fattree_k, flows_per_wave, waves)
         batched = _run("batched", hosts_n, fattree_k,
                        flows_per_wave, waves)
-        assert batched["perf"]["flows_admitted_batched"] == \
+        assert batched["perf"]["net.flows_admitted_batched"] == \
             flows_per_wave * waves
-        assert pr6["perf"]["flows_admitted_batched"] == 0
-        assert pr6["perf"]["done_signals_skipped"] == 0
+        assert pr6["perf"]["net.flows_admitted_batched"] == 0
+        assert pr6["perf"]["net.done_signals_skipped"] == 0
         speedup = pr6["elapsed_s"] / batched["elapsed_s"]
         flows = batched["flows"]
         rows.append({
@@ -215,9 +217,9 @@ def test_batched_admission_speedup_and_scale():
             "batched_us_per_flow":
                 round(batched["elapsed_s"] / flows * 1e6, 2),
             "speedup": round(speedup, 2),
-            "bulk_harvests": batched["perf"]["bulk_harvests"],
+            "bulk_harvests": batched["perf"]["net.bulk_harvests"],
             "done_signals_skipped":
-                batched["perf"]["done_signals_skipped"],
+                batched["perf"]["net.done_signals_skipped"],
         })
         print(f"wave={flows_per_wave:6d} flows={flows:7d} "
               f"pr6={pr6['elapsed_s']:7.2f}s "
@@ -228,7 +230,7 @@ def test_batched_admission_speedup_and_scale():
     scale = _run("batched", hosts_n, fattree_k, flows_per_wave, waves)
     print(f"scale run: hosts={hosts_n} flows={scale['flows']} "
           f"elapsed={scale['elapsed_s']:.1f}s "
-          f"bulk_harvests={scale['perf']['bulk_harvests']}")
+          f"bulk_harvests={scale['perf']['net.bulk_harvests']}")
 
     speedup_16k = next(row["speedup"] for row in rows
                        if row["flows_per_wave"] >= 16384)
@@ -252,10 +254,10 @@ def test_batched_admission_speedup_and_scale():
             "us_per_flow":
                 round(scale["elapsed_s"] / scale["flows"] * 1e6, 2),
             "flows_admitted_batched":
-                scale["perf"]["flows_admitted_batched"],
-            "bulk_harvests": scale["perf"]["bulk_harvests"],
+                scale["perf"]["net.flows_admitted_batched"],
+            "bulk_harvests": scale["perf"]["net.bulk_harvests"],
             "done_signals_skipped":
-                scale["perf"]["done_signals_skipped"],
+                scale["perf"]["net.done_signals_skipped"],
         },
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -106,8 +106,6 @@ def test_chained_plan_vs_isolated_stages():
         "isolated": isolated_rows,
         "isolated_wall_s": round(isolated_wall, 4),
         "chained_jct_sum_s": round(chained_jct, 3),
-        "chaining_overhead_s": round(
-            plan_result.completion_time - chained_jct, 3),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"\nplan bench: plan wall {plan_s:.2f}s "

@@ -18,6 +18,8 @@ from repro.net.backend import ENGINE_NAMES
 from repro.net.fairshare import FairShareAllocator, max_min_rates
 from repro.simkit import Simulator
 
+from benchmarks.conftest import registry_values
+
 
 def _fabric(num_links=64, num_flows=200):
     links = [f"l{i}" for i in range(num_links)]
@@ -60,7 +62,8 @@ def test_perf_event_cancellation_churn(benchmark):
         for i in range(5_000):
             sim.schedule(i * 0.001, tick, i)
         sim.run(until=10.0)
-        return sim.events_fired, sim.heap_compactions
+        value = sim.telemetry.registry.value
+        return value("sim.events_fired"), value("sim.heap_compactions")
 
     fired, compactions = benchmark(churn)
     assert fired == 5_000
@@ -110,7 +113,8 @@ def test_perf_full_job_simulation(benchmark):
             HadoopConfig(block_size=32 * MB, num_reducers=4), seed=1)
         results, traces = cluster.run(
             [make_job("terasort", input_gb=0.5, job_id="perf")])
-        perf.update(cluster.perf_report())
+        perf.update(registry_values(cluster.sim.telemetry.registry,
+                                    "sim.", "net."))
         return traces[0].flow_count()
 
     flows = benchmark(run_job)
@@ -129,10 +133,9 @@ def test_perf_full_job_simulation(benchmark):
 def test_perf_engine_sweep_full_job(benchmark):
     """The full-job capture swept across both fluid engines.
 
-    An 8-node job is scalar's home turf (below a few hundred
-    concurrent flows the numpy per-call overhead exceeds the dict
-    work it replaces — the scale rungs live in bench_vectorized.py),
-    so this asserts equivalence rather than speed: both engines must
+    An 8-node job is small-shuffle traffic, where the scalar engine
+    measured faster end to end (the scale rungs live in
+    bench_vectorized.py), so this asserts equivalence rather than speed: both engines must
     do identical allocator work — same recomputes, same bottleneck
     rounds, same flow population — and the per-engine counters are
     printed so the BENCH trajectory tracks both engines' efficiency.
@@ -147,7 +150,8 @@ def test_perf_engine_sweep_full_job(benchmark):
                 HadoopConfig(block_size=32 * MB, num_reducers=4), seed=1)
             _, traces = cluster.run(
                 [make_job("terasort", input_gb=0.5, job_id="perf")])
-            reports[engine] = cluster.perf_report()
+            reports[engine] = registry_values(
+                cluster.sim.telemetry.registry, "sim.", "net.")
             flow_counts[engine] = traces[0].flow_count()
         return flow_counts
 

@@ -39,6 +39,8 @@ from repro.cluster.topology import build_topology
 from repro.net.backend import make_backend
 from repro.simkit.core import Simulator
 
+from benchmarks.conftest import registry_values
+
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_vectorized.json"
 
 MIN_SPEEDUP_64 = 10.0
@@ -133,7 +135,7 @@ def _run_waves(engine, hosts_n, fattree_k, flows_per_wave, waves,
     return {
         "elapsed_s": elapsed,
         "flows": completed,
-        "perf": net.perf,
+        "perf": registry_values(sim.telemetry.registry, "net."),
         "tuples": tuples,
     }
 
@@ -148,10 +150,10 @@ def test_vectorized_engine_speedup_and_scale():
         identical = scalar["tuples"] == vectorized["tuples"]
         assert identical, \
             f"engines diverged at hosts={hosts_n}: flow tuples differ"
-        assert scalar["perf"]["recomputes"] == \
-            vectorized["perf"]["recomputes"]
-        assert scalar["perf"]["waterfill_rounds"] == \
-            vectorized["perf"]["waterfill_rounds"]
+        assert scalar["perf"]["net.recomputes"] == \
+            vectorized["perf"]["net.recomputes"]
+        assert scalar["perf"]["net.waterfill_rounds"] == \
+            vectorized["perf"]["net.waterfill_rounds"]
         speedup = scalar["elapsed_s"] / vectorized["elapsed_s"]
         rows.append({
             "hosts": hosts_n, "fattree_k": fattree_k,
@@ -161,8 +163,8 @@ def test_vectorized_engine_speedup_and_scale():
             "vectorized_s": round(vectorized["elapsed_s"], 4),
             "speedup": round(speedup, 2),
             "byte_identical": identical,
-            "recomputes": vectorized["perf"]["recomputes"],
-            "waterfill_rounds": vectorized["perf"]["waterfill_rounds"],
+            "recomputes": vectorized["perf"]["net.recomputes"],
+            "waterfill_rounds": vectorized["perf"]["net.waterfill_rounds"],
         })
         print(f"hosts={hosts_n:5d} flows={vectorized['flows']:7d} "
               f"scalar={scalar['elapsed_s']:7.2f}s "
@@ -174,7 +176,7 @@ def test_vectorized_engine_speedup_and_scale():
                        waves, collect=False)
     print(f"scale run: hosts={hosts_n} flows={scale['flows']} "
           f"elapsed={scale['elapsed_s']:.1f}s "
-          f"rounds={scale['perf']['waterfill_rounds']}")
+          f"rounds={scale['perf']['net.waterfill_rounds']}")
 
     report = {
         "workload": {
@@ -194,10 +196,10 @@ def test_vectorized_engine_speedup_and_scale():
             "flows": scale["flows"],
             "completed": True,
             "vectorized_s": round(scale["elapsed_s"], 2),
-            "recomputes": scale["perf"]["recomputes"],
-            "waterfill_rounds": scale["perf"]["waterfill_rounds"],
+            "recomputes": scale["perf"]["net.recomputes"],
+            "waterfill_rounds": scale["perf"]["net.waterfill_rounds"],
             "allocator_seconds":
-                round(scale["perf"]["allocator_seconds"], 4),
+                round(scale["perf"]["net.allocator_seconds"], 4),
         },
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -31,6 +31,11 @@ from repro.experiments.campaigns import cache_stats, clear_cache, set_store
 from repro.experiments.store import STORE_ENV_VAR, CaptureStore
 
 
+def registry_values(registry, *prefixes):
+    """``{metric name: value}`` for the registry metrics under ``prefixes``."""
+    return {metric["name"]: metric["value"] for metric in registry.snapshot()
+            if metric["name"].startswith(prefixes)}
+
 def pytest_configure(config):
     """Install the session-wide capture store before any benchmark runs."""
     root = os.environ.get(STORE_ENV_VAR, "").strip()

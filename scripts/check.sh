@@ -74,16 +74,20 @@ python -m pytest tests/test_obs_server.py tests/test_obs_aggregate.py \
 echo "== pipeline crash-resume gate =="
 python scripts/pipeline_gate.py
 
-# 9. Workload-plan differential gate: a single-stage plan must keep
-#    producing byte-identical captures to the legacy single-job path
-#    across backends and engines, the plan IR/executor semantics must
-#    hold, and plan store entries must stay disjoint from single-job
-#    entries.  Explicit so scoped runs still exercise the contract.
-echo "== workload-plan differential suite =="
-python -m pytest tests/test_plan_differential.py tests/test_workload_plans.py \
-    tests/test_plan_campaign.py -q
+# 9. Campaign crash-resume gate: SIGKILL a campaign while it simulates
+#    a point, then require the capture store to hold every point that
+#    finished before the kill, a rerun to simulate only the rest, and
+#    the stored bytes to equal an uninterrupted run's.
+echo "== campaign crash-resume gate =="
+python -m pytest tests/test_campaign_crash_resume.py -q
 
-# 10. Telemetry null-path smoke: an un-configured run must emit zero
+# 10. Workload-plan suite: the plan IR/executor semantics must hold,
+#    and plan store entries must stay disjoint from single-job
+#    entries.  Explicit so scoped runs still exercise the contract.
+echo "== workload-plan suite =="
+python -m pytest tests/test_workload_plans.py tests/test_plan_campaign.py -q
+
+# 11. Telemetry null-path smoke: an un-configured run must emit zero
 #    spans and zero probe samples while the perf counters stay live.
 echo "== telemetry null-path smoke =="
 python - <<'EOF'
@@ -104,4 +108,5 @@ print(f"null path clean: {trace.flow_count()} flows, "
       "0 spans, 0 probe samples")
 EOF
 
+echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
 echo "check.sh: all gates passed"

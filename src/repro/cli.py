@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=list(ENGINE_NAMES),
                          help="fluid-engine implementation: scalar "
                               "(reference) or vectorized (numpy, "
-                              "byte-identical captures, faster at scale)")
+                              "byte-identical captures, faster on large "
+                              "shuffles)")
     capture.add_argument("--scheduler", default="fifo",
                          choices=["fifo", "fair", "capacity", "drf"])
     capture.add_argument("-o", "--output", required=True,
@@ -133,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "(0 = one per CPU core)")
     campaign.add_argument("--store", default=None,
                           help="persistent capture-store directory (defaults "
-                               "to $KEDDAH_CAPTURE_STORE)")
+                               "to $KEDDAH_CAPTURE_STORE); each point is "
+                               "stored as it finishes, so rerunning with the "
+                               "same store resumes an interrupted campaign")
     campaign.add_argument("--invalidate", action="store_true",
                           help="clear the store before running")
     campaign.add_argument("--retries", type=int, default=3,
@@ -145,19 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-point wall-clock deadline in seconds; a "
                                "hung point is killed by the watchdog and "
                                "retried (then quarantined)")
-    campaign.add_argument("--journal", default=None, metavar="PATH",
-                          help="checkpoint journal written incrementally "
-                               "during the run; pass it back via --resume to "
-                               "skip completed points byte-identically")
-    campaign.add_argument("--resume", default=None, metavar="JOURNAL",
-                          help="resume from a checkpoint journal: completed "
-                               "points are replayed without re-simulation "
-                               "and new completions append to the same file")
     campaign.add_argument("--quarantine", default=None, metavar="PATH",
                           help="quarantine sidecar recording failure "
                                "fingerprints of poisoned points (default: "
-                               "quarantine.jsonl next to the journal, when "
-                               "one is configured)")
+                               "<store>/quarantine.jsonl, when a store is "
+                               "configured)")
     campaign.add_argument("--telemetry", default=None, metavar="DIR",
                           help="enable telemetry and write the aggregated "
                                "registry artefacts into this directory "
@@ -311,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="transport substrate to replay against")
     replay.add_argument("--engine", default="scalar",
                         choices=list(ENGINE_NAMES),
-                        help="fluid-engine implementation to replay with")
+                        help="fluid-engine implementation to replay with "
+                             "(same flow records; per-link utilisation may "
+                             "differ in the last bits)")
 
     export = sub.add_parser("export", help="export a trace for a simulator")
     export.add_argument("trace")
@@ -482,7 +479,8 @@ def cmd_capture(args: argparse.Namespace) -> int:
                                            params)
             _, trace = CampaignRunner(store=store,
                                       telemetry=telemetry).run_point(point)
-            origin = "store" if store.stats.hits else "simulated"
+            origin = ("store" if store.registry.value("store.hits")
+                      else "simulated")
         else:
             trace = run_capture(plan=args.plan, plan_params=params,
                                 nodes=args.nodes, seed=args.seed,
@@ -505,7 +503,8 @@ def cmd_capture(args: argparse.Namespace) -> int:
                                           spec, config)
         _, trace = CampaignRunner(store=store,
                                   telemetry=telemetry).run_point(point)
-        origin = "store" if store.stats.hits else "simulated"
+        origin = ("store" if store.registry.value("store.hits")
+                  else "simulated")
     else:
         trace = run_capture(args.job, input_gb=args.input_gb, nodes=args.nodes,
                             seed=args.seed, config=config,
@@ -587,11 +586,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         default_workers,
         derive_seed,
     )
-    from repro.experiments.supervision import (
-        CheckpointJournal,
-        Quarantine,
-        RetryPolicy,
-    )
+    from repro.experiments.supervision import Quarantine, RetryPolicy
 
     try:
         sizes = [float(part) for part in args.sizes_gb.split(",") if part.strip()]
@@ -624,14 +619,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.retries < 1:
         print(f"--retries must be >= 1, got {args.retries}")
         return 2
-    journal_path = args.resume or args.journal
-    journal = CheckpointJournal(journal_path) if journal_path else None
-    if args.resume and journal is not None and len(journal):
-        print(f"resuming from {journal_path}: {len(journal)} completed "
-              f"point(s) on record")
     quarantine_path = args.quarantine
-    if quarantine_path is None and journal_path:
-        quarantine_path = str(Path(journal_path).parent / "quarantine.jsonl")
+    if quarantine_path is None and store is not None:
+        quarantine_path = store.root / "quarantine.jsonl"
     quarantine = Quarantine(quarantine_path)
     policy = RetryPolicy(max_attempts=args.retries, deadline_s=args.deadline)
     # Route through the campaign cache hierarchy (memo + store), so
@@ -658,7 +648,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"live observability at {server.url} "
               f"(/metrics /snapshot /probes /spans /alerts /events)")
     runner = make_runner(workers, telemetry=telemetry, retry_policy=policy,
-                         journal=journal, quarantine=quarantine, strict=False,
+                         quarantine=quarantine, strict=False,
                          events=broker)
     started = time.perf_counter()
     try:
@@ -683,18 +673,17 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                       trace.flow_count(),
                       round(trace.total_bytes() / MB, 1),
                       round(result.completion_time, 2))
-    stats = runner.stats
+    stats = runner.manifest()["stats"]
     table.notes.append(
-        f"{elapsed:.2f}s wall; {stats.simulated} simulated "
-        f"({stats.parallel_simulated} in parallel), "
-        f"{stats.store_hits} store hit(s), {stats.memo_hits} memo hit(s)")
-    if stats.resumed_points or stats.retries or stats.deadline_kills:
+        f"{elapsed:.2f}s wall; {stats['simulated']} simulated "
+        f"({stats['parallel_simulated']} in parallel), "
+        f"{stats['store_hits']} store hit(s), "
+        f"{stats['memo_hits']} memo hit(s)")
+    if stats["retries"] or stats["deadline_kills"]:
         table.notes.append(
-            f"supervision: {stats.resumed_points} resumed, "
-            f"{stats.retries} retrie(s), {stats.deadline_kills} deadline "
-            f"kill(s), {stats.pool_failures} pool failure(s)")
-    if store is not None:
-        table.notes.append(f"store {store.root}: {store.stats.to_dict()}")
+            f"supervision: {stats['retries']} retrie(s), "
+            f"{stats['deadline_kills']} deadline kill(s), "
+            f"{stats['pool_failures']} pool failure(s)")
     print(render_table(table))
     caches = cache_stats()
     set_store(previous_store)
@@ -728,9 +717,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                  f"[tb {last.traceback_sha256[:10]}]") if last else "?")
         if quarantine.path is not None:
             failed.notes.append(f"fingerprints -> {quarantine.path}")
-        if journal is not None:
+        if store is not None:
             failed.notes.append(
-                f"re-run with --resume {journal.path} to retry only the "
+                f"re-run with --store {store.root} to retry only the "
                 f"quarantined point(s)")
         print(render_table(failed))
         return 1

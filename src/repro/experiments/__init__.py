@@ -14,7 +14,8 @@ sweeps are shared across processes, benchmark files and CLI runs.
 :mod:`repro.experiments.runner` executes campaigns: it resolves
 capture points memo → store → simulation and fans cache misses out
 across worker processes with output flow-for-flow identical to a
-serial run.
+serial run.  Each simulated point is stored as it resolves, so the
+store doubles as the campaign's checkpoint.
 
 :mod:`repro.experiments.figures` has one entry point per evaluation
 artefact (E1..E20 and ablations A1..A5 in DESIGN.md's index), each
@@ -57,7 +58,6 @@ from repro.experiments.runner import CampaignRunner, CapturePoint, derive_seed
 from repro.experiments.store import CaptureStore, ScrubReport
 from repro.experiments.supervision import (
     CampaignPointsFailed,
-    CheckpointJournal,
     FailureFingerprint,
     PointFailure,
     Quarantine,
@@ -68,7 +68,7 @@ from repro.experiments import figures
 from repro.experiments.report import generate_report, write_report
 
 __all__ = ["CampaignConfig", "CampaignPointsFailed", "CampaignRunner",
-           "CaptureStore", "CapturePoint", "CheckpointJournal", "DAGJournal",
+           "CaptureStore", "CapturePoint", "DAGJournal",
            "DAGRunner", "FailureFingerprint", "PROPAGATION_MODES",
            "NodeOutcome", "PipelineCycleError", "PipelineDAG",
            "PipelineFailed", "PipelineResult", "PipelineSpec", "PointFailure",

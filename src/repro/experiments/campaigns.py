@@ -176,7 +176,8 @@ def cache_stats() -> Dict[str, Any]:
     stats: Dict[str, Any] = {"memo": _MEMO.stats()}
     store = get_store()
     if store is not None:
-        stats["store"] = store.stats.to_dict()
+        stats["store"] = {name: int(store.registry.value(f"store.{name}"))
+                          for name in ("hits", "misses", "writes")}
     return stats
 
 
@@ -194,7 +195,7 @@ def make_runner(workers: int = 1, telemetry=None, **supervision):
     """A CampaignRunner wired to the process memo and active store.
 
     ``supervision`` passes through the runner's fault-tolerance knobs
-    (``retry_policy``, ``quarantine``, ``journal``, ``strict``,
+    (``retry_policy``, ``quarantine``, ``strict``,
     ``pool_failure_limit`` — see
     :class:`repro.experiments.runner.CampaignRunner`).
     """

@@ -396,13 +396,11 @@ def _run_stage_in_worker(stage: str, name: str, workdir: str,
 class DAGJournal:
     """Append-only fsynced JSONL of node state transitions.
 
-    Same semantics as :class:`~repro.experiments.supervision.
-    CheckpointJournal`: header line first, one JSON object per
-    transition, torn tail lines tolerated and counted, every append
-    fsynced (and the containing directory fsynced when the file is
-    created).  Unlike the campaign journal it records *transitions*,
-    not payloads — node outputs live in the node dirs; the journal is
-    the authoritative history of what happened when::
+    Header line first, one JSON object per transition, torn tail lines
+    tolerated and counted, every append fsynced (and the containing
+    directory fsynced when the file is created).  It records
+    *transitions*, not payloads — node outputs live in the node dirs;
+    the journal is the authoritative history of what happened when::
 
         {"dag_journal": {"format": 1, "pipeline": "..."}}
         {"transition": {"node": "fit", "signature": "...", "state":

@@ -3,16 +3,19 @@
 A campaign is a list of :class:`CapturePoint` — fully described,
 mutually independent simulations (job kind, input size, derived seed,
 cluster + Hadoop configuration, job kwargs).  The
-:class:`CampaignRunner` resolves each point through a four-level
+:class:`CampaignRunner` resolves each point through a three-level
 hierarchy:
 
-1. the checkpoint journal of a resumed run
-   (:class:`repro.experiments.supervision.CheckpointJournal`),
-2. the process-local memo (:mod:`repro.experiments.campaigns`),
-3. the persistent content-addressed store
+1. the process-local memo (:mod:`repro.experiments.campaigns`),
+2. the persistent content-addressed store
    (:class:`repro.experiments.store.CaptureStore`), and
-4. actual simulation — serial in-process, or fanned out across
+3. actual simulation — serial in-process, or fanned out across
    ``workers`` processes with a ``spawn`` context.
+
+The store is also the campaign's checkpoint: each simulated point is
+published to it the moment it resolves, so a campaign killed mid-run
+keeps every finished point, and rerunning it against the same store
+simulates only what is missing.
 
 Determinism is the contract that makes the fan-out safe: every point
 carries its own derived seed and builds a fresh
@@ -35,8 +38,8 @@ partial result set.  After ``pool_failure_limit`` consecutive pool
 collapses the runner degrades gracefully from parallel to serial
 in-process execution.  Every mechanism is counted on the telemetry
 registry (``campaign.retries``, ``campaign.deadline_kills``,
-``campaign.quarantined``, ``campaign.resumed_points``,
-``campaign.pool_failures``, ``campaign.degraded_serial``).
+``campaign.quarantined``, ``campaign.pool_failures``,
+``campaign.degraded_serial``).
 
 Seed derivation
 ---------------
@@ -64,15 +67,10 @@ from repro.mapreduce.cluster import HadoopCluster
 from repro.mapreduce.result import JobResult
 from repro.obs.aggregate import AggregateRegistry, EventBroker, delta_envelope
 from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.experiments.store import (
-    TRACE_FORMAT_VERSION,
-    CaptureStore,
-    encode_entry,
-    key_hash,
-)
+from repro.experiments.store import (TRACE_FORMAT_VERSION, CaptureStore,
+                                     key_hash)
 from repro.experiments.supervision import (
     CampaignPointsFailed,
-    CheckpointJournal,
     DeadlineExpired,
     FailureFingerprint,
     PointFailure,
@@ -203,8 +201,8 @@ class PlanPoint:
     The plan analogue of :class:`CapturePoint`, presenting the same
     surface the runner consumes (``key``/``key_dict``/``simulate`` plus
     the ``job``/``input_gb``/``seed`` fields supervision reports on) —
-    so plans flow through the journal → memo → store → simulate
-    hierarchy, worker pools, retries and quarantine untouched.
+    so plans flow through the memo → store → simulate hierarchy, worker
+    pools, retries and quarantine untouched.
 
     Keying: the ``plan`` block carries the plan name, its parameters
     *and* the built plan's structural signature.  The key has no
@@ -344,37 +342,12 @@ def _simulate_point_observed(
     return value, envelope
 
 
-#: The per-level counters a runner keeps, in presentation order.
+#: The per-level counters a runner keeps on its registry as
+#: ``campaign.<name>``, in presentation order.
 _RUNNER_STAT_FIELDS = ("points", "points_completed", "memo_hits",
                        "store_hits", "simulated", "parallel_simulated",
-                       "resumed_points", "retries", "deadline_kills",
-                       "quarantined", "pool_failures", "degraded_serial")
-
-
-@dataclass
-class RunnerStats:
-    """Read-only snapshot of what a campaign run did, level by level.
-
-    Live counters moved onto the runner telemetry's registry
-    (``campaign.*``); this dataclass survives as the compatibility view
-    handed out by :attr:`CampaignRunner.stats`.
-    """
-
-    points: int = 0
-    points_completed: int = 0
-    memo_hits: int = 0
-    store_hits: int = 0
-    simulated: int = 0
-    parallel_simulated: int = 0
-    resumed_points: int = 0
-    retries: int = 0
-    deadline_kills: int = 0
-    quarantined: int = 0
-    pool_failures: int = 0
-    degraded_serial: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in _RUNNER_STAT_FIELDS}
+                       "retries", "deadline_kills", "quarantined",
+                       "pool_failures", "degraded_serial")
 
 
 @dataclass
@@ -399,7 +372,7 @@ _WATCHDOG_TICK = 0.05
 
 
 class CampaignRunner:
-    """Resolve capture points through journal → memo → store → simulation.
+    """Resolve capture points through memo → store → simulation.
 
     ``workers <= 1`` simulates in-process; ``workers > 1`` uses a
     ``spawn``-context :class:`ProcessPoolExecutor` so workers import the
@@ -416,9 +389,6 @@ class CampaignRunner:
         routes even ``workers == 1`` runs through a one-worker pool.
     ``quarantine``
         optional sidecar recording points that exhausted their budget.
-    ``journal``
-        optional checkpoint journal; completed points are appended
-        incrementally and replayed byte-identically on resume.
     ``strict``
         when True (default), :meth:`run` raises
         :class:`~repro.experiments.supervision.CampaignPointsFailed`
@@ -434,7 +404,6 @@ class CampaignRunner:
                  telemetry: Optional[Telemetry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  quarantine: Optional[Quarantine] = None,
-                 journal: Optional[CheckpointJournal] = None,
                  strict: bool = True, pool_failure_limit: int = 3,
                  events: Optional[EventBroker] = None):
         self.store = store
@@ -444,7 +413,6 @@ class CampaignRunner:
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.quarantine = quarantine
-        self.journal = journal
         self.strict = strict
         self.pool_failure_limit = max(1, int(pool_failure_limit))
         # Worker registry deltas fold in here: counters sum into the
@@ -461,12 +429,6 @@ class CampaignRunner:
         registry = self.telemetry.registry
         self._counters = {name: registry.counter(f"campaign.{name}")
                           for name in _RUNNER_STAT_FIELDS}
-
-    @property
-    def stats(self) -> RunnerStats:
-        """Compatibility view of the registry-backed counters."""
-        return RunnerStats(**{name: int(counter.value)
-                              for name, counter in self._counters.items()})
 
     def _count(self, name: str, amount: int = 1) -> None:
         self._counters[name].value += amount
@@ -489,6 +451,18 @@ class CampaignRunner:
                       seed=point.seed,
                       completed=int(self._counters["points_completed"].value),
                       total=self._total_points)
+
+    def _simulated(self, key: str, point: CapturePoint,
+                   value: Tuple[JobResult, JobTrace]) -> None:
+        """Checkpoint one freshly simulated point, then count it resolved.
+
+        Runs inside the serial loop / the pool's fan-in, so a campaign
+        killed mid-run has already stored every point that finished.
+        """
+        if self.store is not None:
+            self.store.put(point.key_dict(), *value)
+        self._memo_put(key, value)
+        self._resolved(point, "simulated")
 
     def _absorb(self, envelope: Optional[Dict[str, Any]]) -> None:
         """Fold a worker's telemetry return into the parent registry.
@@ -531,18 +505,9 @@ class CampaignRunner:
             if key in pending:
                 pending[key].append(index)
                 continue
-            if self.journal is not None:
-                replayed = self.journal.lookup(key)
-                if replayed is not None:
-                    self._count("resumed_points")
-                    self._memo_put(key, replayed)
-                    results[index] = replayed
-                    self._resolved(point, "journal")
-                    continue
             hit = self._memo_get(key)
             if hit is not None:
                 self._count("memo_hits")
-                self._checkpoint(point, key, hit)
                 results[index] = hit
                 self._resolved(point, "memo")
                 continue
@@ -551,7 +516,6 @@ class CampaignRunner:
                 if stored is not None:
                     self._count("store_hits")
                     self._memo_put(key, stored)
-                    self._checkpoint(point, key, stored)
                     results[index] = stored
                     self._resolved(point, "store")
                     continue
@@ -562,11 +526,6 @@ class CampaignRunner:
             simulated, failures = self._simulate_all(
                 list(pending_points.items()))
             for key, value in simulated.items():
-                point = pending_points[key]
-                if self.store is not None:
-                    self.store.put(point.key_dict(), *value)
-                self._memo_put(key, value)
-                self._checkpoint(point, key, value)
                 for index in pending[key]:
                     results[index] = value
                 # The first occurrence was already counted live at
@@ -580,8 +539,6 @@ class CampaignRunner:
                 self.failures.append(failure)
                 if self.quarantine is not None:
                     self.quarantine.record(failure)
-                if self.journal is not None:
-                    self.journal.record_failure(failure)
                 self._publish("point", status="quarantined",
                               job=failure.job, input_gb=failure.input_gb,
                               seed=failure.seed, attempts=failure.attempts)
@@ -596,18 +553,10 @@ class CampaignRunner:
 
     def manifest(self) -> Dict[str, Any]:
         """Explicit partial-result manifest of the last :meth:`run`."""
-        return {"stats": self.stats.to_dict(),
+        return {"stats": {name: int(counter.value)
+                          for name, counter in self._counters.items()},
                 "quarantined": [failure.to_dict()
                                 for failure in self.failures]}
-
-    def _checkpoint(self, point: CapturePoint, key: str,
-                    value: Tuple[JobResult, JobTrace]) -> None:
-        """Append a resolved point to the journal (idempotent per key)."""
-        if self.journal is None:
-            return
-        self.journal.record_completed(key, point.job, point.input_gb,
-                                      point.seed,
-                                      encode_entry(point.key_dict(), *value))
 
     # -- simulation back-ends -----------------------------------------------------
 
@@ -639,9 +588,7 @@ class CampaignRunner:
             state = _Supervised(point)
             while True:
                 try:
-                    resolved[key] = point.simulate(telemetry=self.telemetry)
-                    self._resolved(point, "simulated")
-                    break
+                    value = point.simulate(telemetry=self.telemetry)
                 except Exception as exc:
                     state.attempts += 1
                     state.fingerprints.append(
@@ -652,6 +599,10 @@ class CampaignRunner:
                         break
                     self._count("retries")
                     _time.sleep(policy.delay(key, state.attempts))
+                    continue
+                resolved[key] = value
+                self._simulated(key, point, value)
+                break
         return resolved, failures
 
     # -- pool (process-isolated) path ------------------------------------------------
@@ -720,6 +671,11 @@ class CampaignRunner:
                 if broke:
                     pool.shutdown(wait=False)
                     pool = None
+            if pool is not None:
+                # Every future is done: join the idle workers so none
+                # outlives the campaign and competes with what runs next.
+                pool.shutdown(wait=True)
+                pool = None
         finally:
             if pool is not None:
                 pool.shutdown(wait=False)
@@ -779,7 +735,7 @@ class CampaignRunner:
                 self._absorb(snapshot)
                 resolved[key] = value
                 unresolved.discard(key)
-                self._resolved(state[key].point, "simulated")
+                self._simulated(key, state[key].point, value)
             if saw_break:
                 # A broken pool fails all outstanding futures promptly;
                 # drop the timeout and drain them.

@@ -135,13 +135,10 @@ def key_hash(key: Dict[str, Any]) -> str:
 def encode_entry(key: Dict[str, Any], result: Any, trace: JobTrace) -> str:
     """The on-disk entry payload: store header + verbatim trace JSONL.
 
-    Shared by the persistent store and the checkpoint journal
-    (:mod:`repro.experiments.supervision`), so both replay completed
-    captures byte-identically.  ``result`` is either a
-    :class:`JobResult` (single-job capture) or a :class:`PlanResult`
-    (workload-plan capture); the header's ``result_type`` discriminator
-    routes decoding, with absence meaning ``job`` so single-job headers
-    keep their familiar v2 shape.
+    ``result`` is either a :class:`JobResult` (single-job capture) or a
+    :class:`PlanResult` (workload-plan capture); the header's
+    ``result_type`` discriminator routes decoding, with absence meaning
+    ``job`` so single-job headers keep their familiar v2 shape.
     """
     header: Dict[str, Any] = {
         "store": {"format": TRACE_FORMAT_VERSION, "key": key},
@@ -189,38 +186,17 @@ def entry_key(text: str) -> Dict[str, Any]:
     return json.loads(text.splitlines()[0])["store"]["key"]
 
 
-#: The counter fields a store keeps, in presentation order.
+#: The counters a store keeps on its registry as ``store.<name>``.
 _STAT_FIELDS = ("hits", "misses", "writes", "corrupt", "stale",
                 "bytes_read", "bytes_written")
 
 
-@dataclass
-class StoreStats:
-    """Read-only snapshot of one :class:`CaptureStore`'s counters.
-
-    The live counters moved onto a telemetry
-    :class:`~repro.obs.metrics.MetricsRegistry` (``store.*``); this
-    dataclass survives as the compatibility view handed out by
-    :attr:`CaptureStore.stats`.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    corrupt: int = 0
-    stale: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "corrupt": self.corrupt,
-                "stale": self.stale, "bytes_read": self.bytes_read,
-                "bytes_written": self.bytes_written}
-
-
 class CaptureStore:
-    """Content-addressed (JobResult, JobTrace) store rooted at a directory."""
+    """Content-addressed (JobResult, JobTrace) store rooted at a directory.
+
+    It is also a campaign's checkpoint: the runner puts each point as
+    soon as it resolves.
+    """
 
     def __init__(self, root: str | Path,
                  registry: Optional[MetricsRegistry] = None):
@@ -228,12 +204,6 @@ class CaptureStore:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._counters = {name: self.registry.counter(f"store.{name}")
                           for name in _STAT_FIELDS}
-
-    @property
-    def stats(self) -> StoreStats:
-        """Compatibility view of the registry-backed counters."""
-        return StoreStats(**{name: int(counter.value)
-                             for name, counter in self._counters.items()})
 
     def _count(self, name: str, amount: float = 1) -> None:
         self._counters[name].value += amount

@@ -24,16 +24,17 @@ discard every in-flight result.  This module supplies the pieces the
 * **quarantine** (:class:`Quarantine`) — a ``quarantine.jsonl`` sidecar
   recording each poisoned point's fingerprints; the campaign completes
   with an explicit partial-result manifest instead of dying.
-* **checkpoint journal** (:class:`CheckpointJournal`) — an append-only
-  JSONL file recording every completed point *with its encoded store
-  payload*, so ``keddah campaign --resume <journal>`` replays completed
-  points byte-identically without re-simulating, even when no
-  persistent store is configured.
+
+The campaign's checkpoint is its
+:class:`~repro.experiments.store.CaptureStore`: the runner stores each
+point the moment it resolves, and rerunning against the same store
+resumes a killed campaign.
 
 Everything here is host-side machinery: it never touches simulated
 time, and resolved captures are byte-identical whether a point
-succeeded first try, was retried after a worker crash, or was replayed
-from a journal (pinned by ``tests/test_campaign_runner.py``).
+succeeded first try, was retried after a worker crash, or was read
+back from the store on a rerun (pinned by
+``tests/test_campaign_runner.py``).
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ class PointFailure:
     """One quarantined point: identity, attempts, and every fingerprint.
 
     ``occurrences`` counts how many times this *same* crash (same key,
-    same fingerprint set) was quarantined — it grows across
-    ``--resume`` cycles instead of the sidecar growing duplicate lines.
+    same fingerprint set) was quarantined — it grows across reruns of
+    the campaign instead of the sidecar growing duplicate lines.
     """
 
     key: str
@@ -253,7 +254,7 @@ class Quarantine:
     whose :meth:`PointFailure.crash_signature` matches a known line
     bumps that line's ``occurrences`` (and attempt total) instead of
     appending a duplicate — so a poison point crashed across ten
-    ``--resume`` cycles is *one* line with ``occurrences: 10``.
+    reruns is *one* line with ``occurrences: 10``.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
@@ -311,124 +312,3 @@ class Quarantine:
             except (ValueError, KeyError):
                 continue  # torn tail write
         return out
-
-
-#: Version of the journal line schema.
-JOURNAL_FORMAT_VERSION = 1
-
-
-class CheckpointJournal:
-    """Incremental, resumable record of a campaign's completed points.
-
-    The journal is an append-only JSONL file.  The first line is a
-    header; each later line is either::
-
-        {"completed": {"key": <sha256>, "job": ..., "input_gb": ...,
-                       "seed": ..., "entry": <store payload string>}}
-        {"failure": <PointFailure dict>}
-
-    ``entry`` is the exact :func:`repro.experiments.store.encode_entry`
-    payload (header + verbatim trace JSONL), so a resumed run replays
-    completed points byte-identically — the same round-trip guarantee
-    the persistent store pins.  Opening an existing journal loads its
-    completed entries (torn tail lines are tolerated and counted), and
-    further completions append to the same file, so a campaign can be
-    killed and resumed any number of times.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._entries: Dict[str, str] = {}
-        self._meta: Dict[str, Dict[str, Any]] = {}
-        self.failures_recorded = 0
-        self.truncated_lines = 0
-        self._load_existing()
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append({"journal": {"format": JOURNAL_FORMAT_VERSION}})
-
-    # -- loading -----------------------------------------------------------------
-
-    def _load_existing(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self.truncated_lines += 1
-                continue
-            completed = record.get("completed")
-            if completed:
-                try:
-                    key = completed["key"]
-                    self._entries[key] = completed["entry"]
-                    self._meta[key] = {name: completed.get(name)
-                                       for name in ("job", "input_gb", "seed")}
-                except (KeyError, TypeError):
-                    self.truncated_lines += 1
-            elif record.get("failure"):
-                self.failures_recorded += 1
-
-    # -- writing -----------------------------------------------------------------
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        created = not self.path.exists()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if created:
-            # The file's *name* lives in the parent directory's
-            # metadata; without this a power cut can lose the journal
-            # even though its bytes were fsynced.
-            fsync_dir(self.path.parent)
-
-    def record_completed(self, key: str, job: str, input_gb: float, seed: int,
-                         entry: str) -> None:
-        """Append one completed point (idempotent per key)."""
-        if key in self._entries:
-            return
-        self._entries[key] = entry
-        self._meta[key] = {"job": job, "input_gb": input_gb, "seed": seed}
-        self._append({"completed": {"key": key, "job": job,
-                                    "input_gb": input_gb, "seed": seed,
-                                    "entry": entry}})
-
-    def record_failure(self, failure: PointFailure) -> None:
-        self.failures_recorded += 1
-        self._append({"failure": failure.to_dict()})
-
-    # -- reading -----------------------------------------------------------------
-
-    def lookup(self, key: str) -> Optional[Tuple[Any, Any]]:
-        """Decode the completed entry for ``key``; None when absent/corrupt."""
-        payload = self._entries.get(key)
-        if payload is None:
-            return None
-        from repro.experiments.store import decode_entry
-
-        try:
-            return decode_entry(payload)
-        except Exception:
-            # A corrupt journal entry is a miss, never an abort.
-            return None
-
-    def completed_keys(self) -> List[str]:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def manifest(self) -> Dict[str, Any]:
-        """Summary of what the journal holds (for reporting/debugging)."""
-        return {"path": str(self.path),
-                "completed": len(self._entries),
-                "failures_recorded": self.failures_recorded,
-                "truncated_lines": self.truncated_lines,
-                "points": [dict(self._meta[key], key=key)
-                           for key in self._entries]}

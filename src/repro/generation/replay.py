@@ -56,7 +56,9 @@ def replay_trace(trace: JobTrace, topology: Optional[Topology] = None,
     the transport substrate replayed against; ``record`` turns replay
     into a zero-cost re-emission of the trace's own schedule (what the
     ns-3/OMNeT exporters consume).  ``engine`` picks the fluid
-    implementation (``scalar``/``vectorized``; identical results).
+    implementation (``scalar``/``vectorized``): the replayed flow
+    records are identical, while per-link totals (and the utilisation
+    figures derived from them) may differ in the last bits.
     """
     if time_scale <= 0:
         raise ValueError(f"time_scale must be positive, got {time_scale}")

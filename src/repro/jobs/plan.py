@@ -11,19 +11,9 @@ behaviour measurably differs from isolated MapReduce jobs: cross-stage
 data travels through the real HDFS write/read path, so it shows up on
 the wire as replication-pipeline and split-read traffic.
 
-Identity boundary
------------------
-``WorkloadPlan.single(spec)`` wraps one explicit
-:class:`~repro.jobs.base.JobSpec` as a *trivial* plan.  The executor
-runs a trivial plan through the exact legacy single-job path (same job
-id, same RNG streams, same event ordering), so its capture is
-byte-identical to ``HadoopCluster.run([spec])`` — the contract that
-lets the plan machinery subsume the single-job path without
-invalidating anything built on it.
-
 Determinism
 -----------
-Declarative plans carry no run state: stage job ids derive from the
+Plans carry no run state: stage job ids derive from the
 plan signature (a SHA-256 over the canonical plan dict) plus the stage
 name, so every stage gets its own deterministic RNG streams
 (``job.<job_id>.r<k>``) from the cluster seed regardless of execution
@@ -34,11 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
-
-from repro.cluster.units import MB
-from repro.jobs.base import JobSpec
 
 
 def _freeze(mapping: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
@@ -154,16 +141,13 @@ class WorkloadPlan:
     ``params`` records what the registry factory was called with (so
     captures can report e.g. the TPCx-HS scale factor); ``score_rule``
     names an optional scoring rule the analysis layer applies
-    (``"hsph"`` for TPCx-HS-style GB-per-hour scores).  ``wrapped``
-    holds the verbatim :class:`JobSpec` of a trivial plan built via
-    :meth:`single`.
+    (``"hsph"`` for TPCx-HS-style GB-per-hour scores).
     """
 
     name: str
     stages: Tuple[PlanStage, ...]
     params: Tuple[Tuple[str, Any], ...] = ()
     score_rule: str = ""
-    wrapped: Optional[JobSpec] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -187,11 +171,6 @@ class WorkloadPlan:
         self.topological_order()  # raises on cycles
 
     # -- structure ------------------------------------------------------------------
-
-    @property
-    def is_trivial(self) -> bool:
-        """True for a single wrapped JobSpec (the legacy identity path)."""
-        return self.wrapped is not None
 
     def stage(self, name: str) -> PlanStage:
         for stage in self.stages:
@@ -232,27 +211,16 @@ class WorkloadPlan:
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plan dict — the signature (and store-key) source."""
-        data: Dict[str, Any] = {
+        return {
             "name": self.name,
             "stages": [stage.to_dict() for stage in self.stages],
             "params": dict(self.params),
             "score_rule": self.score_rule,
         }
-        if self.wrapped is not None:
-            spec = self.wrapped
-            data["wrapped"] = {"kind": spec.kind, "job_id": spec.job_id,
-                               "input_bytes": spec.input_bytes,
-                               "num_reducers": spec.num_reducers,
-                               "queue": spec.queue}
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadPlan":
-        """Rebuild a declarative plan (wrapped specs do not round-trip)."""
-        if "wrapped" in data:
-            raise ValueError(
-                "trivial plans wrap a live JobSpec and are not "
-                "reconstructible from their dict")
+        """Rebuild a plan from :meth:`to_dict` output."""
         return cls(name=data["name"],
                    stages=tuple(PlanStage.from_dict(stage)
                                 for stage in data["stages"]),
@@ -264,17 +232,6 @@ class WorkloadPlan:
         payload = json.dumps(self.to_dict(), sort_keys=True,
                              separators=(",", ":"), default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    # -- construction ---------------------------------------------------------------
-
-    @classmethod
-    def single(cls, spec: JobSpec, name: str = "") -> "WorkloadPlan":
-        """Wrap one explicit JobSpec as a trivial plan (identity path)."""
-        stage = PlanStage(name="job", kind=spec.kind,
-                          input_gb=max(spec.input_bytes / (1024 * MB), 1e-9),
-                          num_reducers=spec.num_reducers, queue=spec.queue)
-        return cls(name=name or f"single-{spec.kind}", stages=(stage,),
-                   wrapped=spec)
 
 
 # -- the plan catalog ----------------------------------------------------------------

@@ -228,24 +228,6 @@ class HadoopCluster:
         results = [driver.result for driver in drivers]
         return results, [self.trace_for(driver) for driver in drivers]
 
-    # -- performance ----------------------------------------------------------------------
-
-    def perf_report(self) -> Dict[str, float]:
-        """Substrate performance counters for the whole run.
-
-        Combines the event kernel's counters (events fired/cancelled,
-        heap compactions) with the fluid network's (rate recomputations,
-        flushes, coalesced updates, cumulative allocator time).  The
-        substrate benchmarks print this so the BENCH trajectory can
-        track engine efficiency, not just wall time.
-        """
-        report: Dict[str, float] = {}
-        for key, value in self.sim.perf.items():
-            report[f"sim.{key}"] = value
-        for key, value in self.net.perf.items():
-            report[f"net.{key}"] = value
-        return report
-
     # -- capture extraction ---------------------------------------------------------------
 
     def trace_for(self, driver: JobDriver) -> JobTrace:
@@ -270,16 +252,11 @@ class HadoopCluster:
     def trace_for_plan(self, executor: PlanExecutor) -> JobTrace:
         """Cut the collector's capture into one plan's combined trace.
 
-        Trivial plans delegate to :meth:`trace_for` on the single
-        wrapped driver, so their trace is byte-identical to a legacy
-        single-job capture.  Declarative plans get one trace spanning
-        every stage, with the per-stage breakdown (job ids, windows,
-        volumes, dependency edges) recorded under ``meta.extra['plan']``
-        so the analysis layer can attribute flows back to stages.
+        One trace spans every stage, with the per-stage breakdown (job
+        ids, windows, volumes, dependency edges) recorded under
+        ``meta.extra['plan']`` so the analysis layer can attribute flows
+        back to stages.
         """
-        if executor.plan.is_trivial:
-            (driver,) = executor.drivers.values()
-            return self.trace_for(driver)
         result = executor.result
         meta = CaptureMeta(
             job_id=result.plan_id,

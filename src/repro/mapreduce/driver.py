@@ -20,9 +20,7 @@ JobDriver, root stages are admitted concurrently at submission, and
 dependent stages wait for their upstream done-signals before resolving
 their input from the upstream jobs' *actual HDFS output files* — so
 cross-stage data moves through the real write/read path and shows up
-on the wire.  A trivial plan (one wrapped JobSpec) takes the exact
-legacy single-job path, making ``JobDriver`` the thin single-stage
-case of the executor and keeping those captures byte-identical.
+on the wire.
 """
 
 from __future__ import annotations
@@ -143,11 +141,6 @@ class PlanExecutor:
     selection and run their job over those files.  Stage job ids derive
     from the plan id (default: the plan signature), so each stage draws
     deterministic RNG streams regardless of execution interleaving.
-
-    Trivial plans (one wrapped JobSpec) bypass the stage machinery:
-    the wrapped spec is preloaded and driven exactly like
-    ``HadoopCluster.submit_job`` would, which is what keeps
-    single-stage plan captures byte-identical to the legacy path.
     """
 
     def __init__(self, cluster: "HadoopCluster", plan: WorkloadPlan,
@@ -167,18 +160,6 @@ class PlanExecutor:
         self._order = plan.topological_order()
         self._stage_done: Dict[str, Signal] = {}
         self._stage_results: Dict[str, StageResult] = {}
-        self._span = None
-
-        if plan.is_trivial:
-            spec = plan.wrapped
-            stage_name = plan.stages[0].name
-            cluster.preload_input(spec)
-            driver = JobDriver(cluster, spec, client_host=client_host)
-            self.drivers[stage_name] = driver
-            sim.process(self._finalise_trivial(stage_name, driver),
-                        name=f"plan[{self.plan_id}]")
-            return
-
         self._span = self._tracer.start(
             "plan", self.plan_id, sim.now, plan=plan.name,
             stages=len(plan.stages), backend=cluster.net.name)
@@ -235,14 +216,6 @@ class PlanExecutor:
                               for stage in self._order]
         self._tracer.end(self._span, self.cluster.sim.now,
                          failed=self.result.failed)
-        self.done.fire(self.result)
-
-    def _finalise_trivial(self, stage_name: str, driver: JobDriver):
-        job_result = yield driver.done
-        status = "failed" if job_result.failed else "completed"
-        self.result.stages = [StageResult(name=stage_name,
-                                          kind=driver.spec.kind,
-                                          status=status, job=job_result)]
         self.done.fire(self.result)
 
     # -- stage resolution ---------------------------------------------------------

@@ -163,9 +163,8 @@ class PlanResult:
     """Aggregate result of one workload-plan run (all stages).
 
     Stages are kept in topological execution order.  ``job_id`` aliases
-    ``plan_id`` so plan results flow through machinery (store entries,
-    journal checkpoints) that cross-checks a result id against its
-    trace's ``meta.job_id``.
+    ``plan_id`` so plan results flow through machinery (store entries)
+    that cross-checks a result id against its trace's ``meta.job_id``.
     """
 
     plan: str

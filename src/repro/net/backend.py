@@ -125,8 +125,9 @@ class TransportBackend(ABC):
       finished flow — the capture stage's tap — and drained listeners
       (:meth:`add_drained_listener`) fire whenever a completion leaves
       the backend with no active flows.
-    * :attr:`perf` exposes cumulative engine counters and
-      :meth:`utilisation` per-link mean utilisation since t=0.
+    * :meth:`utilisation` reports per-link mean utilisation since t=0;
+      cumulative engine counters live on the simulator's telemetry
+      registry (``net.*``).
 
     Subclasses must also keep the observable state probes sample:
     ``active`` (flow_id → Flow), ``link_bytes``, ``_capacities``,
@@ -253,11 +254,6 @@ class TransportBackend(ABC):
 
     # -- observation -----------------------------------------------------------
 
-    @property
-    @abstractmethod
-    def perf(self) -> Dict[str, float]:
-        """Cumulative engine performance counters."""
-
     def throughput_gbps(self) -> float:
         """Aggregate instantaneous rate over active flows, in Gbit/s.
 
@@ -322,14 +318,6 @@ class AnalyticBackend(TransportBackend):
         self._c_bytes_completed = registry.counter("net.bytes_completed")
         self._c_waves = registry.counter("net.waves")
         registry.gauge("net.active_flows", fn=lambda: len(self.active))
-
-    @property
-    def perf(self) -> Dict[str, float]:
-        return {
-            "waves": int(self._c_waves.value),
-            "flows_started": int(self._c_flows_started.value),
-            "flows_completed": int(self._c_flows_completed.value),
-        }
 
     # -- flow lifecycle --------------------------------------------------------
 
@@ -554,10 +542,6 @@ class RecordBackend(TransportBackend):
         registry = sim.telemetry.registry
         self._c_intents = registry.counter("net.intents_recorded")
         registry.gauge("net.active_flows", fn=lambda: len(self.active))
-
-    @property
-    def perf(self) -> Dict[str, float]:
-        return {"intents_recorded": int(self._c_intents.value)}
 
     def start_flow(self, src: Host, dst: Host, size: float,
                    max_rate: Optional[float] = None,

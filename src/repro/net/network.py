@@ -37,7 +37,8 @@ at the flow's rate cap (typically the disk rate) and are flagged
 
 Per-link delivered bytes are accumulated on every update, giving the
 utilisation series used by experiment E11.  Performance counters for
-the whole fluid engine live on :attr:`FlowNetwork.perf`.
+the whole fluid engine live on the simulator's telemetry registry
+(``net.*``).
 
 Engines
 -------
@@ -47,9 +48,10 @@ The fluid dynamics have two interchangeable implementations selected by
 remaining bytes and link incidence in dense numpy arrays so progress
 advancement, completion harvesting and water-filling are array
 expressions.  Both perform the identical IEEE-754 round arithmetic, so
-a capture is byte-identical across engines; only wall-clock cost
-differs.  The differential suite in
-``tests/test_fairshare_incremental.py`` enforces this.
+a capture is byte-identical across engines.  Per-link delivered-byte
+totals (:attr:`FlowNetwork.link_bytes`) are summed in a different
+order and may differ in the last bits.  The differential suite in
+``tests/test_fairshare_incremental.py`` enforces both.
 """
 
 from __future__ import annotations
@@ -114,15 +116,11 @@ class FlowNetwork(TransportBackend):
         # how many flows earlier clusters in this process created.
         self._flow_ids = flow_id_stream()
         if engine == "vectorized":
-            try:
-                from repro.net.vectorized import (
-                    VectorizedFairShareAllocator,
-                    VectorizedFlowState,
-                )
-            except ImportError:
-                raise RuntimeError(
-                    "engine 'vectorized' requires numpy, which is not "
-                    "installed; use engine='scalar'") from None
+            from repro.net.vectorized import (
+                VectorizedFairShareAllocator,
+                VectorizedFlowState,
+            )
+
             self._allocator = VectorizedFairShareAllocator()
             self._vec = VectorizedFlowState(self._allocator)
         else:
@@ -132,8 +130,7 @@ class FlowNetwork(TransportBackend):
         self._batch_depth = 0
         self._batch_dirty = False
         self._last_progress = -1.0
-        # Perf counters live on the simulator's telemetry registry
-        # (the old ``net.perf`` attributes survive as properties); the
+        # Perf counters live on the simulator's telemetry registry; the
         # allocator keeps plain ints and is exposed via callback gauges.
         self.telemetry = sim.telemetry
         registry = self.telemetry.registry
@@ -176,35 +173,6 @@ class FlowNetwork(TransportBackend):
     @link_bytes.setter
     def link_bytes(self, value: Dict[Any, float]) -> None:
         self._link_bytes = value
-
-    @property
-    def perf(self) -> dict:
-        """Fluid-engine performance counters (cumulative)."""
-        return {
-            "engine": self.engine,
-            "recomputes": self._allocator.recomputes,
-            "waterfill_rounds": self._allocator.rounds,
-            "allocator_seconds": self._allocator.allocator_seconds,
-            "updates_requested": self.updates_requested,
-            "flushes": self.flushes,
-            "flows_batched": self.flows_batched,
-            "flows_admitted_batched": int(self._c_batch_admitted.value),
-            "bulk_harvests": int(self._c_bulk_harvests.value),
-            "done_signals_skipped": int(self._c_done_skipped.value),
-        }
-
-    @property
-    def updates_requested(self) -> int:
-        """Update requests so far (compatibility view of the registry)."""
-        return int(self._c_updates.value)
-
-    @property
-    def flushes(self) -> int:
-        return int(self._c_flushes.value)
-
-    @property
-    def flows_batched(self) -> int:
-        return int(self._c_batched.value)
 
     # -- flow lifecycle -------------------------------------------------------
 

@@ -36,7 +36,10 @@ loops as array programs:
   round-grouped refactor, so the two engines produce bit-identical
   rates, not merely close ones.  That is what makes captures
   byte-identical across engines (the differential suite pins both the
-  1e-6 contract and, end to end, the byte equality).
+  1e-6 contract and, end to end, the byte equality).  Per-link
+  delivered-byte totals are not: they are summed in a different order
+  (one ``bincount`` per export) and may differ from the scalar
+  engine's in the last bits.
 
 * :class:`VectorizedFlowState` — the :class:`~repro.net.network.
   FlowNetwork` side: per-slot remaining bytes, activation sequence
@@ -47,12 +50,15 @@ loops as array programs:
   are reported in activation order, matching the scalar engine's
   insertion-ordered harvest exactly.
 
-When to prefer the scalar engine: small clusters.  Below a few hundred
-concurrent flows the numpy per-call overhead exceeds the dict/heap
-work it replaces (the crossover is measured in
-``benchmarks/bench_vectorized.py``); at campaign scale — thousands of
-concurrent flows, 256..1024-node fabrics, million-flow runs — the
-vectorized engine is the only one that finishes in reasonable time.
+Which engine is faster depends on the traffic.  Measured with
+``bench_e2e`` on a 1-CPU VM (two 20 s runs per engine), vectorized was
+slower on the small-job workloads — ``pipeline_cold`` 1.05–1.10 s
+scalar against 1.31–1.35 s, ``model_replay`` 0.54 s against
+0.65–0.67 s — and level on the 64-node ``capture_fabric`` rung
+(0.75 s against 0.70–0.75 s).  On an 8 GiB / 32-reducer / 64-node
+terasort capture it took 4.9–5.4 s against 7.3–7.5 s for scalar, and
+at 256..1024-node fabrics and million-flow runs it is the only engine
+that finishes in reasonable time.
 """
 
 from __future__ import annotations
@@ -653,5 +659,5 @@ class VectorizedFlowState:
         for link_id, key in enumerate(allocator._link_keys):
             value = totals[link_id + 1]
             if value != 0.0:
-                out[key] = value
+                out[key] = float(value)
         self.links_dirty = False

@@ -14,7 +14,7 @@ This module is the aggregation layer the serve daemon stands on:
   and histogram buckets **add**, gauges are **last-write-wins under a
   ``worker`` label** (each source keeps its own gauge series), and every
   delta carries a ``(source, delta_id)`` identity so re-delivery — a
-  retried future, a replayed journal — is idempotent;
+  retried future — is idempotent;
 * :class:`EventBroker` — a tiny in-process pub/sub hub with a bounded
   replay buffer.  The campaign runner publishes per-point progress, the
   alert engine publishes firing/resolved transitions, and the server's
@@ -147,8 +147,7 @@ class AggregateRegistry:
     (:func:`delta_envelope` / :class:`DeltaTracker` build them).  The
     ``(source, delta_id)`` pair identifies the delta: applying the same
     pair twice counts once — the runner may re-deliver a completion
-    after a pool collapse, and a resumed journal replays points the
-    aggregate has already seen.
+    after a pool collapse.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):

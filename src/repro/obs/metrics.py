@@ -1,11 +1,10 @@
 """Process-local metrics: counters, gauges and fixed-bucket histograms.
 
-The registry is the home of every counter the engine used to keep as
-ad-hoc instance attributes (``Simulator.perf``, ``FlowNetwork.perf``,
-the capture store's ``StoreStats``).  Components create their metrics
-once at construction time and mutate plain ``value`` attributes on the
-hot path, so instrumentation costs one attribute add — the old
-``self.events_fired += 1`` in different clothes — while everything
+The registry is the one home of every engine counter (``sim.*``,
+``net.*``, ``store.*``, ``campaign.*``); components keep no counter
+attributes of their own.  Components create their metrics once at
+construction time and mutate plain ``value`` attributes on the hot
+path, so instrumentation costs one attribute add while everything
 becomes enumerable, exportable and mergeable across processes.
 
 Design points:

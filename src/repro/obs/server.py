@@ -273,6 +273,15 @@ class ObservabilityServer:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> "ObservabilityServer":
+        """Spawn the daemon threads; a second call is a no-op.
+
+        ``serve_telemetry`` returns a started server that callers often
+        enter with ``with``, which calls this again: a second accept
+        loop would outlive :meth:`stop` (``shutdown`` waits for only
+        one loop to exit).
+        """
+        if self._threads:
+            return self
         accept = threading.Thread(target=self._httpd.serve_forever,
                                   kwargs={"poll_interval": 0.1},
                                   name="keddah-serve-accept", daemon=True)

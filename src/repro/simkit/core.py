@@ -313,8 +313,7 @@ class Simulator:
         self._pending = 0        # live (not-yet-cancelled) events in the queue
         self._cancelled = 0      # cancelled events still sitting in the queue
         # Kernel counters live on the telemetry registry (hot-path
-        # mutation is a plain attribute add on the Counter object); the
-        # old ``events_fired`` attributes survive as properties.
+        # mutation is a plain attribute add on the Counter object).
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         registry = self.telemetry.registry
         self._c_fired = registry.counter("sim.events_fired")
@@ -327,30 +326,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Events executed so far (compatibility view of the registry)."""
-        return int(self._c_fired.value)
-
-    @property
-    def events_cancelled(self) -> int:
-        return int(self._c_cancelled.value)
-
-    @property
-    def heap_compactions(self) -> int:
-        return int(self._c_compactions.value)
-
-    @property
-    def perf(self) -> dict:
-        """Kernel performance counters (cumulative since construction)."""
-        return {
-            "events_fired": self.events_fired,
-            "events_cancelled": self.events_cancelled,
-            "heap_compactions": self.heap_compactions,
-            "heap_size": len(self._queue),
-            "pending": self._pending,
-        }
 
     # -- scheduling ---------------------------------------------------------
 

@@ -43,6 +43,7 @@ def _points(job="grep", sizes=SIZES, seed=3):
             for index, gb in enumerate(sizes)]
 
 
+
 def _trace_jsonl(trace, tmp_path, name):
     path = tmp_path / name
     trace.to_jsonl(path)
@@ -112,12 +113,12 @@ def test_warm_store_rerun_executes_zero_simulations(tmp_path):
     points = _points()
     cold_runner = CampaignRunner(store=store, workers=1)
     cold = cold_runner.run(points)
-    assert cold_runner.stats.simulated == len(points)
+    assert cold_runner.manifest()["stats"]["simulated"] == len(points)
 
     warm_runner = CampaignRunner(store=store, workers=1)
     warm = warm_runner.run(points)
-    assert warm_runner.stats.simulated == 0
-    assert warm_runner.stats.store_hits == len(points)
+    assert warm_runner.manifest()["stats"]["simulated"] == 0
+    assert warm_runner.manifest()["stats"]["store_hits"] == len(points)
     for index, ((_, cold_trace), (_, warm_trace)) in enumerate(zip(cold, warm)):
         assert _trace_jsonl(cold_trace, tmp_path, f"c{index}.jsonl") == \
             _trace_jsonl(warm_trace, tmp_path, f"w{index}.jsonl")
@@ -129,7 +130,7 @@ def test_runner_preserves_order_and_dedups_within_a_run():
     points[2] = points[0]
     runner = CampaignRunner(store=None, workers=1)
     outcomes = runner.run(points)
-    assert runner.stats.simulated == 2  # the duplicate resolved once
+    assert runner.manifest()["stats"]["simulated"] == 2  # the duplicate resolved once
     assert outcomes[0][1].meta.job_id == outcomes[2][1].meta.job_id
     assert outcomes[0][1].meta.input_bytes != outcomes[1][1].meta.input_bytes
 
@@ -156,7 +157,7 @@ def test_capture_uses_store_across_memo_clears(tmp_path):
     assert second is not first  # came from disk, not the memo
     assert json.dumps([f.to_dict() for f in first.flows]) == \
         json.dumps([f.to_dict() for f in second.flows])
-    assert store.stats.hits == 1
+    assert store.registry.value("store.hits") == 1
 
 
 # -- the bounded memo ---------------------------------------------------------------
@@ -203,11 +204,10 @@ def test_default_workers_positive():
 def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
         tmp_path):
     """One poisoned point + one SIGKILLed worker + one transient error:
-    the campaign completes, quarantines exactly the poison, and a
-    ``--resume`` re-simulates zero completed points with traces
-    byte-identical to an uninterrupted serial run."""
-    from repro.experiments.supervision import (CheckpointJournal, Quarantine,
-                                               RetryPolicy)
+    the campaign completes, quarantines exactly the poison, and a rerun
+    against the same store re-simulates zero completed points with
+    traces byte-identical to an uninterrupted serial run."""
+    from repro.experiments.supervision import Quarantine, RetryPolicy
     from tests.test_supervision import (FlakyOncePoint, KillOncePoint,
                                         PoisonPoint)
 
@@ -225,33 +225,32 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
         PoisonPoint.from_campaign("grep", 0.0625, 903, SMALL),
     ]
     poison_key = points[-1].key()
-    journal_path = tmp_path / "journal.jsonl"
+    store_root = tmp_path / "store"
     quarantine_path = tmp_path / "quarantine.jsonl"
 
     runner = CampaignRunner(
-        store=None, workers=2,
+        store=CaptureStore(store_root), workers=2,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
-        journal=CheckpointJournal(journal_path),
         quarantine=Quarantine(quarantine_path), strict=False)
     outcomes = runner.run(points)
 
     assert [outcome is None for outcome in outcomes] == [False] * 4 + [True]
     assert [failure.key for failure in runner.failures] == [poison_key]
-    assert runner.stats.quarantined == 1
-    assert runner.stats.retries >= 1        # the transient OSError
-    assert runner.stats.pool_failures >= 1  # the SIGKILLed worker
+    assert runner.manifest()["stats"]["quarantined"] == 1
+    assert runner.manifest()["stats"]["retries"] >= 1        # the transient OSError
+    assert runner.manifest()["stats"]["pool_failures"] >= 1  # the SIGKILLed worker
     assert [failure.key for failure in Quarantine.load(quarantine_path)] \
         == [poison_key]
 
-    # Resume from the journal: every completed point replays without
-    # re-simulating; only the quarantined point is attempted again.
+    # Rerun against the same store: every completed point is read back
+    # without re-simulating; only the quarantined point is attempted again.
     resumed = CampaignRunner(
-        store=None, workers=1,
+        store=CaptureStore(store_root), workers=1,
         retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-        journal=CheckpointJournal(journal_path), strict=False)
+        strict=False)
     replayed = resumed.run(points)
-    assert resumed.stats.resumed_points == 4
-    assert resumed.stats.simulated == 1
+    assert resumed.manifest()["stats"]["store_hits"] == 4
+    assert resumed.manifest()["stats"]["simulated"] == 1
     assert replayed[4] is None
 
     # Byte-identity against an uninterrupted serial run (the fault

@@ -90,7 +90,7 @@ def test_entry_file_embeds_trace_jsonl_verbatim(populated, tmp_path):
 def test_miss_on_unknown_key(tmp_path):
     store = CaptureStore(tmp_path / "store")
     assert store.get(_point().key_dict()) is None
-    assert store.stats.misses == 1
+    assert store.registry.value("store.misses") == 1
 
 
 # -- robustness ---------------------------------------------------------------------
@@ -102,11 +102,11 @@ def test_truncated_entry_falls_back_to_resimulation(populated):
     path.write_text(path.read_text()[: len(path.read_text()) // 3])
 
     assert store.get(point.key_dict()) is None
-    assert store.stats.corrupt == 1
+    assert store.registry.value("store.corrupt") == 1
 
     runner = CampaignRunner(store=store, workers=1)
     _, again = runner.run_point(point)
-    assert runner.stats.simulated == 1  # re-simulated, did not raise
+    assert runner.telemetry.registry.value("campaign.simulated") == 1  # re-simulated, did not raise
     assert [f.to_dict() for f in again.flows] == \
         [f.to_dict() for f in trace.flows]
     assert store.get(point.key_dict()) is not None  # overwrote the bad entry
@@ -116,7 +116,7 @@ def test_garbage_entry_is_a_miss_not_an_error(populated):
     store, point, _ = populated
     store.entry_path(point.key()).write_text("not json at all\n{]")
     assert store.get(point.key_dict()) is None
-    assert store.stats.corrupt == 1
+    assert store.registry.value("store.corrupt") == 1
 
 
 def test_stale_format_version_falls_back_to_resimulation(populated):
@@ -128,12 +128,12 @@ def test_stale_format_version_falls_back_to_resimulation(populated):
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
     assert store.get(point.key_dict()) is None
-    assert store.stats.stale == 1
-    assert store.stats.corrupt == 0
+    assert store.registry.value("store.stale") == 1
+    assert store.registry.value("store.corrupt") == 0
 
     runner = CampaignRunner(store=store, workers=1)
     runner.run_point(point)
-    assert runner.stats.simulated == 1
+    assert runner.telemetry.registry.value("campaign.simulated") == 1
 
 
 def test_mismatched_result_and_trace_is_corrupt(populated):
@@ -144,7 +144,7 @@ def test_mismatched_result_and_trace_is_corrupt(populated):
     header["result"]["job_id"] = "someone_else"
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     assert store.get(point.key_dict()) is None
-    assert store.stats.corrupt == 1
+    assert store.registry.value("store.corrupt") == 1
 
 
 def test_writes_leave_no_tmp_droppings(populated):
@@ -168,11 +168,11 @@ def test_clear_invalidates_everything(populated):
 def test_counters_track_traffic(populated):
     store, point, _ = populated
     store.get(point.key_dict())
-    stats = store.stats.to_dict()
-    assert stats["writes"] == 1
-    assert stats["hits"] == 1
-    assert stats["bytes_written"] > 0
-    assert stats["bytes_read"] == stats["bytes_written"]
+    value = store.registry.value
+    assert value("store.writes") == 1
+    assert value("store.hits") == 1
+    assert value("store.bytes_written") > 0
+    assert value("store.bytes_read") == value("store.bytes_written")
 
 
 # -- scrub: verify / repair ---------------------------------------------------------

@@ -1,5 +1,5 @@
 """CLI surface of the supervision layer: campaign failure summaries,
---journal/--resume, and store verify/repair."""
+resuming through --store, and store verify/repair."""
 
 import json
 
@@ -22,18 +22,25 @@ def isolated_caches():
     set_store(None)
 
 
-def test_campaign_journal_then_resume_simulates_nothing(tmp_path, capsys):
-    journal = tmp_path / "journal.jsonl"
-    assert main(CAMPAIGN_ARGS + ["--journal", str(journal)]) == 0
-    assert journal.exists()
+def test_campaign_store_rerun_simulates_nothing(tmp_path, capsys):
+    store = tmp_path / "store"
+    assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 0
+    assert len(list((store / "objects").glob("*/*.jsonl"))) == 2
     capsys.readouterr()
 
-    clear_cache()  # resume must come from the journal, not the memo
-    assert main(CAMPAIGN_ARGS + ["--resume", str(journal)]) == 0
+    clear_cache()  # the rerun must come from the store, not the memo
+    assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 0
     out = capsys.readouterr().out
-    assert "resuming from" in out
-    assert "2 resumed" in out
     assert "0 simulated" in out
+    assert "2 store hit(s)" in out
+
+
+def test_campaign_help_has_no_journal_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["campaign", "--help"])
+    out = capsys.readouterr().out
+    assert "--store" in out
+    assert "--journal" not in out and "--resume" not in out
 
 
 def test_campaign_rejects_zero_retries(capsys):
@@ -51,8 +58,8 @@ def test_campaign_failure_exits_nonzero_with_readable_summary(
         return real(self, telemetry)
 
     monkeypatch.setattr(CapturePoint, "simulate", poisoned)
-    journal = tmp_path / "journal.jsonl"
-    code = main(CAMPAIGN_ARGS + ["--journal", str(journal)])
+    store = tmp_path / "store"
+    code = main(CAMPAIGN_ARGS + ["--store", str(store)])
     out = capsys.readouterr().out
 
     assert code == 1
@@ -61,10 +68,12 @@ def test_campaign_failure_exits_nonzero_with_readable_summary(
     assert "quarantined" in out
     assert "ValueError" in out
     assert "injected poison" in out
-    # The healthy point still resolved and was journaled.
+    # The healthy point still resolved and was stored.
     assert "0.062" in out
-    # The quarantine sidecar defaults next to the journal.
-    sidecar = tmp_path / "quarantine.jsonl"
+    assert len(list((store / "objects").glob("*/*.jsonl"))) == 1
+    assert f"--store {store}" in out
+    # The quarantine sidecar defaults into the store.
+    sidecar = store / "quarantine.jsonl"
     assert sidecar.exists()
     record = json.loads(sidecar.read_text().splitlines()[0])
     assert record["job"] == "grep"

@@ -83,7 +83,6 @@ def test_cli_accepts_engine_on_all_three_commands():
 def test_make_backend_passes_engine_to_fluid():
     net = make_backend("fluid", _sim(), _topology(), engine="vectorized")
     assert net.engine == "vectorized"
-    assert net.perf["engine"] == "vectorized"
     assert type(net.allocator).__name__ == "VectorizedFairShareAllocator"
 
 
@@ -112,9 +111,8 @@ def test_engine_gauge_and_perf_counters():
                    if entry["name"] == "net.engine"]
     assert {"engine": "vectorized"} in [entry["labels"]
                                         for entry in engine_rows]
-    for key in ("engine", "recomputes", "waterfill_rounds",
-                "allocator_seconds", "flushes"):
-        assert key in net.perf
+    for name in ("net.recomputes", "net.allocator_seconds", "net.flushes"):
+        assert name in gauges
 
 
 # -- key invariance ---------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.jobs import make_job
 from repro.mapreduce.cluster import HadoopCluster
+from repro.net.backend import make_backend
 from repro.net.fairshare import (
     FairShareAllocator,
     allocation_is_feasible,
@@ -194,9 +195,11 @@ def test_seeded_terasort_trace_identical_with_and_without_batching():
     legacy_cluster, legacy = _run_terasort(False)
     assert _comparable(batched) == _comparable(legacy)
     # The whole point: batching strictly reduces recompute work.
-    assert batched_cluster.net.perf["recomputes"] < legacy_cluster.net.perf["recomputes"]
-    assert batched_cluster.net.perf["flows_batched"] > 0
-    assert legacy_cluster.net.perf["flushes"] == 0
+    batched_count = batched_cluster.sim.telemetry.registry.value
+    legacy_count = legacy_cluster.sim.telemetry.registry.value
+    assert batched_count("net.recomputes") < legacy_count("net.recomputes")
+    assert batched_count("net.flows_batched") > 0
+    assert legacy_count("net.flushes") == 0
 
 
 # -- the vectorized engine vs the scalar oracle ---------------------------------------
@@ -421,9 +424,49 @@ def test_seeded_terasort_capture_byte_identical_across_engines(tmp_path):
     vector_trace.to_jsonl(str(vector_path))
     assert scalar_path.read_bytes() == vector_path.read_bytes()
     # Both engines did the same logical work, counted identically.
-    assert (scalar_cluster.net.perf["recomputes"]
-            == vector_cluster.net.perf["recomputes"])
-    assert (scalar_cluster.net.perf["waterfill_rounds"]
-            == vector_cluster.net.perf["waterfill_rounds"])
-    assert scalar_cluster.net.perf["engine"] == "scalar"
-    assert vector_cluster.net.perf["engine"] == "vectorized"
+    scalar_count = scalar_cluster.sim.telemetry.registry.value
+    vector_count = vector_cluster.sim.telemetry.registry.value
+    assert scalar_count("net.recomputes") == vector_count("net.recomputes")
+    assert (scalar_count("net.waterfill_rounds")
+            == vector_count("net.waterfill_rounds"))
+    assert scalar_cluster.net.engine == "scalar"
+    assert vector_cluster.net.engine == "vectorized"
+
+
+@needs_numpy
+def test_replay_link_bytes_agree_across_engines(monkeypatch):
+    """Replaying one capture: same flow records, per-link totals to 1e-12.
+
+    The vectorized engine sums a link's delivered bytes in a different
+    order (one ``bincount`` per export), so its totals may differ from
+    the scalar engine's in the last bits.  They must still be plain
+    floats: numpy scalars would leak into the replay report's
+    utilisation figures.
+    """
+    import repro.generation.replay as replay
+
+    networks = {}
+
+    def recording_backend(name, sim, topology, **cfg):
+        networks[cfg["engine"]] = net = make_backend(name, sim, topology,
+                                                     **cfg)
+        return net
+
+    monkeypatch.setattr(replay, "make_backend", recording_backend)
+    _, trace = _run_terasort_engine("scalar")
+    scalar = replay.replay_trace(trace, engine="scalar")
+    vector = replay.replay_trace(trace, engine="vectorized")
+
+    assert ([record.to_dict() for record in scalar.records]
+            == [record.to_dict() for record in vector.records])
+    scalar_links = {link: value for link, value
+                    in networks["scalar"].link_bytes.items() if value}
+    vector_links = networks["vectorized"].link_bytes
+    assert scalar_links and set(vector_links) == set(scalar_links)
+    for link, value in vector_links.items():
+        assert type(value) is float
+        assert value == pytest.approx(scalar_links[link], rel=1e-12)
+    for name in ("peak_link_utilisation", "mean_link_utilisation"):
+        assert type(getattr(vector, name)) is float
+        assert getattr(vector, name) == pytest.approx(getattr(scalar, name),
+                                                      rel=1e-12)

@@ -178,7 +178,7 @@ def test_bulk_harvest_fires_listeners_in_admission_order():
     sim.run()
     assert completed == [flows[0].flow_id, flows[1].flow_id]
     assert len(drained) == 1
-    assert net.perf["bulk_harvests"] == 1
+    assert sim.telemetry.registry.value("net.bulk_harvests") == 1
 
 
 @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
@@ -190,8 +190,8 @@ def test_harvest_counters_match_across_engines(engine):
     sim.run()
     assert net.completed_count == 4
     assert net.active == {}
-    assert net.perf["flows_admitted_batched"] == 4
-    assert net.perf["bulk_harvests"] >= 1
+    assert sim.telemetry.registry.value("net.flows_admitted_batched") == 4
+    assert sim.telemetry.registry.value("net.bulk_harvests") >= 1
 
 
 # -- lazy done signals -----------------------------------------------------------
@@ -203,7 +203,7 @@ def test_done_signal_is_lazy_and_prefires_after_completion():
     assert flow._done is None
     sim.run()
     assert flow.finished
-    assert net.perf["done_signals_skipped"] == 1
+    assert sim.telemetry.registry.value("net.done_signals_skipped") == 1
     # A late waiter still sees a fired signal carrying the flow.
     signal = flow.done
     assert signal.fired and signal.payload is flow
@@ -217,7 +217,7 @@ def test_done_signal_materialized_early_fires_at_completion():
     assert not signal.fired
     sim.run()
     assert signal.fired and signal.payload is flow
-    assert net.perf["done_signals_skipped"] == 0
+    assert sim.telemetry.registry.value("net.done_signals_skipped") == 0
 
 
 def test_cancelled_flow_keeps_done_unfired():

@@ -130,7 +130,7 @@ def test_analytic_counters_and_utilisation():
     sim.run()
     assert net.completed_count == 1
     assert net.total_bytes == pytest.approx(1.0 * GBPS)
-    assert net.perf["waves"] >= 1
+    assert sim.telemetry.registry.value("net.waves") >= 1
     link = next(iter(net.link_bytes))
     assert 0.0 < net.utilisation(link) <= 1.0 + 1e-9
 

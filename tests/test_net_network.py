@@ -194,10 +194,10 @@ def test_batch_context_coalesces_same_instant_starts():
     assert b.end_time == pytest.approx(2.0, rel=1e-6)
     # ...but the two same-instant arrivals folded into recomputes bounded
     # by the number of flushes.
-    perf = net.perf
-    assert perf["updates_requested"] >= 2
-    assert perf["recomputes"] <= perf["flushes"]
-    assert perf["flows_batched"] >= 1
+    value = sim.telemetry.registry.value
+    assert value("net.updates_requested") >= 2
+    assert value("net.recomputes") <= value("net.flushes")
+    assert value("net.flows_batched") >= 1
 
 
 def test_legacy_mode_recomputes_per_update():
@@ -209,8 +209,9 @@ def test_legacy_mode_recomputes_per_update():
     sim.run()
     assert a.end_time == pytest.approx(2.0, rel=1e-6)
     assert b.end_time == pytest.approx(2.0, rel=1e-6)
-    assert net.perf["flushes"] == 0
-    assert net.perf["recomputes"] >= net.perf["updates_requested"]
+    value = sim.telemetry.registry.value
+    assert value("net.flushes") == 0
+    assert value("net.recomputes") >= value("net.updates_requested")
 
 
 def test_allocator_membership_tracks_active_flows():
@@ -220,4 +221,4 @@ def test_allocator_membership_tracks_active_flows():
     assert len(net.allocator) == 1
     sim.run()
     assert len(net.allocator) == 0
-    assert net.perf["allocator_seconds"] >= 0.0
+    assert sim.telemetry.registry.value("net.allocator_seconds") >= 0.0

@@ -81,9 +81,11 @@ def test_live_endpoints_round_trip():
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/nope")
         assert excinfo.value.code == 404
-    # Stopped: the port no longer accepts.
-    with pytest.raises(OSError):
-        _get(server.url + "/healthz", timeout=0.5)
+    # Stopped: the listening socket is closed and the accept thread has
+    # exited.  (Probing the port instead would pass or fail depending on
+    # whether the OS has handed that ephemeral port to someone else.)
+    assert server._httpd.socket.fileno() == -1
+    assert not any(thread.is_alive() for thread in server._threads)
 
 
 def test_events_sse_stream_with_replay_and_max():
@@ -129,44 +131,46 @@ def test_alert_loop_publishes_into_events_stream():
 # -- the acceptance criterion: /metrics updates DURING a campaign --------------------
 
 
+class ReadingBroker(EventBroker):
+    """An event broker that reads ``/metrics`` as each point completes.
+
+    ``publish`` runs on the campaign's own thread, so the campaign waits
+    while the server thread answers: each reading is taken at the
+    instant of its event, with no sleep-polling and no race.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.url = None
+        self.readings = []  # (event's completed count, /metrics value)
+
+    def publish(self, kind, **payload):
+        event = super().publish(kind, **payload)
+        if kind == "point" and payload.get("status") == "completed":
+            _, _, body = _get(self.url + "/metrics")
+            value = next(float(line.split()[-1])
+                         for line in body.decode().splitlines()
+                         if line.startswith("campaign_points_completed "))
+            self.readings.append((payload["completed"], value))
+        return event
+
+
 def test_metrics_update_live_during_campaign():
     telemetry = Telemetry.disabled()
-    broker = EventBroker()
+    broker = ReadingBroker()
     runner = CampaignRunner(telemetry=telemetry, events=broker)
     points = [CapturePoint.from_configs("terasort", 0.125, seed, _SPEC,
                                         _CONFIG)
               for seed in range(5)]
-    observed = []
     with serve_telemetry(telemetry, broker=broker) as server:
-        def poll():
-            while not done.is_set():
-                _, _, body = _get(server.url + "/metrics")
-                for line in body.decode().splitlines():
-                    if line.startswith("campaign_points_completed "):
-                        observed.append(float(line.split()[-1]))
-                time.sleep(0.005)
-
-        done = threading.Event()
-        poller = threading.Thread(target=poll, daemon=True)
-        poller.start()
-        try:
-            runner.run(points)
-        finally:
-            done.set()
-            poller.join(timeout=5)
-        # Progress was visible while the campaign ran: at least two
-        # distinct intermediate counts strictly below the final total.
-        distinct = sorted(set(observed))
-        assert len(distinct) >= 2, f"no live updates observed: {observed}"
-        assert distinct == sorted(value for value in distinct
-                                  if 0.0 <= value <= 5.0)
-        # And the /events stream carried per-point progress.
-        kinds = [event["kind"] for event in broker.history]
-        assert kinds.count("point") == 5
-        assert kinds[0] == "campaign" and kinds[-1] == "campaign"
-        completions = [event["completed"] for event in broker.history
-                       if event["kind"] == "point"]
-        assert completions == [1, 2, 3, 4, 5]
+        broker.url = server.url
+        runner.run(points)
+    # /metrics advanced during the run, in step with every point event.
+    assert broker.readings == [(count, float(count)) for count in range(1, 6)]
+    # And the /events stream carried per-point progress.
+    kinds = [event["kind"] for event in broker.history]
+    assert kinds.count("point") == 5
+    assert kinds[0] == "campaign" and kinds[-1] == "campaign"
 
 
 def test_capture_bytes_identical_with_server_attached(tmp_path):
@@ -341,49 +345,27 @@ def test_cli_serve_for_seconds_and_missing_dir(tmp_path, capsys):
     assert main(["serve", "--telemetry", str(tmp_path / "missing")]) == 2
 
 
-def test_cli_campaign_serve_port_serves_live_metrics(capsys):
-    observed = []
-    holder = {}
+def test_cli_campaign_serve_port_serves_live_metrics(monkeypatch, capsys):
+    import repro.obs
+    import repro.obs.server
 
-    def poll():
-        deadline = time.monotonic() + 30
-        while "url" not in holder and time.monotonic() < deadline:
-            time.sleep(0.002)
-        while not holder.get("done"):
-            try:
-                _, _, body = _get(holder["url"] + "/metrics", timeout=1)
-            except OSError:
-                break
-            for line in body.decode().splitlines():
-                if line.startswith("campaign_points_completed "):
-                    observed.append(float(line.split()[-1]))
-            time.sleep(0.002)
+    brokers = []
+    real_serve = repro.obs.server.serve_telemetry
 
-    poller = threading.Thread(target=poll, daemon=True)
-    poller.start()
+    def serve(*args, **kwargs):
+        server = real_serve(*args, **kwargs)
+        kwargs["broker"].url = server.url
+        brokers.append(kwargs["broker"])
+        return server
 
-    import sys
-
-    real_write = sys.stdout.write
-
-    def sniffing_write(text):
-        match = re.search(r"http://127\.0\.0\.1:\d+", text)
-        if match and "url" not in holder:
-            holder["url"] = match.group(0)
-        return real_write(text)
-
-    sys.stdout.write = sniffing_write
-    try:
-        rc = main(["campaign", "--job", "terasort", "--sizes-gb",
-                   "0.125,0.1875,0.25,0.3125,0.375,0.5", "--nodes", "4",
-                   "--workers", "1", "--serve-port", "0"])
-    finally:
-        sys.stdout.write = real_write
-        holder["done"] = True
-    poller.join(timeout=10)
+    monkeypatch.setattr(repro.obs, "EventBroker", ReadingBroker)
+    monkeypatch.setattr(repro.obs.server, "serve_telemetry", serve)
+    rc = main(["campaign", "--job", "terasort", "--sizes-gb",
+               "0.125,0.1875,0.25,0.3125,0.375,0.5", "--nodes", "4",
+               "--workers", "1", "--serve-port", "0"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "live observability at http://127.0.0.1:" in out
     assert "serve daemon:" in out
-    assert len(set(observed)) >= 2, \
-        f"campaign /metrics never updated mid-run: {observed}"
+    (broker,) = brokers
+    assert broker.readings == [(count, float(count)) for count in range(1, 7)]

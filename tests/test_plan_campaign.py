@@ -157,11 +157,11 @@ def test_unknown_result_type_is_rejected(hs_capture):
 def test_warm_store_replay_is_byte_identical(tmp_path):
     store = set_store(CaptureStore(tmp_path / "store"))
     _, cold = capture_plan("tpcx-hs", {"scale": TINY}, seed=3, campaign=SMALL)
-    assert store.stats.writes == 1
+    assert store.registry.value("store.writes") == 1
     clear_cache()  # drop the memo so the store must answer
     warm_result, warm = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
                                      campaign=SMALL)
-    assert store.stats.hits == 1
+    assert store.registry.value("store.hits") == 1
     assert isinstance(warm_result, PlanResult)
     assert (_jsonl(warm, tmp_path, "warm.jsonl")
             == _jsonl(cold, tmp_path, "cold.jsonl"))
@@ -183,12 +183,12 @@ def test_plan_and_job_entries_coexist_in_one_store(tmp_path):
     store = set_store(CaptureStore(tmp_path / "store"))
     capture_plan("tpcx-hs", {"scale": TINY}, seed=3, campaign=SMALL)
     capture("grep", TINY, seed=3, campaign=SMALL)
-    assert store.stats.writes == 2
+    assert store.registry.value("store.writes") == 2
     clear_cache()
     _, plan_trace = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
                                  campaign=SMALL)
     _, job_trace = capture("grep", TINY, seed=3, campaign=SMALL)
-    assert store.stats.hits == 2
+    assert store.registry.value("store.hits") == 2
     assert is_plan_trace(plan_trace)
     assert not is_plan_trace(job_trace)
 

@@ -270,11 +270,12 @@ def test_heap_compaction_discards_cancelled_backlog():
     for event in doomed:
         event.cancel()
     assert sim.pending() == 1
-    assert sim.heap_compactions >= 1
+    value = sim.telemetry.registry.value
+    assert value("sim.heap_compactions") >= 1
     sim.run()
     assert sim.now == 1.0
-    assert sim.events_fired == 1
-    assert sim.events_cancelled == 300
+    assert value("sim.events_fired") == 1
+    assert value("sim.events_cancelled") == 300
     assert live.popped
 
 
@@ -284,11 +285,11 @@ def test_perf_snapshot_tracks_counters():
     event.cancel()
     sim.schedule(2.0, lambda: None)
     sim.run()
-    perf = sim.perf
-    assert perf["events_fired"] == 1
-    assert perf["events_cancelled"] == 1
-    assert perf["pending"] == 0
-    assert perf["heap_size"] >= 0
+    value = sim.telemetry.registry.value
+    assert value("sim.events_fired") == 1
+    assert value("sim.events_cancelled") == 1
+    assert value("sim.pending") == 0
+    assert value("sim.heap_size") >= 0
 
 
 def test_cancel_is_idempotent_for_counters():
@@ -296,5 +297,5 @@ def test_cancel_is_idempotent_for_counters():
     event = sim.schedule(1.0, lambda: None)
     event.cancel()
     event.cancel()
-    assert sim.events_cancelled == 1
+    assert sim.telemetry.registry.value("sim.events_cancelled") == 1
     assert sim.pending() == 0

@@ -1,7 +1,6 @@
-"""Supervision layer: classification, retries, quarantine, journal,
-deadline watchdog, and graceful pool degradation."""
+"""Supervision layer: classification, retries, quarantine, deadline
+watchdog, and graceful pool degradation."""
 
-import json
 import os
 import signal
 import time
@@ -12,13 +11,11 @@ import pytest
 
 from repro.experiments.campaigns import CampaignConfig
 from repro.experiments.runner import CampaignRunner, CapturePoint, derive_seed
-from repro.experiments.store import encode_entry
 from repro.experiments.supervision import (
     DEADLINE,
     DETERMINISTIC,
     TRANSIENT,
     CampaignPointsFailed,
-    CheckpointJournal,
     DeadlineExpired,
     FailureFingerprint,
     PointFailure,
@@ -30,6 +27,7 @@ from repro.experiments.supervision import (
 SMALL = CampaignConfig(nodes=4, hosts_per_rack=2)
 
 FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+
 
 
 def _point(seed=3, job="grep", input_gb=0.0625, job_kwargs=None):
@@ -237,55 +235,6 @@ def test_quarantine_keeps_distinct_crash_signatures_apart(tmp_path):
     assert all(failure.occurrences == 1 for failure in loaded)
 
 
-# -- checkpoint journal -------------------------------------------------------------
-
-
-def test_journal_records_and_replays_completed_points(tmp_path):
-    point = _point(seed=11)
-    value = point.simulate()
-    entry = encode_entry(point.key_dict(), *value)
-    path = tmp_path / "journal.jsonl"
-
-    journal = CheckpointJournal(path)
-    journal.record_completed(point.key(), point.job, point.input_gb,
-                             point.seed, entry)
-    journal.record_completed(point.key(), point.job, point.input_gb,
-                             point.seed, entry)  # idempotent per key
-    assert len(journal) == 1
-
-    reopened = CheckpointJournal(path)
-    assert reopened.completed_keys() == [point.key()]
-    replayed = reopened.lookup(point.key())
-    assert replayed is not None
-    result, trace = replayed
-    assert [flow.to_dict() for flow in trace.flows] == \
-        [flow.to_dict() for flow in value[1].flows]
-    assert reopened.lookup("no-such-key") is None
-
-
-def test_journal_tolerates_torn_tail_and_counts_failures(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    journal = CheckpointJournal(path)
-    journal.record_failure(_failure())
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"completed": {"key": "torn')  # killed mid-write
-
-    reopened = CheckpointJournal(path)
-    assert len(reopened) == 0
-    assert reopened.failures_recorded == 1
-    assert reopened.truncated_lines == 1
-    manifest = reopened.manifest()
-    assert manifest["completed"] == 0
-    assert manifest["truncated_lines"] == 1
-
-
-def test_journal_first_line_is_a_version_header(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    CheckpointJournal(path)
-    first = json.loads(path.read_text().splitlines()[0])
-    assert first == {"journal": {"format": 1}}
-
-
 # -- supervised serial execution ----------------------------------------------------
 
 
@@ -295,8 +244,8 @@ def test_transient_failure_is_retried_in_place(tmp_path):
     runner = CampaignRunner(store=None, workers=1, retry_policy=FAST_RETRIES)
     (result, trace), = runner.run([flaky])
     assert trace.flow_count() > 0
-    assert runner.stats.retries == 1
-    assert runner.stats.quarantined == 0
+    assert runner.manifest()["stats"]["retries"] == 1
+    assert runner.manifest()["stats"]["quarantined"] == 0
     assert not runner.failures
 
 
@@ -310,9 +259,9 @@ def test_poison_point_quarantines_and_campaign_completes(tmp_path):
     outcomes = runner.run([healthy, poison])
     assert outcomes[0] is not None
     assert outcomes[1] is None
-    assert runner.stats.quarantined == 1
+    assert runner.manifest()["stats"]["quarantined"] == 1
     # Deterministic errors are not retried: one attempt, no backoff.
-    assert runner.stats.retries == 0
+    assert runner.manifest()["stats"]["retries"] == 0
     assert runner.failures[0].attempts == 1
     assert runner.failures[0].fingerprints[0].classification == DETERMINISTIC
     loaded = Quarantine.load(quarantine_path)
@@ -345,9 +294,9 @@ def test_deadline_watchdog_kills_hung_point_and_retry_succeeds(tmp_path):
                                  deadline_s=3.0))
     (result, trace), = runner.run([hang])
     assert trace.flow_count() > 0
-    assert runner.stats.deadline_kills >= 1
-    assert runner.stats.retries >= 1
-    assert runner.stats.quarantined == 0
+    assert runner.manifest()["stats"]["deadline_kills"] >= 1
+    assert runner.manifest()["stats"]["retries"] >= 1
+    assert runner.manifest()["stats"]["quarantined"] == 0
 
 
 def test_repeated_pool_collapse_degrades_to_serial(tmp_path):
@@ -358,6 +307,6 @@ def test_repeated_pool_collapse_degrades_to_serial(tmp_path):
                             pool_failure_limit=1)
     outcomes = runner.run([healthy, kill])
     assert all(outcome is not None for outcome in outcomes)
-    assert runner.stats.pool_failures >= 1
-    assert runner.stats.degraded_serial >= 1
+    assert runner.manifest()["stats"]["pool_failures"] >= 1
+    assert runner.manifest()["stats"]["degraded_serial"] >= 1
     assert not runner.failures

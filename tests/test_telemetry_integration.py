@@ -181,14 +181,15 @@ def test_campaign_parallel_telemetry_absorbs_workers():
     # Workers' engine counters came back and merged.
     assert telemetry.registry.value("sim.events_fired") > 0
     assert telemetry.registry.value("net.flows_completed") > 0
-    assert runner.stats.simulated == 2
+    assert telemetry.registry.value("campaign.simulated") == 2
 
 
-def test_runner_stats_compat_view():
+def test_runner_counters_live_on_the_registry():
     runner = CampaignRunner(workers=1)
     points = _points(sizes=(0.125,)) * 2  # the same point twice
     runner.run(points)
-    stats = runner.stats
-    assert stats.points == 2
-    assert stats.simulated == 1  # duplicate point simulated once
-    assert stats.to_dict()["parallel_simulated"] == 0
+    value = runner.telemetry.registry.value
+    assert value("campaign.points") == 2
+    assert value("campaign.simulated") == 1  # duplicate point simulated once
+    assert value("campaign.parallel_simulated") == 0
+    assert runner.manifest()["stats"]["points_completed"] == 2

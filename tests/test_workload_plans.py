@@ -137,15 +137,6 @@ def test_signature_tracks_parameters():
             == make_plan("tpcx-hs", scale=1.0).signature())
 
 
-def test_trivial_plan_wraps_spec_and_does_not_roundtrip():
-    spec = make_job("terasort", input_gb=SMALL_GB, job_id="job_t_0001")
-    plan = WorkloadPlan.single(spec)
-    assert plan.is_trivial
-    assert plan.wrapped is spec
-    with pytest.raises(ValueError, match="reconstructible"):
-        WorkloadPlan.from_dict(plan.to_dict())
-
-
 def test_catalog_lists_builtin_plans():
     catalog = plan_catalog()
     assert {"pig-aggregation", "tpcx-hs"} <= set(catalog)
