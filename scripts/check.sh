@@ -33,7 +33,18 @@ echo "no tracked bytecode"
 #    readable failure instead of a stuck gate; override the budget by
 #    exporting KEDDAH_TEST_TIMEOUT yourself.
 echo "== tier-1 pytest =="
-KEDDAH_TEST_TIMEOUT="${KEDDAH_TEST_TIMEOUT:-120}" python -m pytest -x -q "$@"
+KEDDAH_TEST_SHUFFLE="" KEDDAH_TEST_TIMEOUT="${KEDDAH_TEST_TIMEOUT:-120}" \
+    python -m pytest -x -q "$@"
+
+# 3b. Tier-1 again in a seeded shuffled order (tests/conftest.py), so a
+#    test that depends on another's side effects fails the gate.  The
+#    seed is fixed and printed; rerun with the same KEDDAH_TEST_SHUFFLE
+#    to reproduce the order.
+SHUFFLE_SEED="${KEDDAH_TEST_SHUFFLE:-1}"
+echo "== tier-1 pytest, shuffled (KEDDAH_TEST_SHUFFLE=$SHUFFLE_SEED) =="
+KEDDAH_TEST_SHUFFLE="$SHUFFLE_SEED" \
+    KEDDAH_TEST_TIMEOUT="${KEDDAH_TEST_TIMEOUT:-120}" \
+    python -m pytest -x -q "$@"
 
 # 4. Transport-backend differential gate: the analytic and record
 #    backends must keep reproducing the fluid backend's flow

@@ -1,14 +1,16 @@
 #!/usr/bin/env python
-"""Pipeline crash-resume gate: the ISSUE 9 acceptance criteria, end to end.
+"""Pipeline crash-resume gate: kill, resume and cascade, end to end.
 
 Drives the real ``keddah pipeline`` CLI in subprocesses:
 
 1. Run a tiny pipeline uninterrupted (the baseline).
 2. Run a twin with ``KEDDAH_PIPELINE_CRASH_IN=fit`` — the process is
-   SIGKILLed right after the fit node journals RUNNING.
+   SIGKILLed right after the fit node writes its ``node.json``.
 3. ``keddah pipeline resume`` the twin; it must re-run *only* the
-   killed node (journal RUNNING counts prove it) and every artifact —
-   including the final report — must be byte-identical to the baseline.
+   incomplete nodes — the resume table's ``cached`` rows are exactly
+   the nodes holding ``outputs.json`` after the kill, every other row
+   is ``done`` — and every artifact, including the final report, must
+   be byte-identical to the baseline.
 4. Edit one mid-DAG node's config (the fit training set) and verify
    the plan invalidates exactly that node and its descendants.
 
@@ -27,6 +29,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 TINY = ["--job", "grep", "--sizes-gb", "0.0625,0.125",
         "--experiments", ""]
+NODES = {"capture", "classify", "fit", "replay", "validate", "report"}
 
 
 def keddah(args, crash_in=None):
@@ -54,18 +57,14 @@ def manifests(root):
     return found
 
 
-def running_counts(root):
-    counts = {}
-    for line in (Path(root) / "journal.jsonl").read_text(
-            encoding="utf-8").splitlines():
-        try:
-            transition = json.loads(line).get("transition") or {}
-        except ValueError:
-            continue
-        if transition.get("state") == "running":
-            node = transition["node"]
-            counts[node] = counts.get(node, 0) + 1
-    return counts
+def table_rows(stdout):
+    """node -> its row's columns, from a rendered pipeline table."""
+    rows = {}
+    for line in stdout.splitlines():
+        parts = line.split()
+        if parts and parts[0] in NODES:
+            rows[parts[0]] = parts
+    return rows
 
 
 def main():
@@ -83,18 +82,27 @@ def main():
                         crash_in="fit")
         if killed.returncode != -signal.SIGKILL:
             fail(f"crash hook did not SIGKILL (rc {killed.returncode})")
+        committed = set(manifests(crashed))
 
         print("[3/4] resume: zero re-execution + byte-identical artifacts")
         resumed = keddah(["pipeline", "resume", "--dir", str(crashed)])
         if resumed.returncode != 0:
             fail(f"resume exited {resumed.returncode}:\n{resumed.stderr}")
-        counts = running_counts(crashed)
-        if counts.get("fit") != 2:
-            fail(f"expected fit to enter RUNNING twice, got {counts}")
-        rerun = sorted(node for node, count in counts.items()
-                       if node != "fit" and count != 1)
+        rows = table_rows(resumed.stdout)
+        if set(rows) != NODES:
+            fail(f"resume table rows {sorted(rows)} != {sorted(NODES)}")
+        states = {Path(row[4]).name: row[2] for row in rows.values()}
+        cached = {name for name, state in states.items()
+                  if state == "cached"}
+        if cached != committed:
+            fail(f"cached on resume {sorted(cached)} != committed before "
+                 f"the kill {sorted(committed)}")
+        if rows["fit"][2] != "done":
+            fail(f"killed fit node is {rows['fit'][2]} on resume, not done")
+        rerun = sorted(name for name, state in states.items()
+                       if name not in committed and state != "done")
         if rerun:
-            fail(f"completed nodes re-executed on resume: {rerun}")
+            fail(f"incomplete nodes not re-run on resume: {rerun}")
         base, twin = manifests(baseline), manifests(crashed)
         if set(base) != set(twin):
             fail(f"node dirs diverged: {sorted(set(base) ^ set(twin))}")
@@ -111,12 +119,8 @@ def main():
                        "--fit-sizes-gb", "0.0625,0.125"])
         if plan.returncode != 0:
             fail(f"plan exited {plan.returncode}:\n{plan.stderr}")
-        actions = {}
-        for line in plan.stdout.splitlines():
-            parts = line.split()
-            if parts and parts[0] in {"capture", "classify", "fit",
-                                      "replay", "validate", "report"}:
-                actions[parts[0]] = parts[2]
+        actions = {node: row[2]
+                   for node, row in table_rows(plan.stdout).items()}
         expected = {"capture": "cached", "classify": "cached",
                     "replay": "cached", "fit": "run",
                     "validate": "stale-upstream",

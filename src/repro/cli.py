@@ -173,17 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline",
         help="run the capture→classify→fit→replay→validate→report "
              "pipeline as a crash-safe, resumable DAG of isolated stages")
-    pipeline.add_argument("action", choices=["run", "plan", "resume",
-                                             "status"],
+    pipeline.add_argument("action", choices=["run", "plan", "resume"],
                           help="run: execute (writes pipeline.json); plan: "
-                               "print the topological plan with cache hits; "
-                               "resume: re-run only incomplete nodes from "
-                               "the saved spec; status: journal + cache "
-                               "state per node")
+                               "print the topological plan (cached / run / "
+                               "interrupted / stale-upstream per node) "
+                               "without executing; resume: re-run only "
+                               "incomplete nodes from the saved spec")
     pipeline.add_argument("--dir", required=True, dest="pipeline_dir",
                           metavar="DIR",
-                          help="pipeline root directory (journal, spec, and "
-                               "per-node stage dirs live here; relocatable)")
+                          help="pipeline root directory (spec and per-node "
+                               "stage dirs live here; relocatable)")
     pipeline.add_argument("--job", action="append", dest="jobs",
                           choices=sorted(job_catalog()),
                           help="job kind (repeatable; default: terasort, "
@@ -222,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--deadline", type=float, default=None, metavar="S",
                           help="per-node wall-clock deadline; a hung stage "
                                "is killed by the watchdog and retried")
-    pipeline.add_argument("--dry-run", action="store_true",
-                          help="with run/resume: print the plan and exit "
-                               "without executing anything")
     pipeline.add_argument("--telemetry", action="store_true",
                           help="write per-node telemetry subdirs "
                                "(keddah top DIR aggregates them)")
@@ -747,6 +743,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         PipelineFailed,
     )
     from repro.experiments.pipelines import (
+        PIPELINE_SPEC_FILE,
         PipelineSpec,
         build_pipeline,
         load_spec,
@@ -755,8 +752,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.experiments.supervision import Quarantine, RetryPolicy
 
     root = Path(args.pipeline_dir)
-    from repro.experiments.pipelines import PIPELINE_SPEC_FILE
-
     spec_path = root / PIPELINE_SPEC_FILE
 
     def apply_overrides(base: PipelineSpec) -> PipelineSpec:
@@ -789,7 +784,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             overrides["workers"] = args.workers
         return base.with_overrides(**overrides) if overrides else base
 
-    if args.action in ("resume", "status") and not spec_path.is_file():
+    if args.action == "resume" and not spec_path.is_file():
         print(f"{root}: no {spec_path.name} "
               f"(run `keddah pipeline run --dir {root}` first)")
         return 2
@@ -842,7 +837,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         events=broker,
         node_telemetry=args.telemetry)
 
-    if args.action == "plan" or args.dry_run:
+    if args.action == "plan":
         table = Table(title=f"pipeline plan: {len(dag)} node(s) under {root}",
                       headers=["node", "stage", "action", "after", "dir"])
         plan = runner.plan()
@@ -860,32 +855,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             server.stop()
         return 0
 
-    if args.action == "status":
-        last = runner.journal.last_states()
-        runs = runner.journal.run_counts()
-        table = Table(title=f"pipeline status: {root}",
-                      headers=["node", "stage", "journal", "runs",
-                               "cache", "dir"])
-        for entry in runner.plan():
-            name = entry["node"]
-            table.add_row(name, entry["stage"],
-                          last.get(name, {}).get("state", "-"),
-                          runs.get(name, 0), entry["action"],
-                          entry["dir"] or "?")
-        table.notes.append(
-            f"journal {runner.journal.path.name}: "
-            f"{len(runner.journal.transitions)} transition(s), "
-            f"{runner.journal.truncated_lines} torn line(s) tolerated")
-        print(render_table(table))
-        return 0
-
     if args.action == "run":
         root.mkdir(parents=True, exist_ok=True)
         save_spec(root, spec)
-    elif len(runner.journal.transitions):
-        completed = sum(1 for entry in runner.plan()
-                        if entry["action"] == "cached")
-        print(f"resuming {root}: {completed} node(s) already complete")
 
     started = time.perf_counter()
     try:
@@ -917,6 +889,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         table.notes.append(f"quarantined: {', '.join(bad)} "
                            f"(fingerprints -> quarantine.jsonl); resume "
                            f"with `keddah pipeline resume --dir {root}`")
+    if args.action == "resume":
+        print(f"resuming {root}: {len(cached)} node(s) already complete")
     print(render_table(table))
     if telemetry is not None and args.telemetry:
         _write_telemetry_dir(telemetry, str(root / "telemetry"))

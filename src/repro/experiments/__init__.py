@@ -24,8 +24,9 @@ corresponding table/figure reports.
 
 :mod:`repro.experiments.dag` is the crash-safe multi-stage pipeline
 scheduler: stage nodes run in isolated, relocatable, content-addressed
-dirs under a fsynced append-only journal, so a killed pipeline resumes
-with zero re-execution of completed nodes.
+dirs, each committed by an atomically published ``outputs.json``
+manifest, so a killed pipeline resumes with zero re-execution of
+completed nodes.
 :mod:`repro.experiments.pipelines` wires the built-in
 capture→classify→fit→replay→validate→report DAG over one shared
 capture set, with E12/E18 ported on as sibling branches.
@@ -41,7 +42,6 @@ from repro.experiments.campaigns import (
     set_store,
 )
 from repro.experiments.dag import (
-    DAGJournal,
     DAGRunner,
     NodeOutcome,
     PipelineCycleError,
@@ -68,9 +68,8 @@ from repro.experiments import figures
 from repro.experiments.report import generate_report, write_report
 
 __all__ = ["CampaignConfig", "CampaignPointsFailed", "CampaignRunner",
-           "CaptureStore", "CapturePoint", "DAGJournal",
-           "DAGRunner", "FailureFingerprint", "PROPAGATION_MODES",
-           "NodeOutcome", "PipelineCycleError", "PipelineDAG",
+           "CaptureStore", "CapturePoint", "DAGRunner",
+           "FailureFingerprint", "PROPAGATION_MODES", "NodeOutcome", "PipelineCycleError", "PipelineDAG",
            "PipelineFailed", "PipelineResult", "PipelineSpec", "PointFailure",
            "Quarantine", "RetryPolicy", "ScrubReport", "StageContext",
            "StageNode", "build_pipeline", "cache_stats", "capture",

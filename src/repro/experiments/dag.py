@@ -1,4 +1,4 @@
-"""Crash-safe campaign DAGs: a journaled multi-stage pipeline scheduler.
+"""Crash-safe campaign DAGs: a checkpointed multi-stage pipeline scheduler.
 
 The toolchain this repo reproduces is itself a pipeline — capture
 Hadoop traffic, classify it, fit per-job models, replay synthetic
@@ -14,28 +14,31 @@ the node's full config *plus the digests of its upstream outputs*
 config therefore re-keys exactly that node and its descendants;
 everything upstream keeps its directory and is reused as a cache hit.
 
-**Durability** — every node state transition is appended (fsynced) to
-``<root>/journal.jsonl`` before and after the work happens, and a node
-counts as complete only once its ``outputs.json`` manifest — listing
-each declared output's relative path and content digest — has been
-atomically published.  SIGKILL at any instant leaves either a complete
-node (reused on resume) or an incomplete one (re-run on resume); the
-final artifacts are byte-identical either way.
+**Durability** — a node counts as complete only once its
+``outputs.json`` manifest — listing each declared output's relative
+path and content digest — has been atomically published; that
+manifest is the pipeline's only checkpoint.  The node's ``node.json``
+descriptor is written before its stage starts, so a dir holding
+``node.json`` but no manifest is a node that was interrupted.
+SIGKILL at any instant leaves either a complete node (reused on
+resume) or an incomplete one (re-run on resume); the final artifacts
+are byte-identical either way.
 
 **Relocatability** — nothing under ``<root>`` stores an absolute path:
-the journal, the ``node.json`` descriptors and the ``.pred.json`` /
-``.succ.json`` link records all hold root- or node-relative paths, so
-the whole pipeline directory can be moved (or shipped) and a new
-:class:`DAGRunner` pointed at it resumes with full cache hits.
+the ``node.json`` descriptors hold node-relative upstream paths and
+the manifests hold node-relative output paths, so the whole pipeline
+directory can be moved (or shipped) and a new :class:`DAGRunner`
+pointed at it resumes with full cache hits.
 
-Failure handling reuses PR 4's supervision machinery: per-node
-:class:`~repro.experiments.supervision.RetryPolicy` (with watchdog
-deadlines enforced by a disposable spawn worker), failure
-classification, and a :class:`~repro.experiments.supervision.
-Quarantine` sidecar.  Propagation is configurable — ``fail-fast``
-stops scheduling at the first quarantined node, ``continue`` finishes
-every independent branch before raising, ``skip-descendants`` finishes
-independent branches and returns a partial result without raising.
+Failure handling is the campaign runner's supervision layer: a
+per-node :class:`~repro.experiments.supervision.RetryPolicy` (with
+watchdog deadlines enforced by a disposable spawn worker), the shared
+:class:`~repro.experiments.supervision.AttemptLedger` retry decision,
+and a :class:`~repro.experiments.supervision.Quarantine` sidecar.
+Propagation is configurable — ``fail-fast`` stops scheduling at the
+first quarantined node, ``continue`` finishes every independent branch
+before raising, ``skip-descendants`` finishes independent branches and
+returns a partial result without raising.
 In *every* mode the descendants of a failed node are explicitly marked
 ``BLOCKED`` (never silently skipped), mirroring the runner's explicit
 partial-result manifest.
@@ -57,32 +60,29 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.store import canonical_json, write_atomic
 from repro.experiments.supervision import (
+    AttemptLedger,
     DeadlineExpired,
-    FailureFingerprint,
     PointFailure,
     Quarantine,
     RetryPolicy,
-    classify_failure,
+    terminate_workers,
 )
 from repro.obs.telemetry import Telemetry
 
-#: Version of the (signature schema, journal schema, manifest schema)
-#: triple.  Bump when any changes shape; old node dirs then re-run.
+#: Version of the signature, descriptor and manifest schemas.  Bump
+#: when any changes shape; old node dirs then re-run.
 DAG_FORMAT_VERSION = 1
 
 # -- node lifecycle states ----------------------------------------------------------
 
 PENDING = "pending"        #: not yet scheduled this run
-RUNNING = "running"        #: journaled just before the stage function runs
+RUNNING = "running"        #: published just before the stage function runs
 DONE = "done"              #: executed this run; outputs.json published
 CACHED = "cached"          #: valid outputs.json found; stage not re-run
 FAILED = "failed"          #: one attempt failed (may still retry)
 QUARANTINED = "quarantined"  #: attempt budget exhausted; recorded in sidecar
 BLOCKED = "blocked"        #: an upstream node failed; cannot run
 SKIPPED = "skipped"        #: unstarted when a fail-fast run aborted
-
-#: States a finished run can leave a node in.
-TERMINAL_STATES = (DONE, CACHED, QUARANTINED, BLOCKED, SKIPPED)
 
 # -- failure propagation modes ------------------------------------------------------
 
@@ -92,7 +92,7 @@ SKIP_DESCENDANTS = "skip-descendants"
 PROPAGATION_MODES = (FAIL_FAST, CONTINUE, SKIP_DESCENDANTS)
 
 #: Env var naming node(s) in which to SIGKILL *this process* right
-#: after the RUNNING transition is journaled — the crash-injection hook
+#: after the node's ``node.json`` is written — the crash-injection hook
 #: the resume acceptance tests and the check.sh gate use.
 CRASH_ENV_VAR = "KEDDAH_PIPELINE_CRASH_IN"
 
@@ -241,10 +241,6 @@ class PipelineDAG:
                 successors.setdefault(upstream, []).append(node.name)
         return {name: sorted(group) for name, group in successors.items()}
 
-    def successors(self, name: str) -> List[str]:
-        self.node(name)
-        return self._successor_map().get(name, [])
-
     def descendants(self, name: str) -> List[str]:
         """Every transitive successor of ``name`` (sorted)."""
         successors = self._successor_map()
@@ -290,9 +286,8 @@ def digest_path(path: Path) -> str:
     Directories digest as the canonical JSON of their sorted
     ``(relative path, file sha256, size)`` triples.  Dot-prefixed files
     are excluded: they are bookkeeping (atomic-write ``.tmp`` droppings
-    from a killed attempt, link records), not artifact content, and
-    must not make a resumed run's digest diverge from an uninterrupted
-    one.
+    from a killed attempt), not artifact content, and must not make a
+    resumed run's digest diverge from an uninterrupted one.
     """
     path = Path(path)
     if path.is_dir():
@@ -390,87 +385,6 @@ def _run_stage_in_worker(stage: str, name: str, workdir: str,
     fn(context)
 
 
-# -- the DAG journal ----------------------------------------------------------------
-
-
-class DAGJournal:
-    """Append-only fsynced JSONL of node state transitions.
-
-    Header line first, one JSON object per transition, torn tail lines
-    tolerated and counted, every append fsynced (and the containing
-    directory fsynced when the file is created).  It records
-    *transitions*, not payloads — node outputs live in the node dirs;
-    the journal is the authoritative history of what happened when::
-
-        {"dag_journal": {"format": 1, "pipeline": "..."}}
-        {"transition": {"node": "fit", "signature": "...", "state":
-                        "running", "attempt": 1, "wall": 1754640000.0}}
-    """
-
-    def __init__(self, path: str | Path, pipeline: str = "pipeline"):
-        self.path = Path(path)
-        self.transitions: List[Dict[str, Any]] = []
-        self.truncated_lines = 0
-        self._load_existing()
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append({"dag_journal": {"format": DAG_FORMAT_VERSION,
-                                          "pipeline": pipeline}})
-
-    def _load_existing(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self.truncated_lines += 1
-                continue
-            transition = record.get("transition")
-            if isinstance(transition, dict):
-                self.transitions.append(transition)
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        from repro.experiments.store import fsync_dir
-
-        created = not self.path.exists()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if created:
-            fsync_dir(self.path.parent)
-
-    def record(self, node: str, signature: str, state: str,
-               **extra: Any) -> Dict[str, Any]:
-        """Durably journal one node state transition."""
-        transition = dict(extra, node=node, signature=signature,
-                          state=state, wall=time.time())
-        self.transitions.append(transition)
-        self._append({"transition": transition})
-        return transition
-
-    def run_counts(self) -> Dict[str, int]:
-        """How many times each node entered RUNNING (across all runs)."""
-        counts: Dict[str, int] = {}
-        for transition in self.transitions:
-            if transition.get("state") == RUNNING:
-                name = transition.get("node", "?")
-                counts[name] = counts.get(name, 0) + 1
-        return counts
-
-    def last_states(self) -> Dict[str, Dict[str, Any]]:
-        """The most recent transition per node."""
-        latest: Dict[str, Dict[str, Any]] = {}
-        for transition in self.transitions:
-            latest[transition.get("node", "?")] = transition
-        return latest
-
-
 # -- run results --------------------------------------------------------------------
 
 
@@ -561,11 +475,9 @@ class DAGRunner:
 
     Layout under ``root``::
 
-        journal.jsonl                    durable transition history
         quarantine.jsonl                 poison-node sidecar (optional)
         nodes/<name>@<sig12>/
-            node.json                    descriptor (config, wiring)
-            .pred.json / .succ.json      relative link records
+            node.json                    descriptor, written before the stage
             work/...                     declared outputs
             outputs.json                 completion manifest (atomic)
             telemetry/                   per-node telemetry (optional)
@@ -577,8 +489,7 @@ class DAGRunner:
                  on_failure: str = FAIL_FAST,
                  telemetry: Optional[Telemetry] = None,
                  events: Optional[Any] = None,
-                 node_telemetry: bool = False,
-                 verify_outputs: bool = True):
+                 node_telemetry: bool = False):
         if on_failure not in PROPAGATION_MODES:
             raise ValueError(f"on_failure must be one of {PROPAGATION_MODES},"
                              f" got {on_failure!r}")
@@ -592,11 +503,7 @@ class DAGRunner:
         self.telemetry = telemetry or Telemetry.disabled()
         self.events = events
         self.node_telemetry = node_telemetry
-        self.verify_outputs = verify_outputs
-        self.journal = DAGJournal(self.root / "journal.jsonl",
-                                  pipeline=dag.name)
         self._registry = self.telemetry.registry
-        self._last_outcomes: Dict[str, NodeOutcome] = {}
 
     # -- bookkeeping -----------------------------------------------------------------
 
@@ -613,9 +520,11 @@ class DAGRunner:
         """The topological execution plan with cache hits resolved.
 
         Each entry says whether the node would be reused (``cached``),
-        executed (``run``), or cannot be decided yet because an
-        upstream must run first (``stale-upstream`` — its signature
-        depends on output bytes that do not exist yet).
+        executed (``run``), re-run after a start that never committed
+        (``interrupted`` — ``node.json`` but no ``outputs.json``; an
+        invalid manifest plans as ``run``), or cannot be decided yet
+        because an upstream must run first (``stale-upstream`` — its
+        signature depends on output bytes that do not exist yet).
         """
         entries: List[Dict[str, Any]] = []
         digests: Dict[str, Dict[str, str]] = {}   # node -> output -> digest
@@ -633,7 +542,10 @@ class DAGRunner:
             outputs = self._cached_outputs(node, signature)
             entry.update(signature=signature, dir=f"nodes/{dirname}")
             if outputs is None:
-                entry["action"] = "run"
+                node_dir = self._node_dir(name, signature)
+                interrupted = ((node_dir / "node.json").is_file()
+                               and not (node_dir / "outputs.json").exists())
+                entry["action"] = "interrupted" if interrupted else "run"
             else:
                 entry["action"] = "cached"
                 digests[name] = {output: meta["digest"]
@@ -673,14 +585,13 @@ class DAGRunner:
         if (not isinstance(outputs, dict)
                 or set(outputs) != set(node.out_paths)):
             return None
-        if self.verify_outputs:
-            base = self._node_dir(node.name, signature)
-            for meta in outputs.values():
-                try:
-                    if digest_path(base / meta["path"]) != meta["digest"]:
-                        return None
-                except (StageOutputMissing, OSError, KeyError, TypeError):
+        base = self._node_dir(node.name, signature)
+        for meta in outputs.values():
+            try:
+                if digest_path(base / meta["path"]) != meta["digest"]:
                     return None
+            except (StageOutputMissing, OSError, KeyError, TypeError):
+                return None
         return outputs
 
     # -- running ---------------------------------------------------------------------
@@ -697,21 +608,18 @@ class DAGRunner:
         self._registry.gauge("pipeline.nodes_total").set(len(order))
         self._publish("pipeline", status="started", nodes=len(order))
 
-        for position, name in enumerate(order):
+        for name in order:
             node = self.dag.node(name)
             if name in blocked:
                 outcome = NodeOutcome(
                     name=name, stage=node.stage, state=BLOCKED,
                     reason=f"upstream {blocked[name]} failed")
-                self.journal.record(name, "", BLOCKED,
-                                    upstream=blocked[name])
                 self._finish_node(result, outcome)
                 continue
             if aborted:
                 outcome = NodeOutcome(name=name, stage=node.stage,
                                       state=SKIPPED,
                                       reason="fail-fast abort")
-                self.journal.record(name, "", SKIPPED)
                 self._finish_node(result, outcome)
                 continue
 
@@ -729,7 +637,6 @@ class DAGRunner:
                 outcome = NodeOutcome(name=name, stage=node.stage,
                                       state=CACHED, signature=signature,
                                       dir=dirname, outputs=cached)
-                self.journal.record(name, signature, CACHED)
                 self._finish_node(result, outcome)
                 continue
 
@@ -757,7 +664,6 @@ class DAGRunner:
 
     def _finish_node(self, result: PipelineResult,
                      outcome: NodeOutcome) -> None:
-        self._last_outcomes[outcome.name] = outcome
         result.record(outcome)
         self._count({DONE: "executed", CACHED: "cache_hits",
                      QUARANTINED: "quarantined", BLOCKED: "blocked",
@@ -773,58 +679,44 @@ class DAGRunner:
     def _execute_with_retries(self, node: StageNode, signature: str,
                               node_dir: Path, dirname: str,
                               result: PipelineResult) -> NodeOutcome:
-        policy = self.retry_policy
-        fingerprints: List[FailureFingerprint] = []
-        attempts = 0
-        inputs = self._resolve_inputs(node)
+        ledger = AttemptLedger(signature, self.retry_policy)
+        inputs = self._resolve_inputs(node, result)
+        self._write_descriptor(node, signature, node_dir, inputs)
         while True:
-            attempts += 1
-            self.journal.record(node.name, signature, RUNNING,
-                                attempt=attempts)
+            attempt = ledger.attempts + 1
             self._publish("node", node=node.name, stage=node.stage,
                           status=RUNNING, signature=signature[:12],
-                          attempt=attempts)
+                          attempt=attempt)
             self._maybe_crash(node)
             try:
                 outputs = self._execute(node, signature, node_dir,
-                                        inputs, attempts)
+                                        inputs, attempt)
             except Exception as exc:  # noqa: BLE001 — classified below
-                classification = classify_failure(exc)
-                fingerprints.append(FailureFingerprint.from_exception(exc))
-                self.journal.record(node.name, signature, FAILED,
-                                    attempt=attempts,
-                                    classification=classification,
-                                    error=f"{type(exc).__name__}: {exc}")
+                delay = ledger.charge(exc)
                 self._publish("node", node=node.name, stage=node.stage,
-                              status=FAILED, attempt=attempts,
-                              classification=classification)
+                              status=FAILED, attempt=attempt,
+                              classification=ledger.fingerprints[-1]
+                              .classification)
                 if isinstance(exc, DeadlineExpired):
                     self._count("deadline_kills")
-                if policy.should_retry(classification, attempts):
+                if delay is not None:
                     self._count("retries")
-                    time.sleep(policy.delay(signature, attempts))
+                    time.sleep(delay)
                     continue
-                failure = PointFailure(
-                    key=signature, job=f"{self.dag.name}/{node.name}",
-                    input_gb=0.0, seed=0, attempts=attempts,
-                    fingerprints=fingerprints)
+                failure = ledger.failure(f"{self.dag.name}/{node.name}")
                 result.failures.append(failure)
                 if self.quarantine is not None:
                     self.quarantine.record(failure)
-                self.journal.record(node.name, signature, QUARANTINED,
-                                    attempt=attempts)
-                outcome = NodeOutcome(
+                return NodeOutcome(
                     name=node.name, stage=node.stage, state=QUARANTINED,
-                    signature=signature, dir=dirname, attempts=attempts,
-                    reason=fingerprints[-1].short())
-                return outcome
-            self.journal.record(node.name, signature, DONE,
-                                attempt=attempts)
+                    signature=signature, dir=dirname, attempts=attempt,
+                    reason=ledger.fingerprints[-1].short())
             return NodeOutcome(name=node.name, stage=node.stage, state=DONE,
                                signature=signature, dir=dirname,
-                               attempts=attempts, outputs=outputs)
+                               attempts=attempt, outputs=outputs)
 
-    def _resolve_inputs(self, node: StageNode) -> Dict[str, Path]:
+    def _resolve_inputs(self, node: StageNode,
+                        result: PipelineResult) -> Dict[str, Path]:
         """Input name -> absolute path of the upstream artifact.
 
         Only called after every upstream settled (DONE or CACHED) this
@@ -832,7 +724,7 @@ class DAGRunner:
         """
         resolved: Dict[str, Path] = {}
         for input_name, (upstream, output) in node.in_paths.items():
-            outcome = self._last_outcomes[upstream]
+            outcome = result.outcomes[upstream]
             resolved[input_name] = (self.root / outcome.dir
                                     / outcome.outputs[output]["path"])
         return resolved
@@ -842,7 +734,6 @@ class DAGRunner:
                  ) -> Dict[str, Dict[str, Any]]:
         workdir = node_dir / "work"
         workdir.mkdir(parents=True, exist_ok=True)
-        self._write_descriptor(node, signature, node_dir, inputs)
 
         telemetry = (Telemetry.enabled_in_memory() if self.node_telemetry
                      else Telemetry.disabled())
@@ -882,7 +773,6 @@ class DAGRunner:
         # so a manifest on disk always describes complete outputs.
         write_atomic(node_dir / "outputs.json",
                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        self._write_links(node, node_dir)
         return outputs
 
     def _execute_in_worker(self, node: StageNode, workdir: Path,
@@ -905,8 +795,7 @@ class DAGRunner:
             done, _ = wait([future], timeout=deadline,
                            return_when=FIRST_COMPLETED)
             if not done:
-                for process in list(getattr(pool, "_processes", {}).values()):
-                    process.terminate()
+                terminate_workers(pool)
                 raise DeadlineExpired(
                     f"node {node.name!r} exceeded {deadline:.3f}s deadline")
             future.result()
@@ -916,7 +805,11 @@ class DAGRunner:
     def _write_descriptor(self, node: StageNode, signature: str,
                           node_dir: Path,
                           inputs: Mapping[str, Path]) -> None:
-        """node.json: the full recipe, with root-relative input paths."""
+        """node.json: the full recipe, with node-relative input paths.
+
+        Written before the first attempt, so a node dir holding it but
+        no ``outputs.json`` marks a node that was interrupted.
+        """
         descriptor = {
             "format": DAG_FORMAT_VERSION, "name": node.name,
             "stage": node.stage, "signature": signature,
@@ -930,41 +823,14 @@ class DAGRunner:
         write_atomic(node_dir / "node.json",
                      json.dumps(descriptor, indent=2, sort_keys=True) + "\n")
 
-    def _write_links(self, node: StageNode, node_dir: Path) -> None:
-        """``.pred.json`` here and ``.succ.json`` updates upstream —
-        both hold node-dir-relative paths, keeping the tree relocatable.
-        """
-        preds = {}
-        for input_name, (upstream, _) in sorted(node.in_paths.items()):
-            upstream_outcome = self._last_outcomes.get(upstream)
-            if upstream_outcome is None or not upstream_outcome.dir:
-                continue
-            upstream_dir = self.root / upstream_outcome.dir
-            preds[input_name] = {
-                "node": upstream,
-                "dir": os.path.relpath(upstream_dir, node_dir)}
-            succ_path = upstream_dir / ".succ.json"
-            try:
-                existing = json.loads(succ_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                existing = {}
-            existing[node.name] = {
-                "dir": os.path.relpath(node_dir, upstream_dir)}
-            write_atomic(succ_path,
-                         json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                         durable=False)
-        write_atomic(node_dir / ".pred.json",
-                     json.dumps(preds, indent=2, sort_keys=True) + "\n",
-                     durable=False)
-
     # -- crash injection -------------------------------------------------------------
 
     @staticmethod
     def _maybe_crash(node: StageNode) -> None:
         """Test hook: SIGKILL this process when the env var names us.
 
-        Fires *after* the RUNNING transition is journaled — exactly the
-        window a real mid-stage crash occupies.
+        Fires *after* ``node.json`` is written — exactly the window a
+        real mid-stage crash occupies.
         """
         targets = os.environ.get(CRASH_ENV_VAR, "")
         if targets and node.name in {part.strip()

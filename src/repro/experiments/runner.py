@@ -56,7 +56,7 @@ import os
 import time as _time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,13 +70,13 @@ from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.experiments.store import (TRACE_FORMAT_VERSION, CaptureStore,
                                      key_hash)
 from repro.experiments.supervision import (
+    AttemptLedger,
     CampaignPointsFailed,
     DeadlineExpired,
-    FailureFingerprint,
     PointFailure,
     Quarantine,
     RetryPolicy,
-    classify_failure,
+    terminate_workers,
 )
 
 
@@ -93,8 +93,35 @@ def derive_seed(base_seed: int, size_index: int, repeat: int = 0) -> int:
     return base_seed * 10_007 + size_index * 101 + repeat
 
 
+class _ContentKeyed:
+    """Store keys shared by both point kinds; subclasses define
+    ``key_dict()``."""
+
+    def key(self) -> str:
+        return key_hash(self.key_dict())
+
+    def logical_key(self) -> str:
+        """Hash of the workload alone: backend- and format-independent.
+
+        Seeds the job (or plan) id, so the same logical point produces
+        the same RNG streams (and therefore the same flow population)
+        under every transport backend — while :meth:`key` still
+        separates their store entries.
+        """
+        logical = self.key_dict()
+        del logical["format"]
+        del logical["backend"]
+        config = {name: dict(value) if isinstance(value, dict) else value
+                  for name, value in logical["config"].items()}
+        for section in config.values():
+            if isinstance(section, dict):
+                section.pop("backend", None)
+        logical["config"] = config
+        return key_hash(logical)
+
+
 @dataclass(frozen=True)
-class CapturePoint:
+class CapturePoint(_ContentKeyed):
     """One fully-specified capture: everything a worker needs to run it.
 
     ``key_config`` is the canonical configuration sub-dict used for
@@ -152,28 +179,6 @@ class CapturePoint:
             "job_kwargs": _thaw(self.job_kwargs),
         }
 
-    def key(self) -> str:
-        return key_hash(self.key_dict())
-
-    def logical_key(self) -> str:
-        """Hash of the workload alone: backend- and format-independent.
-
-        Seeds the job id, so the same logical point produces the same
-        RNG streams (and therefore the same flow population) under
-        every transport backend — while :meth:`key` still separates
-        their store entries.
-        """
-        logical = self.key_dict()
-        del logical["format"]
-        del logical["backend"]
-        config = {name: dict(value) if isinstance(value, dict) else value
-                  for name, value in logical["config"].items()}
-        for section in config.values():
-            if isinstance(section, dict):
-                section.pop("backend", None)
-        logical["config"] = config
-        return key_hash(logical)
-
     def simulate(self, telemetry: Optional[Telemetry] = None,
                  ) -> Tuple[JobResult, JobTrace]:
         """Run this point on a fresh cluster (pure function of the point).
@@ -195,7 +200,7 @@ class CapturePoint:
 
 
 @dataclass(frozen=True)
-class PlanPoint:
+class PlanPoint(_ContentKeyed):
     """One fully-specified workload-plan capture.
 
     The plan analogue of :class:`CapturePoint`, presenting the same
@@ -267,22 +272,6 @@ class PlanPoint:
             "config": _thaw(self.key_config),
         }
 
-    def key(self) -> str:
-        return key_hash(self.key_dict())
-
-    def logical_key(self) -> str:
-        """Hash of the workload alone: backend- and format-independent."""
-        logical = self.key_dict()
-        del logical["format"]
-        del logical["backend"]
-        config = {name: dict(value) if isinstance(value, dict) else value
-                  for name, value in logical["config"].items()}
-        for section in config.values():
-            if isinstance(section, dict):
-                section.pop("backend", None)
-        logical["config"] = config
-        return key_hash(logical)
-
     def simulate(self, telemetry: Optional[Telemetry] = None,
                  ) -> Tuple[Any, JobTrace]:
         """Run this plan on a fresh cluster (pure function of the point).
@@ -348,21 +337,6 @@ _RUNNER_STAT_FIELDS = ("points", "points_completed", "memo_hits",
                        "store_hits", "simulated", "parallel_simulated",
                        "retries", "deadline_kills", "quarantined",
                        "pool_failures", "degraded_serial")
-
-
-@dataclass
-class _Supervised:
-    """Mutable per-point supervision state while a campaign resolves."""
-
-    point: CapturePoint
-    attempts: int = 0
-    fingerprints: List[FailureFingerprint] = field(default_factory=list)
-
-    def failure(self, key: str) -> PointFailure:
-        return PointFailure(key=key, job=self.point.job,
-                            input_gb=self.point.input_gb,
-                            seed=self.point.seed, attempts=self.attempts,
-                            fingerprints=list(self.fingerprints))
 
 
 #: How the watchdog polls in-flight futures when a deadline is set
@@ -581,24 +555,20 @@ class CampaignRunner:
     def _run_serial(self, items: List[Tuple[str, CapturePoint]],
                     ) -> Tuple[Dict[str, Tuple[JobResult, JobTrace]],
                                List[PointFailure]]:
-        policy = self.retry_policy
         resolved: Dict[str, Tuple[JobResult, JobTrace]] = {}
         failures: List[PointFailure] = []
         for key, point in items:
-            state = _Supervised(point)
+            ledger = AttemptLedger(key, self.retry_policy)
             while True:
                 try:
                     value = point.simulate(telemetry=self.telemetry)
                 except Exception as exc:
-                    state.attempts += 1
-                    state.fingerprints.append(
-                        FailureFingerprint.from_exception(exc))
-                    if not policy.should_retry(classify_failure(exc),
-                                               state.attempts):
-                        failures.append(state.failure(key))
+                    delay = ledger.charge(exc)
+                    if delay is None:
+                        failures.append(_quarantined(ledger, point))
                         break
                     self._count("retries")
-                    _time.sleep(policy.delay(key, state.attempts))
+                    _time.sleep(delay)
                     continue
                 resolved[key] = value
                 self._simulated(key, point, value)
@@ -611,21 +581,12 @@ class CampaignRunner:
         return ProcessPoolExecutor(max_workers=size,
                                    mp_context=get_context("spawn"))
 
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-        """Kill every worker process (breaks the pool on purpose)."""
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-
     def _run_pool(self, items: List[Tuple[str, CapturePoint]],
                   ) -> Tuple[Dict[str, Tuple[JobResult, JobTrace]],
                              List[PointFailure]]:
-        policy = self.retry_policy
         order = [key for key, _ in items]
-        state = {key: _Supervised(point) for key, point in items}
+        state = {key: (point, AttemptLedger(key, self.retry_policy))
+                 for key, point in items}
         resolved: Dict[str, Tuple[JobResult, JobTrace]] = {}
         failures: List[PointFailure] = []
         unresolved = set(state)
@@ -643,7 +604,7 @@ class CampaignRunner:
                     # so finish the campaign serially in-process (no
                     # deadline — there is nothing left to kill safely).
                     self._count("degraded_serial", len(unresolved))
-                    serial_items = [(key, state[key].point)
+                    serial_items = [(key, state[key][0])
                                     for key in order if key in unresolved]
                     more, more_failures = self._run_serial(serial_items)
                     resolved.update(more)
@@ -682,7 +643,7 @@ class CampaignRunner:
         return resolved, failures
 
     def _run_round(self, pool: ProcessPoolExecutor, round_keys: List[str],
-                   state: Dict[str, _Supervised],
+                   state: Dict[str, Tuple[CapturePoint, AttemptLedger]],
                    resolved: Dict[str, Tuple[JobResult, JobTrace]],
                    unresolved: set, failures: List[PointFailure],
                    ready_at: Dict[str, float],
@@ -694,7 +655,7 @@ class CampaignRunner:
         died underneath us (SIGKILL, OOM, crash).
         """
         policy = self.retry_policy
-        futures = {pool.submit(_simulate_point_observed, state[key].point,
+        futures = {pool.submit(_simulate_point_observed, state[key][0],
                                worker_config, key): key
                    for key in round_keys}
         started = {key: _time.monotonic() for key in round_keys}
@@ -719,7 +680,7 @@ class CampaignRunner:
                     # executor itself is gone.)
                     saw_break = True
                     if key in expired:
-                        self._point_failed(key, state[key],
+                        self._point_failed(*state[key],
                                            DeadlineExpired(
                                                f"point exceeded deadline of "
                                                f"{policy.deadline_s}s"),
@@ -729,13 +690,13 @@ class CampaignRunner:
                     continue
                 except Exception as exc:
                     # The *point* failed inside a healthy worker.
-                    self._point_failed(key, state[key], exc, unresolved,
+                    self._point_failed(*state[key], exc, unresolved,
                                        failures, ready_at)
                     continue
                 self._absorb(snapshot)
                 resolved[key] = value
                 unresolved.discard(key)
-                self._simulated(key, state[key].point, value)
+                self._simulated(key, state[key][0], value)
             if saw_break:
                 # A broken pool fails all outstanding futures promptly;
                 # drop the timeout and drain them.
@@ -749,25 +710,27 @@ class CampaignRunner:
                     expired.update(overdue)
                     self._count("deadline_kills", len(overdue))
                     deliberate_kill = True
-                    self._terminate_pool(pool)
+                    terminate_workers(pool)
         if saw_break:
             return "deadline" if deliberate_kill else "organic"
         return ""
 
-    def _point_failed(self, key: str, state: _Supervised, exc: BaseException,
-                      unresolved: set, failures: List[PointFailure],
+    def _point_failed(self, point: CapturePoint, ledger: AttemptLedger,
+                      exc: BaseException, unresolved: set,
+                      failures: List[PointFailure],
                       ready_at: Dict[str, float]) -> None:
         """Charge one failed attempt; schedule a retry or quarantine."""
-        policy = self.retry_policy
-        state.attempts += 1
-        state.fingerprints.append(FailureFingerprint.from_exception(exc))
-        if policy.should_retry(classify_failure(exc), state.attempts):
-            self._count("retries")
-            ready_at[key] = _time.monotonic() + policy.delay(key,
-                                                             state.attempts)
+        delay = ledger.charge(exc)
+        if delay is None:
+            failures.append(_quarantined(ledger, point))
+            unresolved.discard(ledger.key)
         else:
-            failures.append(state.failure(key))
-            unresolved.discard(key)
+            self._count("retries")
+            ready_at[ledger.key] = _time.monotonic() + delay
+
+
+def _quarantined(ledger: AttemptLedger, point: CapturePoint) -> PointFailure:
+    return ledger.failure(point.job, point.input_gb, point.seed)
 
 
 def default_workers() -> int:

@@ -6,7 +6,8 @@ tolerates partial failure: a worker OOM-killed by the kernel, a point
 that hangs in a pathological configuration, or a genuinely poisoned
 point that raises deterministically must not abort the whole run and
 discard every in-flight result.  This module supplies the pieces the
-:class:`~repro.experiments.runner.CampaignRunner` threads together:
+:class:`~repro.experiments.runner.CampaignRunner` and the
+:class:`~repro.experiments.dag.DAGRunner` thread together:
 
 * **failure classification** (:func:`classify_failure`) — *transient*
   worker failures (broken pools, pickling/IPC errors, OOM kills) are
@@ -21,6 +22,8 @@ discard every in-flight result.  This module supplies the pieces the
 * **failure fingerprints** (:class:`FailureFingerprint`) — exception
   type + message + a hash of the normalised traceback, so repeated
   failures of the same point are recognisably "the same crash".
+* **attempt ledger** (:class:`AttemptLedger`) — the single retry
+  decision: count the failed attempt, fingerprint it, ask the policy.
 * **quarantine** (:class:`Quarantine`) — a ``quarantine.jsonl`` sidecar
   recording each poisoned point's fingerprints; the campaign completes
   with an explicit partial-result manifest instead of dying.
@@ -45,7 +48,7 @@ import os
 import pickle
 import traceback
 from concurrent.futures import BrokenExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -182,6 +185,48 @@ class RetryPolicy:
         digest = hashlib.sha256(f"{key}:{attempts}".encode()).digest()
         unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
         return min(self.max_delay, raw * (1.0 + self.jitter * unit))
+
+
+@dataclass
+class AttemptLedger:
+    """The failed attempts of one unit of work: a campaign point or a
+    pipeline node.  :meth:`charge` is the one place a failure is
+    counted, fingerprinted and put to the :class:`RetryPolicy`.
+    """
+
+    key: str
+    policy: RetryPolicy
+    attempts: int = 0
+    fingerprints: List[FailureFingerprint] = field(default_factory=list)
+
+    def charge(self, exc: BaseException) -> Optional[float]:
+        """Charge one failed attempt.
+
+        Returns the backoff before the next attempt, or ``None`` when
+        the budget is spent and the work must be quarantined.
+        """
+        self.attempts += 1
+        fingerprint = FailureFingerprint.from_exception(exc)
+        self.fingerprints.append(fingerprint)
+        if not self.policy.should_retry(fingerprint.classification,
+                                        self.attempts):
+            return None
+        return self.policy.delay(self.key, self.attempts)
+
+    def failure(self, job: str, input_gb: float = 0.0,
+                seed: int = 0) -> "PointFailure":
+        return PointFailure(key=self.key, job=job, input_gb=input_gb,
+                            seed=seed, attempts=self.attempts,
+                            fingerprints=list(self.fingerprints))
+
+
+def terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Kill every worker process of ``pool`` (breaks it on purpose)."""
+    for process in list(getattr(pool, "_processes", {}).values()):
+        try:
+            process.terminate()
+        except Exception:
+            pass
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared test configuration: an opt-in per-test hang guard.
+"""Shared test configuration: an opt-in per-test hang guard and an
+opt-in seeded shuffle of the test order.
 
 The supervision layer deliberately exercises hung and SIGKILLed
 workers; a regression there shows up as a *hang*, not a failure, and
@@ -11,9 +12,16 @@ is failed with a readable message the moment it exceeds the budget.
 
 POSIX-only by construction — on platforms without ``SIGALRM`` the
 guard silently stands down.
+
+When ``KEDDAH_TEST_SHUFFLE`` is set, the collected tests run in an
+order shuffled by ``random.Random(<its value>)``, so a test that only
+passes after (or before) some other test fails — and the same seed
+reproduces the order.  No shuffle plugin is needed; ``scripts/check.sh``
+runs tier-1 a second time with a fixed seed.
 """
 
 import os
+import random
 import signal
 
 import pytest
@@ -29,6 +37,12 @@ def _budget_seconds() -> float:
         return float(raw) if raw else 0.0
     except ValueError:
         return 0.0
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = os.environ.get("KEDDAH_TEST_SHUFFLE", "").strip()
+    if seed:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.hookimpl(hookwrapper=True)

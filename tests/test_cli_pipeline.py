@@ -1,4 +1,4 @@
-"""The ``keddah pipeline`` verb: run, plan, resume, status, and top."""
+"""The ``keddah pipeline`` verb: run, plan, resume, and top."""
 
 import json
 
@@ -31,16 +31,37 @@ def test_run_saves_spec_and_writes_all_stage_dirs(pipeline_dir):
     assert "pipeline" in report.read_text(encoding="utf-8").lower()
 
 
-def test_plan_is_all_cached_after_a_run(pipeline_dir, capsys):
+def _plan_actions(out):
+    actions = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if parts and parts[0] in {"capture", "classify", "fit", "replay",
+                                  "validate", "report"}:
+            actions[parts[0]] = parts[2]
+    return actions
+
+
+def test_plan_is_all_cached_after_a_run(pipeline_dir, capsys, tmp_path):
     assert main(["pipeline", "plan", "--dir", str(pipeline_dir),
                  *TINY]) == 0
     out = capsys.readouterr().out
     assert out.count("cached") >= 6
     assert "run" in out  # the action column header / legend
 
-    # --dry-run on the run verb is the same plan, and executes nothing.
-    assert main(["pipeline", "run", "--dry-run", "--dir",
-                 str(pipeline_dir), *TINY]) == 0
+    # Planning executes nothing.
+    fresh = tmp_path / "fresh"
+    assert main(["pipeline", "plan", "--dir", str(fresh), *TINY]) == 0
+    assert _plan_actions(capsys.readouterr().out)["capture"] == "run"
+    assert not (fresh / "nodes").exists()
+
+
+def test_status_reports_journal_and_cache_state(pipeline_dir, capsys):
+    # The node manifests are the only record of a root's state: plan with
+    # only --dir reads the saved spec and reports every node as cached.
+    assert main(["pipeline", "plan", "--dir", str(pipeline_dir)]) == 0
+    actions = _plan_actions(capsys.readouterr().out)
+    assert "fit" in actions and "report" in actions
+    assert set(actions.values()) == {"cached"}
 
 
 def test_warm_rerun_is_all_cache_hits(pipeline_dir, capsys):
@@ -50,12 +71,6 @@ def test_warm_rerun_is_all_cache_hits(pipeline_dir, capsys):
     assert "cached" in out
 
 
-def test_status_reports_journal_and_cache_state(pipeline_dir, capsys):
-    assert main(["pipeline", "status", "--dir", str(pipeline_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "fit" in out and "report" in out
-
-
 def test_config_edit_via_flags_invalidates_fit_and_downstream(
         pipeline_dir, capsys):
     # Default training is all-but-largest; training on both sizes is a
@@ -63,12 +78,7 @@ def test_config_edit_via_flags_invalidates_fit_and_downstream(
     # descendants stale while upstream stays cached.
     assert main(["pipeline", "plan", "--dir", str(pipeline_dir), *TINY,
                  "--fit-sizes-gb", "0.0625,0.125"]) == 0
-    actions = {}
-    for line in capsys.readouterr().out.splitlines():
-        parts = line.split()
-        if parts and parts[0] in {"capture", "classify", "fit", "replay",
-                                  "validate", "report"}:
-            actions[parts[0]] = parts[2]
+    actions = _plan_actions(capsys.readouterr().out)
     assert actions["capture"] == "cached"
     assert actions["classify"] == "cached"
     assert actions["replay"] == "cached"
@@ -90,9 +100,10 @@ def test_bad_spec_values_are_rejected_cleanly(tmp_path, capsys):
     assert "bad pipeline spec" in capsys.readouterr().out
 
 
-def test_status_without_a_pipeline_is_a_clean_error(tmp_path, capsys):
-    assert main(["pipeline", "status", "--dir",
+def test_resume_without_a_pipeline_is_a_clean_error(tmp_path, capsys):
+    assert main(["pipeline", "resume", "--dir",
                  str(tmp_path / "missing")]) == 2
+    assert "pipeline.json" in capsys.readouterr().out
 
 
 def test_run_failure_returns_nonzero_and_keeps_partial_work(tmp_path,
@@ -107,6 +118,7 @@ def test_run_failure_returns_nonzero_and_keeps_partial_work(tmp_path,
     assert code == 1
     out = capsys.readouterr().out
     assert "quarantined" in out
-    assert (root / "journal.jsonl").exists()
+    assert main(["pipeline", "plan", "--dir", str(root)]) == 0
+    assert _plan_actions(capsys.readouterr().out)["capture"] == "interrupted"
     assert json.loads((root / "quarantine.jsonl").read_text(
         encoding="utf-8").splitlines()[0])

@@ -2,7 +2,7 @@
 
 These tests drive the real CLI in subprocesses because the crash hook
 (`KEDDAH_PIPELINE_CRASH_IN`) SIGKILLs the hosting process — exactly
-the failure the journal + manifest machinery must survive.
+the failure the per-node ``outputs.json`` checkpoints must survive.
 """
 
 import json
@@ -12,12 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.experiments.dag import DAGJournal, RUNNING
-
 REPO = Path(__file__).resolve().parents[1]
 
 TINY = ["--job", "grep", "--sizes-gb", "0.0625,0.125",
         "--experiments", ""]
+NODES = {"capture", "classify", "fit", "replay", "validate", "report"}
 
 
 def _keddah(args, crash_in=None):
@@ -40,6 +39,16 @@ def _node_manifests(root):
     return manifests
 
 
+def _table_rows(stdout):
+    """node -> its row's columns, from a rendered pipeline table."""
+    rows = {}
+    for line in stdout.splitlines():
+        parts = line.split()
+        if parts and parts[0] in NODES:
+            rows[parts[0]] = parts
+    return rows
+
+
 def test_sigkill_mid_fit_resume_is_byte_identical_with_zero_rerun(tmp_path):
     baseline = tmp_path / "baseline"
     crashed = tmp_path / "crashed"
@@ -50,16 +59,25 @@ def test_sigkill_mid_fit_resume_is_byte_identical_with_zero_rerun(tmp_path):
     killed = _keddah(["pipeline", "run", "--dir", str(crashed), *TINY],
                      crash_in="fit")
     assert killed.returncode == -signal.SIGKILL
+    committed = set(_node_manifests(crashed))
+    assert committed and not any(name.startswith("fit@")
+                                 for name in committed)
 
     resumed = _keddah(["pipeline", "resume", "--dir", str(crashed)])
     assert resumed.returncode == 0, resumed.stderr
     assert "already complete" in resumed.stdout
 
-    # Zero re-execution: only the killed node entered RUNNING twice.
-    journal = DAGJournal(crashed / "journal.jsonl")
-    counts = journal.run_counts()
-    assert counts.pop("fit") == 2
-    assert counts and all(count == 1 for count in counts.values())
+    # Zero re-execution: the resume table's cached rows are exactly the
+    # nodes committed before the kill; every other node, fit included,
+    # ran once more.
+    rows = _table_rows(resumed.stdout)
+    assert set(rows) == NODES
+    cached = {Path(row[4]).name for row in rows.values()
+              if row[2] == "cached"}
+    assert cached == committed
+    assert rows["fit"][2] == "done"
+    assert all(row[2] == "done" for row in rows.values()
+               if Path(row[4]).name not in committed)
 
     # Byte-identity: every node dir (same signatures) and every output
     # digest matches the uninterrupted run, including the final report.
@@ -80,15 +98,15 @@ def test_crash_before_any_completion_then_full_resume(tmp_path):
     killed = _keddah(["pipeline", "run", "--dir", str(root), *TINY],
                      crash_in="capture")
     assert killed.returncode == -signal.SIGKILL
-    # The journal survived the kill and shows capture mid-flight.
-    journal = DAGJournal(root / "journal.jsonl")
-    assert journal.last_states()["capture"]["state"] == RUNNING
+    # capture started (node.json) but never committed (outputs.json).
+    plan = _keddah(["pipeline", "plan", "--dir", str(root)])
+    assert plan.returncode == 0, plan.stderr
+    assert _table_rows(plan.stdout)["capture"][2] == "interrupted"
 
     resumed = _keddah(["pipeline", "resume", "--dir", str(root)])
     assert resumed.returncode == 0, resumed.stderr
     manifests = _node_manifests(root)
-    assert {name.split("@")[0] for name in manifests} == {
-        "capture", "classify", "fit", "replay", "validate", "report"}
+    assert {name.split("@")[0] for name in manifests} == NODES
 
 
 def test_resume_without_a_spec_is_a_clean_error(tmp_path):

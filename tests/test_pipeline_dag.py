@@ -1,6 +1,6 @@
-"""The crash-safe pipeline DAG: wiring, caching, journal, propagation."""
+"""The crash-safe pipeline DAG: wiring, caching, checkpoints, propagation."""
 
-import json
+import dataclasses
 import shutil
 
 import pytest
@@ -12,10 +12,8 @@ from repro.experiments.dag import (
     DONE,
     FAIL_FAST,
     QUARANTINED,
-    RUNNING,
     SKIP_DESCENDANTS,
     SKIPPED,
-    DAGJournal,
     DAGRunner,
     PipelineCycleError,
     PipelineDAG,
@@ -163,10 +161,16 @@ def test_run_then_rerun_hits_cache_with_zero_reexecution(tmp_path):
     assert first.artifact("c", "out").read_text(
         encoding="utf-8") == "C|B|A\n"
 
-    second = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT).run()
+    # The stage fn is not part of the signature, so a rerun whose every
+    # fn raises still hits the cache — and would fail if any node ran.
+    def never(context):
+        raise AssertionError(f"{context.name} re-executed")
+
+    rerun = PipelineDAG("t")
+    for node in _chain(tmp_path).nodes():
+        rerun.add(dataclasses.replace(node, fn=never))
+    second = DAGRunner(rerun, root, retry_policy=ONE_SHOT).run()
     assert second.states() == {name: CACHED for name in second.states()}
-    journal = DAGJournal(root / "journal.jsonl")
-    assert journal.run_counts() == {"a": 1, "b": 1, "c": 1, "z-indep": 1}
 
 
 def test_config_edit_invalidates_exactly_node_and_descendants(tmp_path):
@@ -220,6 +224,21 @@ def test_pipeline_dir_is_relocatable(tmp_path):
         encoding="utf-8") == "C|B|A\n"
 
 
+def test_leftover_bookkeeping_from_older_roots_keeps_cache_hits(tmp_path):
+    # Roots written before the manifest became the only checkpoint also
+    # hold a journal.jsonl and per-node link records; they are ignored.
+    root = tmp_path / "pl"
+    first = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT).run()
+    (root / "journal.jsonl").write_text('{"dag_journal": {}}\n',
+                                        encoding="utf-8")
+    for outcome in first.outcomes.values():
+        for name in (".pred.json", ".succ.json"):
+            (root / outcome.dir / name).write_text("{}\n", encoding="utf-8")
+    runner = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT)
+    assert {entry["action"] for entry in runner.plan()} == {"cached"}
+    assert set(runner.run().states().values()) == {CACHED}
+
+
 def test_corrupt_manifest_forces_rerun(tmp_path):
     root = tmp_path / "pl"
     first = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT).run()
@@ -236,14 +255,23 @@ def test_tampered_output_bytes_fail_verification(tmp_path):
     first = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT).run()
     first.artifact("b", "out").write_text("tampered\n", encoding="utf-8")
 
-    verifying = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT)
-    actions = {entry["node"]: entry["action"] for entry in verifying.plan()}
+    runner = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT)
+    actions = {entry["node"]: entry["action"] for entry in runner.plan()}
     assert actions["b"] == "run"
 
-    trusting = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT,
-                         verify_outputs=False)
-    actions = {entry["node"]: entry["action"] for entry in trusting.plan()}
-    assert actions["b"] == "cached"
+
+def test_started_but_uncommitted_node_plans_as_interrupted(tmp_path):
+    root = tmp_path / "pl"
+    DAGRunner(_chain(tmp_path, poison="b"), root, retry_policy=ONE_SHOT,
+              on_failure=SKIP_DESCENDANTS).run()
+    # b wrote node.json before its attempt and never published
+    # outputs.json; c never started.
+    runner = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT)
+    actions = {entry["node"]: entry["action"] for entry in runner.plan()}
+    assert actions == {"a": "cached", "b": "interrupted",
+                       "c": "stale-upstream", "z-indep": "cached"}
+    assert runner.run().states() == {"a": CACHED, "b": DONE, "c": DONE,
+                                     "z-indep": CACHED}
 
 
 # -- failure propagation ------------------------------------------------------------
@@ -320,44 +348,6 @@ def test_quarantine_sidecar_dedupes_across_resume_cycles(tmp_path):
     assert failures[0].occurrences == 2
     assert failures[0].attempts == 2
     assert "b" in failures[0].job
-
-
-# -- journal ------------------------------------------------------------------------
-
-
-def test_journal_records_full_transition_history(tmp_path):
-    root = tmp_path / "pl"
-    DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT).run()
-    journal = DAGJournal(root / "journal.jsonl")
-    by_node = {}
-    for transition in journal.transitions:
-        by_node.setdefault(transition["node"], []).append(
-            transition["state"])
-    assert by_node["a"] == [RUNNING, DONE]
-    last = journal.last_states()
-    assert last["c"]["state"] == DONE
-    assert last["c"]["signature"]
-
-
-def test_journal_tolerates_torn_tail(tmp_path):
-    root = tmp_path / "pl"
-    DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT).run()
-    path = root / "journal.jsonl"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"transition": {"node": "c", "sta')
-    journal = DAGJournal(path)
-    assert journal.truncated_lines == 1
-    assert journal.run_counts() == {"a": 1, "b": 1, "c": 1, "z-indep": 1}
-    # And the runner still resumes cleanly on top of it.
-    result = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT).run()
-    assert result.ok
-
-
-def test_journal_header_and_format(tmp_path):
-    DAGJournal(tmp_path / "j.jsonl", pipeline="demo")
-    first = json.loads(
-        (tmp_path / "j.jsonl").read_text(encoding="utf-8").splitlines()[0])
-    assert first["dag_journal"]["pipeline"] == "demo"
 
 
 # -- deadlines ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ watchdog, and graceful pool degradation."""
 import os
 import signal
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from repro.experiments.supervision import (
     DEADLINE,
     DETERMINISTIC,
     TRANSIENT,
+    AttemptLedger,
     CampaignPointsFailed,
     DeadlineExpired,
     FailureFingerprint,
@@ -22,6 +24,7 @@ from repro.experiments.supervision import (
     Quarantine,
     RetryPolicy,
     classify_failure,
+    terminate_workers,
 )
 
 SMALL = CampaignConfig(nodes=4, hosts_per_rack=2)
@@ -169,6 +172,32 @@ def test_backoff_is_deterministic_bounded_and_growing():
     assert policy.delay("key-a", 50) == 1.0  # capped
     assert policy.delay("key-b", 1) != first  # jitter varies per key
     assert RetryPolicy(base_delay=0.0).delay("key-a", 1) == 0.0
+
+
+def test_attempt_ledger_counts_fingerprints_and_decides():
+    policy = RetryPolicy(max_attempts=2, base_delay=0.1)
+    ledger = AttemptLedger("key-a", policy)
+    assert ledger.charge(OSError("worker lost")) == policy.delay("key-a", 1)
+    assert ledger.charge(OSError("worker lost")) is None  # budget spent
+    assert ledger.attempts == 2
+    assert [f.classification for f in ledger.fingerprints] == [TRANSIENT] * 2
+
+    poisoned = AttemptLedger("key-b", policy)
+    assert poisoned.charge(ValueError("bad config")) is None  # deterministic
+    failure = poisoned.failure("grep", 0.5, 7)
+    assert (failure.key, failure.job, failure.input_gb, failure.seed,
+            failure.attempts) == ("key-b", "grep", 0.5, 7, 1)
+    assert failure.fingerprints[0].exception_type == "ValueError"
+
+
+def test_terminate_workers_breaks_a_busy_pool():
+    pool = ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"))
+    future = pool.submit(time.sleep, 30)
+    time.sleep(0.5)  # let the worker pick the task up
+    terminate_workers(pool)
+    with pytest.raises(BrokenProcessPool):
+        future.result(timeout=30)
+    pool.shutdown(wait=True)
 
 
 # -- quarantine sidecar -------------------------------------------------------------
