@@ -41,7 +41,6 @@ from pathlib import Path
 from repro.capture.collector import FlowCollector
 from repro.cluster.topology import build_topology
 from repro.net.backend import FlowRequest, TransportBackend, make_backend
-from repro.net.network import _DONE_EPS_BYTES
 from repro.simkit.core import Simulator
 
 from benchmarks.conftest import registry_values
@@ -121,11 +120,8 @@ def _emulate_pr6(net):
 
     net.start_flow = eager_start_flow
 
-    def per_flow_harvest(self):
+    def per_flow_harvest(self, finished):
         vec = self._vec
-        finished = (vec.finished(_DONE_EPS_BYTES) if vec is not None
-                    else [flow for flow in self.active.values()
-                          if flow.remaining <= _DONE_EPS_BYTES])
         now = self.sim.now
         for flow in finished:
             del self.active[flow.flow_id]

@@ -56,10 +56,16 @@ python -m pytest tests/test_backend_differential.py tests/test_net_backend.py -q
 
 # 5. Fluid-engine differential gate: the vectorized engine must keep
 #    agreeing with the scalar oracle — bitwise on randomized fabrics,
-#    byte-identical on a seeded capture — and the engine axis must
-#    keep validating at every entry point.  Both engines run here.
+#    byte-identical on a seeded capture — the scalar engine's id-indexed
+#    progress loop must keep matching its dict-keyed reference bit for
+#    bit (link_bytes key order included), the engine axis must keep
+#    validating at every entry point, and the oracle-free link-byte and
+#    HDFS-replica invariants must hold on every substrate.  Both
+#    engines run here.
 echo "== fluid-engine differential suite =="
-python -m pytest tests/test_fairshare_incremental.py tests/test_engine_axis.py -q
+python -m pytest tests/test_fairshare_incremental.py tests/test_engine_axis.py \
+    tests/test_scalar_progress_reference.py \
+    tests/test_end_to_end_properties.py -q
 
 # 6. Batched-admission differential gate: admitting a wave through
 #    start_flows must stay observationally identical to looping

@@ -4,9 +4,10 @@ This is where HDFS's network footprint is actually produced:
 
 * :meth:`DfsClient.write_file` splits data into blocks and, per block,
   drives the replication pipeline — one flow per pipeline hop, each
-  carrying the full block.  The first hop is host-local whenever the
-  writer is a DataNode (Hadoop writes replica 1 locally), so with
-  replication *r* a task's output puts *r − 1* block copies on the wire.
+  carrying the full block.  A writer that holds one of the block's
+  replicas writes it through its local disk and heads the pipeline
+  (Hadoop writes replica 1 locally), so with replication *r* a task's
+  output puts *r − 1* block copies on the wire.
 * :meth:`DfsClient.read_block` asks the NameNode for the closest
   replica; node-local reads stay on the disk, others become one
   DataNode→reader flow capped at the serving disk's read rate.
@@ -93,10 +94,12 @@ class DfsClient:
                 self.sim.now, parent=parent_span,
                 size=location.block.size,
                 replicas=len(location.replicas), job_id=job_id)
-        chain = [writer] + list(location.replicas)
-        # Writer == first replica (the normal case) collapses hop 0 to local I/O.
-        if chain[0] == chain[1]:
-            chain = chain[1:]
+        # A writer that holds a replica writes it through its own disk
+        # and heads the pipeline, whatever order placement chose (HDFS
+        # orders the pipeline nearest-first); otherwise it streams to
+        # the first replica.  Either way each replica is written once.
+        chain = [writer] + [replica for replica in location.replicas
+                            if replica != writer]
         # The pipeline hops all start at the same instant — a textbook
         # flow wave — so they are admitted in one batched call: paths
         # resolve in one pass and the wave shares one rate
@@ -118,7 +121,7 @@ class DfsClient:
                     "dst_port": ports.DATANODE_XFER,
                 }, parent_span=span))
         if writer in location.replicas:
-            # Replica 1 is written through the local disk.
+            # The writer's own replica is written through the local disk.
             datanode = self.datanodes.get(writer)
             rate = datanode.disk_write_rate if datanode else None
             requests.append(FlowRequest(

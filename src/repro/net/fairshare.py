@@ -120,11 +120,13 @@ class FairShareAllocator:
     single-round grouping of ties.
     """
 
-    __slots__ = ("_link_ids", "_link_caps", "_members", "_flow_links",
-                 "_flow_caps", "recomputes", "rounds", "allocator_seconds")
+    __slots__ = ("_link_ids", "_link_keys", "_link_caps", "_members",
+                 "_flow_links", "_flow_caps", "recomputes", "rounds",
+                 "allocator_seconds")
 
     def __init__(self, capacities: Optional[Mapping[Hashable, float]] = None):
         self._link_ids: Dict[Hashable, int] = {}   # external link key -> dense id
+        self._link_keys: List[Hashable] = []       # dense id -> external link key
         self._link_caps: List[float] = []          # id -> capacity, bytes/s
         self._members: List[Set[Hashable]] = []    # id -> flows crossing the link
         self._flow_links: Dict[Hashable, List[int]] = {}
@@ -145,6 +147,11 @@ class FairShareAllocator:
     def has_link(self, link: Hashable) -> bool:
         return link in self._link_ids
 
+    @property
+    def link_keys(self) -> List[Hashable]:
+        """External link keys indexed by dense link id (read-only view)."""
+        return self._link_keys
+
     def set_capacity(self, link: Hashable, capacity: float) -> None:
         """Register a link (or update its capacity), in bytes/s."""
         if capacity <= 0:
@@ -152,14 +159,19 @@ class FairShareAllocator:
         link_id = self._link_ids.get(link)
         if link_id is None:
             self._link_ids[link] = len(self._link_caps)
+            self._link_keys.append(link)
             self._link_caps.append(float(capacity))
             self._members.append(set())
         else:
             self._link_caps[link_id] = float(capacity)
 
     def add_flow(self, flow: Hashable, links: Iterable[Hashable],
-                 cap: Optional[float] = None) -> None:
-        """Add an active flow crossing ``links``, optionally rate-capped."""
+                 cap: Optional[float] = None) -> List[int]:
+        """Add an active flow crossing ``links``, optionally rate-capped.
+
+        Returns the flow's dense link ids, in ``links`` order.  The list
+        is shared with the allocator: treat it as read-only.
+        """
         if flow in self._flow_links:
             raise ValueError(f"flow {flow!r} is already active")
         if cap is not None and cap <= 0:
@@ -175,15 +187,18 @@ class FairShareAllocator:
             self._members[link_id].add(flow)
         if cap is not None:
             self._flow_caps[flow] = float(cap)
+        return ids
 
     def add_flows(self, entries: Sequence[Tuple[Hashable, Sequence[Hashable],
-                                                Optional[float]]]) -> None:
+                                                Optional[float]]]
+                  ) -> List[List[int]]:
         """Grouped :meth:`add_flow`: one call for a whole admission wave.
 
         ``entries`` is ``(flow, links, cap)`` per flow.  Same state
         transitions and validation as the per-flow calls in the same
         order — the grouping only hoists the attribute and dict lookups
-        out of the per-flow path.
+        out of the per-flow path.  Returns each flow's link ids, as
+        :meth:`add_flow` does.
         """
         link_ids = self._link_ids
         flow_links = self._flow_links
@@ -193,6 +208,7 @@ class FairShareAllocator:
         # caller resolves each (src, dst) pair once); the resolved id
         # list is read-only, so sharing it between flows is safe.
         ids_memo: Dict[int, List[int]] = {}
+        result: List[List[int]] = []
         for flow, links, cap in entries:
             if flow in flow_links:
                 raise ValueError(f"flow {flow!r} is already active")
@@ -207,10 +223,12 @@ class FairShareAllocator:
                                    f"call set_capacity first") from None
                 ids_memo[id(links)] = ids
             flow_links[flow] = ids
+            result.append(ids)
             for link_id in ids:
                 members[link_id].add(flow)
             if cap is not None:
                 flow_caps[flow] = float(cap)
+        return result
 
     def remove_flow(self, flow: Hashable) -> None:
         """Remove a completed (or aborted) flow."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import Host
 from repro.simkit.core import Signal, Simulator
@@ -42,8 +42,9 @@ class Flow:
     """
 
     __slots__ = ("flow_id", "src", "dst", "size", "metadata", "max_rate", "sim",
-                 "_done", "path", "links", "start_time", "end_time", "rate",
-                 "remaining", "last_update", "local", "span_parent")
+                 "_done", "path", "links", "link_ids", "has_moved",
+                 "start_time", "end_time", "rate", "remaining", "last_update",
+                 "local", "span_parent")
 
     def __init__(self, src: Host, dst: Host, size: float, sim: Simulator,
                  max_rate: Optional[float] = None,
@@ -63,6 +64,12 @@ class Flow:
         self._done: Optional[Signal] = None
         self.path: List[object] = []
         self.links: List[Tuple[object, object]] = []
+        # Scalar fluid engine only: the allocator's dense ids of
+        # ``links`` (same order), and whether the flow has banked any
+        # progress yet (its first move fixes where its links enter
+        # ``link_bytes``).
+        self.link_ids: Sequence[int] = ()
+        self.has_moved = False
         self.start_time: float = 0.0
         self.end_time: Optional[float] = None
         self.rate: float = 0.0

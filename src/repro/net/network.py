@@ -5,10 +5,12 @@ Mechanics
 The network keeps the set of active flows.  Whenever the set changes
 (a flow starts or completes) it:
 
-1. advances every active flow's ``remaining`` by ``rate × elapsed``,
+1. advances every active flow's ``remaining`` by ``rate × elapsed``
+   and, in the same pass, collects the flows that finished,
 2. recomputes all rates with the stateful
-   :class:`~repro.net.fairshare.FairShareAllocator`,
-3. schedules one completion event at the earliest projected finish.
+   :class:`~repro.net.fairshare.FairShareAllocator`, assigning them
+   and taking the earliest projected finish in one pass,
+3. schedules one completion event at that finish.
 
 Same-timestamp batching
 -----------------------
@@ -35,23 +37,30 @@ at the flow's rate cap (typically the disk rate) and are flagged
 ``local`` so the capture stage can exclude them, exactly as a NIC-level
 ``tcpdump`` would never see loopback DataNode traffic.
 
-Per-link delivered bytes are accumulated on every update, giving the
-utilisation series used by experiment E11.  Performance counters for
-the whole fluid engine live on the simulator's telemetry registry
-(``net.*``).
+Per-link delivered bytes are banked on every advance into an
+accumulator indexed by the allocator's dense link ids (each flow
+carries its id list, so the hot loop never hashes ``(u, v)`` tuples),
+and become the ``{(u, v): bytes}`` dict :attr:`FlowNetwork.link_bytes`
+only when it is read — the utilisation figures of replay reports and
+experiment E11.  Performance counters for the whole fluid engine live
+on the simulator's telemetry registry (``net.*``).
 
 Engines
 -------
 The fluid dynamics have two interchangeable implementations selected by
-``engine``: ``scalar`` (the original per-flow dict/heap code below) and
-``vectorized`` (:mod:`repro.net.vectorized`), which holds rates,
-remaining bytes and link incidence in dense numpy arrays so progress
-advancement, completion harvesting and water-filling are array
-expressions.  Both perform the identical IEEE-754 round arithmetic, so
-a capture is byte-identical across engines.  Per-link delivered-byte
-totals (:attr:`FlowNetwork.link_bytes`) are summed in a different
-order and may differ in the last bits.  The differential suite in
-``tests/test_fairshare_incremental.py`` enforces both.
+``engine``: ``scalar`` (per-flow Python loops over the active dict,
+with a heap water-fill) and ``vectorized``
+(:mod:`repro.net.vectorized`), which holds rates, remaining bytes and
+link incidence in dense numpy arrays so progress advancement,
+completion harvesting and water-filling are array expressions.  Both
+perform the identical IEEE-754 round arithmetic, so a capture is
+byte-identical across engines.  Per-link delivered-byte totals
+(:attr:`FlowNetwork.link_bytes`) are summed in a different order and
+may differ in the last bits.  The differential suite in
+``tests/test_fairshare_incremental.py`` enforces both;
+``tests/test_scalar_progress_reference.py`` holds the scalar loops to
+their dict-keyed reference bit for bit, ``link_bytes`` key order
+included.
 """
 
 from __future__ import annotations
@@ -106,9 +115,15 @@ class FlowNetwork(TransportBackend):
         self.engine = engine
         # Set before super().__init__: the base class assigns
         # ``link_bytes``, which is a property below and whose getter
-        # consults ``_vec``.
+        # consults ``_vec`` and the scalar accumulator.
         self._vec = None
         self._link_bytes: Dict[Any, float] = {}
+        # Scalar engine: delivered bytes per allocator link id, and the
+        # ids in the order their first bytes arrived (a dict used as an
+        # ordered set) — the key order ``link_bytes`` exposes.
+        self._link_acc: List[float] = []
+        self._link_order: Dict[int, None] = {}
+        self._links_dirty = False
         super().__init__(sim, topology)
         self.hop_latency = hop_latency
         self.batch_updates = batch_updates
@@ -164,10 +179,24 @@ class FlowNetwork(TransportBackend):
 
     @property
     def link_bytes(self) -> Dict[Any, float]:
-        """Per-link delivered bytes (materialised lazily when vectorized)."""
+        """Per-link delivered bytes, materialised lazily on read.
+
+        Both engines bank progress into link-id-indexed accumulators and
+        write them into this ``{(u, v): bytes}`` dict only when it is
+        read.  The scalar engine keeps keys in the order each link first
+        carried bytes; the vectorized engine in link-id order.
+        """
         vec = self._vec
-        if vec is not None and vec.links_dirty:
-            vec.export_link_bytes(self._link_bytes)
+        if vec is not None:
+            if vec.links_dirty:
+                vec.export_link_bytes(self._link_bytes)
+        elif self._links_dirty:
+            out = self._link_bytes
+            keys = self._allocator.link_keys
+            acc = self._link_acc
+            for link_id in self._link_order:
+                out[keys[link_id]] = acc[link_id]
+            self._links_dirty = False
         return self._link_bytes
 
     @link_bytes.setter
@@ -201,9 +230,7 @@ class FlowNetwork(TransportBackend):
         flow.links = self.topology.edges_on_path(flow.path)
         for link in flow.links:
             if link not in self._capacities:
-                capacity = self.topology.capacity(*link)
-                self._capacities[link] = capacity
-                self._allocator.set_capacity(link, capacity)
+                self._intern_link(link)
         if self.hop_latency > 0:
             setup = 1.5 * (2.0 * len(flow.links) * self.hop_latency)
             self.sim.schedule(setup, self._activate, flow)
@@ -240,7 +267,6 @@ class FlowNetwork(TransportBackend):
         now = sim.now
         topology = self.topology
         capacities = self._capacities
-        allocator = self._allocator
         flow_ids = self._flow_ids
         hop_latency = self.hop_latency
         flows: List[Flow] = []
@@ -276,9 +302,7 @@ class FlowNetwork(TransportBackend):
                 links = topology.edges_on_path(path)
                 for link in links:
                     if link not in capacities:
-                        capacity = topology.capacity(*link)
-                        capacities[link] = capacity
-                        allocator.set_capacity(link, capacity)
+                        self._intern_link(link)
                 resolved = (path, links)
                 resolved_pairs[pair] = resolved
             flow.path, flow.links = resolved
@@ -300,6 +324,13 @@ class FlowNetwork(TransportBackend):
         if ready:
             self._activate_wave(ready)
         return flows
+
+    def _intern_link(self, link: Any) -> None:
+        """Register a link's capacity and give it a byte accumulator."""
+        capacity = self.topology.capacity(*link)
+        self._capacities[link] = capacity
+        self._allocator.set_capacity(link, capacity)
+        self._link_acc.append(0.0)
 
     @contextmanager
     def batch(self):
@@ -329,7 +360,8 @@ class FlowNetwork(TransportBackend):
         if self._vec is not None:
             self._vec.add(flow)
         else:
-            self._allocator.add_flow(flow.flow_id, flow.links, flow.max_rate)
+            flow.link_ids = self._allocator.add_flow(
+                flow.flow_id, flow.links, flow.max_rate)
         self._request_update()
 
     def _activate_wave(self, flows: Sequence[Flow]) -> None:
@@ -352,7 +384,9 @@ class FlowNetwork(TransportBackend):
                 flow.last_update = now
                 active[flow.flow_id] = flow
                 entries.append((flow.flow_id, flow.links, flow.max_rate))
-            self._allocator.add_flows(entries)
+            for flow, link_ids in zip(flows,
+                                      self._allocator.add_flows(entries)):
+                flow.link_ids = link_ids
         self._request_update()
 
     def _complete_local_wave(self, flows: Sequence[Flow]) -> None:
@@ -386,7 +420,8 @@ class FlowNetwork(TransportBackend):
         if flow.flow_id not in self.active:
             return False
         # Competitors' progress under the pre-cancellation rates is
-        # banked before the allocator changes shape.
+        # banked before the allocator changes shape; any flow that
+        # finished is harvested by the flush requested below.
         self._advance_progress()
         del self.active[flow.flow_id]
         if self._vec is not None:
@@ -445,63 +480,95 @@ class FlowNetwork(TransportBackend):
         # Harvest *before* the flush so completion signals fire first
         # and any same-instant reactions (a dependent transfer, the next
         # shuffle fetch) join this timestep's single recomputation.
-        self._advance_progress()
-        self._harvest_finished()
+        self._harvest_finished(self._advance_progress())
         self._schedule_flush()
 
-    def _advance_progress(self) -> None:
+    def _advance_progress(self) -> List[Flow]:
+        """Bank ``rate × elapsed`` for every active flow, up to now.
+
+        Returns the active flows whose remaining bytes are within
+        ``_DONE_EPS_BYTES`` of zero, oldest first — the completion
+        harvest, taken in the same pass when time moved.
+        """
         now = self.sim.now
+        vec = self._vec
+        if vec is not None:
+            if now != self._last_progress:
+                # A uniform elapsed is exact here: every activation
+                # triggers a same-instant flush, so at this point every
+                # flow either advanced at ``_last_progress`` or joined
+                # later with rate 0 (rates are only assigned by the
+                # post-advance recompute) — for the latecomers
+                # ``rate × elapsed`` is 0 regardless.
+                vec.advance(now - self._last_progress)
+                self._last_progress = now
+            return vec.finished(_DONE_EPS_BYTES)
         if now == self._last_progress:
             # Already advanced at this instant; every flow activated
             # since then had its ``last_update`` pinned to ``now``, so
-            # the scan would be a pure no-op.
-            return
-        if self._vec is not None:
-            # A uniform elapsed is exact here: every activation triggers
-            # a same-instant flush, so at this point every flow either
-            # advanced at ``_last_progress`` or joined later with rate 0
-            # (rates are only assigned by the post-advance recompute) —
-            # for the latecomers ``rate × elapsed`` is 0 regardless.
-            self._vec.advance(now - self._last_progress)
-            self._last_progress = now
-            return
+            # only the harvest scan is left to do.
+            return [flow for flow in self.active.values()
+                    if flow.remaining <= _DONE_EPS_BYTES]
         self._last_progress = now
-        link_bytes = self.link_bytes
+        # Bank by dense link id: no per-link tuple hashing here.  The
+        # sums run per link in active-flow order, exactly as the
+        # ``{(u, v): bytes}`` dict would, so ``link_bytes`` is
+        # bit-identical to accumulating into it directly.
+        acc = self._link_acc
+        finished: List[Flow] = []
         for flow in self.active.values():
-            elapsed = now - flow.last_update
-            if elapsed > 0 and flow.rate > 0:
-                moved = min(flow.rate * elapsed, flow.remaining)
-                flow.remaining -= moved
-                for link in flow.links:
-                    link_bytes[link] += moved
+            rate = flow.rate
+            if rate > 0:
+                elapsed = now - flow.last_update
+                if elapsed > 0:
+                    # min(rate × elapsed, remaining), spelled inline.
+                    moved = rate * elapsed
+                    remaining = flow.remaining
+                    if remaining < moved:
+                        moved = remaining
+                    flow.remaining = remaining - moved
+                    for link_id in flow.link_ids:
+                        acc[link_id] += moved
+                    if not flow.has_moved:
+                        self._note_first_move(flow)
             flow.last_update = now
+            if flow.remaining <= _DONE_EPS_BYTES:
+                finished.append(flow)
+        self._links_dirty = True
+        return finished
 
-    def _recompute_rates(self) -> None:
-        if self._vec is not None:
-            # Rates live in the allocator's array; Flow.rate is not
-            # maintained per flow (nothing outside the scalar paths
-            # reads it — probes go through ``throughput_gbps``).
-            self._allocator.recompute()
-            return
-        rates = self._allocator.rates()
-        for flow_id, flow in self.active.items():
-            flow.rate = rates[flow_id]
+    def _note_first_move(self, flow: Flow) -> None:
+        """Fix where a flow's not-yet-seen links enter ``link_bytes``."""
+        flow.has_moved = True
+        order = self._link_order
+        for link_id in flow.link_ids:
+            order.setdefault(link_id)
 
     def _advance_and_reschedule(self) -> None:
-        self._advance_progress()
-        self._harvest_finished()
+        self._harvest_finished(self._advance_progress())
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
         if not self.active:
             return
-        self._recompute_rates()
         if self._vec is not None:
+            # Rates live in the allocator's array; Flow.rate is not
+            # maintained per flow (nothing outside the scalar paths
+            # reads it — probes go through ``throughput_gbps``).
+            self._allocator.recompute()
             horizon = self._vec.horizon()
         else:
-            horizon = min(
-                flow.remaining / flow.rate if flow.rate > 0 else float("inf")
-                for flow in self.active.values())
+            # Assign rates and take the earliest projected completion
+            # in one pass over the active flows.
+            rates = self._allocator.rates()
+            horizon = float("inf")
+            for flow_id, flow in self.active.items():
+                rate = rates[flow_id]
+                flow.rate = rate
+                if rate > 0:
+                    finish = flow.remaining / rate
+                    if finish < horizon:
+                        horizon = finish
         if horizon == float("inf"):
             raise RuntimeError(
                 "active flows exist but none can make progress (zero rates)")
@@ -513,15 +580,11 @@ class FlowNetwork(TransportBackend):
             return self._vec.throughput_bytes() * 8 / 1e9
         return super().throughput_gbps()
 
-    def _harvest_finished(self) -> None:
-        vec = self._vec
-        if vec is not None:
-            finished = vec.finished(_DONE_EPS_BYTES)
-        else:
-            finished = [flow for flow in self.active.values()
-                        if flow.remaining <= _DONE_EPS_BYTES]
+    def _harvest_finished(self, finished: List[Flow]) -> None:
+        """Retire ``finished`` (from :meth:`_advance_progress`), in order."""
         if not finished:
             return
+        vec = self._vec
         now = self.sim.now
         active = self.active
         if len(finished) == 1:

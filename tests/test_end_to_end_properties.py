@@ -6,11 +6,12 @@ through a full capture and checks the invariants that must hold for
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
+from repro.hdfs.placement import DefaultPlacementPolicy, RandomPlacementPolicy
 from repro.jobs import make_job
 from repro.mapreduce import counters as ctr
 from repro.mapreduce.cluster import HadoopCluster
@@ -100,3 +101,119 @@ def test_same_seed_reproduces_exactly(kind, seed):
                  f.component) for f in traces[0].flows]
 
     assert fingerprint() == fingerprint()
+
+
+# -- oracle-free physical invariants, on every substrate --------------------------------
+
+#: (backend, fluid engine) pairs; non-fluid backends ignore the engine.
+SUBSTRATES = [("fluid", "scalar"), ("fluid", "vectorized"),
+              ("analytic", "scalar"), ("record", "scalar")]
+
+capture_configs = settings(max_examples=5, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+capture_axes = dict(
+    kind=st.sampled_from(JOB_KINDS),
+    input_mb=st.sampled_from([64, 160, 288]),
+    nodes=st.sampled_from([4, 6, 8]),
+    reducers=st.integers(min_value=1, max_value=4),
+    replication=st.integers(min_value=1, max_value=3),
+    random_placement=st.booleans(),
+    seed=st.integers(min_value=0, max_value=50),
+)
+
+
+def _capture_all_flows(substrate, kind, input_mb, nodes, reducers,
+                       replication, random_placement, seed):
+    """Run one fault-free capture; return (cluster, spec, every flow).
+
+    The flows come from a backend listener, so host-local transfers
+    (which the capture itself never records) are included.
+    """
+    backend, engine = substrate
+    policy = (RandomPlacementPolicy() if random_placement
+              else DefaultPlacementPolicy())
+    cluster = HadoopCluster(
+        ClusterSpec(num_nodes=nodes, hosts_per_rack=4, backend=backend,
+                    engine=engine),
+        HadoopConfig(block_size=32 * MB, num_reducers=reducers,
+                     replication=replication),
+        seed=seed, placement_policy=policy)
+    completed = []
+    cluster.net.add_listener(completed.append)
+    spec = make_job(kind, input_gb=input_mb / 1024.0, job_id="inv")
+    results, _ = cluster.run([spec])
+    assert not results[0].failed
+    assert not cluster.net.active
+    return cluster, spec, completed
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES,
+                         ids=lambda pair: "/".join(pair))
+@capture_configs
+@given(**capture_axes)
+def test_link_bytes_are_the_bytes_of_the_flows_crossing(substrate, **axes):
+    """Per-link delivered bytes = sizes of the flows over that link.
+
+    A fluid flow retires once its remaining bytes drop to
+    ``_DONE_EPS_BYTES`` (0.5 B), so each crossing flow may leave up to
+    half a byte undelivered; float accumulation adds a 1e-9 relative
+    tolerance.  Utilisation can then never exceed line rate.
+    """
+    cluster, _, completed = _capture_all_flows(substrate, **axes)
+    net = cluster.net
+    crossing_bytes = {}
+    crossing_flows = {}
+    for flow in completed:
+        if flow.local:
+            continue
+        if net.name != "record" and flow.size > 0:
+            assert flow.links, f"routed flow {flow!r} crosses no link"
+        for link in flow.links:
+            crossing_bytes[link] = crossing_bytes.get(link, 0.0) + flow.size
+            crossing_flows[link] = crossing_flows.get(link, 0) + 1
+    link_bytes = dict(net.link_bytes)
+    if net.name == "record":
+        # No routing, no delivery: the substrate puts nothing on links.
+        assert not crossing_bytes and not link_bytes
+    else:
+        assert crossing_bytes
+    for link in set(crossing_bytes) | set(link_bytes):
+        expected = crossing_bytes.get(link, 0.0)
+        slack = 1e-9 * expected
+        shortfall = expected - link_bytes.get(link, 0.0)
+        assert -slack <= shortfall, (link, expected, link_bytes.get(link))
+        assert shortfall <= 0.5 * crossing_flows.get(link, 0) + slack, \
+            (link, expected, link_bytes.get(link))
+        assert net.utilisation(link) <= 1.0 + 1e-6, link
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES,
+                         ids=lambda pair: "/".join(pair))
+@capture_configs
+@given(**capture_axes)
+# Random placement can put the writer's replica after another one; the
+# writer must still write that replica once, locally, not also receive
+# it over the wire.
+@example(kind="terasort", input_mb=64, nodes=4, reducers=1, replication=2,
+         random_placement=True, seed=2)
+def test_hdfs_replicas_equal_write_hops_plus_local_writes(substrate, **axes):
+    """Every replica of every written block is written exactly once.
+
+    Summed over the blocks the job allocated (its preloaded input
+    excluded), ``len(replicas)`` equals the replication pipeline's wire
+    hops plus the writers' local replica writes.
+    """
+    cluster, spec, completed = _capture_all_flows(substrate, **axes)
+    namenode = cluster.namenode
+    replicas = sum(len(location.replicas)
+                   for path in namenode.list_files()
+                   if path != spec.input_path
+                   for location in namenode.locate_file(path))
+    services = [flow.metadata.get("service") for flow in completed]
+    wire_hops = sum(1 for flow, service in zip(completed, services)
+                    if service == "dfs-write-pipeline" and not flow.local)
+    local_writes = services.count("dfs-write-local")
+    assert services.count("dfs-write-pipeline") == wire_hops, \
+        "a pipeline hop stayed on one host"
+    assert replicas > 0
+    assert replicas == wire_hops + local_writes
