@@ -64,7 +64,7 @@ def main() -> None:
     shuffle_sizes = ingested.flow_sizes("shuffle")
     best = fit_candidates(shuffle_sizes)[0]
     print(f"shuffle flow sizes from the pcap path fit "
-          f"{best.distribution!r} (KS={best.ks.statistic:.3f}, "
+          f"{best.distribution!r} (KS={best.ks:.3f}, "
           f"n={len(shuffle_sizes)})")
 
 

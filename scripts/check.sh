@@ -75,6 +75,13 @@ python -m pytest tests/test_fairshare_incremental.py tests/test_engine_axis.py \
 echo "== batched-admission differential suite =="
 python -m pytest tests/test_flow_batching.py -q
 
+# 6b. Model-selection identity gate: the KS distance that ranks every
+#    candidate fit must equal scipy's kstest statistic bit for bit on
+#    seeded captures, ties, single samples and NaN CDFs, and
+#    fit_candidates must rank families in kstest order.
+echo "== model-selection identity suite =="
+python -m pytest tests/test_ks_distance_reference.py -q
+
 # 7. Live-observability gate: the serve daemon, the aggregate merge
 #    layer and the alert engine — including the mid-run /metrics
 #    liveness test and the byte-identity-with-server-attached test.

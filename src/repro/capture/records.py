@@ -78,7 +78,14 @@ class FlowRecord:
         return self.src_rack != self.dst_rack
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Every field is a flat scalar, so this equals ``asdict(self)``
+        # (same keys, order and values) without its per-field deep copy.
+        return {"src": self.src, "dst": self.dst,
+                "src_rack": self.src_rack, "dst_rack": self.dst_rack,
+                "src_port": self.src_port, "dst_port": self.dst_port,
+                "size": self.size, "start": self.start, "end": self.end,
+                "component": self.component, "service": self.service,
+                "job_id": self.job_id, "flow_id": self.flow_id}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FlowRecord":

@@ -110,7 +110,7 @@ def e03_flow_size_cdf(job: str = "terasort", input_gb: float = 1.0,
         fitted = fit_candidates(sizes)[0]
         table = cdf_table(
             f"E3: {job} {component} flow sizes (bytes), "
-            f"fit={fitted.distribution!r} KS={fitted.ks.statistic:.3f}",
+            f"fit={fitted.distribution!r} KS={fitted.ks:.3f}",
             sizes, fitted_cdf=fitted.distribution.cdf, unit="B")
         tables.append(table)
     return tables
@@ -128,7 +128,7 @@ def e04_arrival_cdf(job: str = "terasort", input_gb: float = 1.0,
         fitted = fit_candidates(gaps)[0]
         table = cdf_table(
             f"E4: {job} {component} flow inter-arrivals (s), "
-            f"fit={fitted.distribution!r} KS={fitted.ks.statistic:.3f}",
+            f"fit={fitted.distribution!r} KS={fitted.ks:.3f}",
             gaps, fitted_cdf=fitted.distribution.cdf, unit="s")
         tables.append(table)
     return tables
@@ -157,7 +157,7 @@ def e05_fit_table(jobs: Optional[List[str]] = None, input_gb: float = 1.0,
                 best = fit_candidates(samples)[0]
                 params = ", ".join(f"{p:.3g}" for p in best.distribution.params)
                 table.add_row(job, component, metric, best.family, params,
-                              round(best.ks.statistic, 4), len(samples))
+                              round(best.ks, 4), len(samples))
     return [table]
 
 

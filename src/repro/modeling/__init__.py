@@ -13,8 +13,8 @@ Pipeline:
    Pareto, normal, uniform) with MLE fitting, plus degenerate and
    empirical-quantile fallbacks for data parametric families cannot
    represent (e.g. block-size point masses);
-3. :mod:`repro.modeling.fitting` — goodness of fit (Kolmogorov-Smirnov)
-   and information-criterion model selection;
+3. :mod:`repro.modeling.fitting` — model selection by one-sample
+   Kolmogorov-Smirnov distance, with mixture and empirical fallbacks;
 4. :mod:`repro.modeling.scaling` — linear scaling laws of flow counts
    and volumes against input size, fitted across capture campaigns;
 5. :mod:`repro.modeling.model` — the assembled
@@ -38,8 +38,7 @@ from repro.modeling.distributions import (
 )
 from repro.modeling.empirical import Ecdf, summarize
 from repro.modeling.fitting import FitReport, fit_best, fit_candidates
-from repro.modeling.goodness import anderson_darling, bootstrap_ks_pvalue, qq_points
-from repro.modeling.ks import ks_one_sample, ks_two_sample
+from repro.modeling.ks import ks_distance, ks_two_sample
 from repro.modeling.model import ComponentModel, JobTrafficModel, fit_job_model
 from repro.modeling.scaling import LinearLaw, PowerLaw, best_scaling_law
 
@@ -57,22 +56,19 @@ __all__ = [
     "PowerLaw",
     "CrossValidationReport",
     "LognormalMixture",
-    "anderson_darling",
     "best_scaling_law",
-    "bootstrap_ks_pvalue",
     "check_model",
     "describe_model",
     "diff_models",
     "diff_table",
     "is_healthy",
     "leave_one_out",
-    "qq_points",
     "distribution_from_dict",
     "fit_best",
     "fit_candidates",
     "fit_family",
     "fit_job_model",
-    "ks_one_sample",
+    "ks_distance",
     "ks_two_sample",
     "summarize",
 ]

@@ -58,9 +58,6 @@ class FittedDistribution:
     def cdf(self, x) -> np.ndarray:
         return self._dist.cdf(np.asarray(x, dtype=float), *self.params)
 
-    def logpdf(self, x) -> np.ndarray:
-        return self._dist.logpdf(np.asarray(x, dtype=float), *self.params)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         draws = self._dist.rvs(*self.params, size=n, random_state=rng)
         if self.family in _POSITIVE_FAMILIES:
@@ -69,12 +66,6 @@ class FittedDistribution:
 
     def mean(self) -> float:
         return float(self._dist.mean(*self.params))
-
-    @property
-    def n_free_params(self) -> int:
-        # Pinned location does not count as a free parameter.
-        pinned = 1 if "floc" in CANDIDATE_FAMILIES[self.family][1] else 0
-        return len(self.params) - pinned
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": "parametric", "family": self.family,

@@ -1,22 +1,24 @@
-"""Model selection: fit every candidate family, rank by goodness of fit.
+"""Model selection: fit every candidate family, rank by KS distance.
 
 ``fit_candidates`` MLE-fits the whole candidate family and scores each
-fit by KS distance, log-likelihood, AIC and BIC.  ``fit_best`` applies
-the selection rule used throughout the toolchain:
+fit by its one-sample KS distance to the data, the only score the
+toolchain reads.  ``fit_best`` applies the selection rule used
+throughout the toolchain:
 
 1. zero-variance data → point mass;
 2. otherwise the parametric family with the smallest KS distance;
 3. if even the best family's KS distance exceeds
-   ``empirical_threshold`` the fit is judged unrepresentative and an
-   empirical-quantile distribution is returned instead (the paper's
-   models are empirical where parametric families fail).
+   ``empirical_threshold`` the fit is judged unrepresentative: a
+   two-component lognormal mixture is kept if it at least halves that
+   distance, and otherwise an empirical-quantile distribution is
+   returned (the paper's models are empirical where parametric
+   families fail).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,7 +30,7 @@ from repro.modeling.distributions import (
     FittedDistribution,
     fit_family,
 )
-from repro.modeling.ks import KsResult, ks_one_sample
+from repro.modeling.ks import ks_distance
 
 DEFAULT_EMPIRICAL_THRESHOLD = 0.25
 
@@ -38,10 +40,7 @@ class FitReport:
     """One candidate family's score card."""
 
     distribution: FittedDistribution
-    ks: KsResult
-    loglike: float
-    aic: float
-    bic: float
+    ks: float  # one-sample KS distance to the fitted data
 
     @property
     def family(self) -> str:
@@ -64,20 +63,13 @@ def fit_candidates(samples: Sequence[float],
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fitted = fit_family(family, data)
-                ks = ks_one_sample(data, fitted.cdf)
-                loglike = float(np.sum(fitted.logpdf(np.maximum(data, 1e-9))))
+                ks = ks_distance(data, fitted.cdf)
         except Exception:
             continue
-        if not math.isfinite(loglike):
-            loglike = float("-inf")
-        k = fitted.n_free_params
-        aic = 2 * k - 2 * loglike
-        bic = k * math.log(data.size) - 2 * loglike
-        reports.append(FitReport(distribution=fitted, ks=ks,
-                                 loglike=loglike, aic=aic, bic=bic))
+        reports.append(FitReport(distribution=fitted, ks=ks))
     if not reports:
         raise RuntimeError("every candidate family failed to fit")
-    reports.sort(key=lambda report: report.ks.statistic)
+    reports.sort(key=lambda report: report.ks)
     return reports
 
 
@@ -100,12 +92,12 @@ def fit_best(samples: Sequence[float],
     if data.size == 1 or float(np.ptp(data)) == 0.0:
         return DegenerateDistribution(float(data[0]))
     best = fit_candidates(data, families)[0]
-    if best.ks.statistic <= empirical_threshold:
+    if best.ks <= empirical_threshold:
         return best.distribution
     if try_mixture:
         from repro.modeling.mixture import fit_mixture_if_better
 
-        mixture = fit_mixture_if_better(data, baseline_ks=best.ks.statistic)
+        mixture = fit_mixture_if_better(data, baseline_ks=best.ks)
         if mixture is not None:
             return mixture
     return EmpiricalDistribution.from_samples(data)

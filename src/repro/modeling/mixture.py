@@ -69,17 +69,6 @@ class LognormalMixture:
             result += weight * component
         return result
 
-    def logpdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        densities = np.zeros_like(x, dtype=float)
-        positive = x > 0
-        for weight, mu, sigma in zip(self.weights, self.mus, self.sigmas):
-            pdf = np.zeros_like(densities)
-            pdf[positive] = weight * stats.lognorm.pdf(
-                x[positive], s=sigma, scale=np.exp(mu))
-            densities += pdf
-        return np.log(np.maximum(densities, _EPS))
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         components = rng.choice(self.n_components, size=n, p=self.weights)
         draws = rng.lognormal(mean=self.mus[components],
@@ -183,7 +172,7 @@ def fit_mixture_if_better(samples: Sequence[float], baseline_ks: float,
     no single family fits: a mixture that halves the KS distance is
     preferred over the empirical fallback because it extrapolates.
     """
-    from repro.modeling.ks import ks_one_sample
+    from repro.modeling.ks import ks_distance
 
     data = [value for value in samples if value > 0]
     if len(data) < 2 * n_components:
@@ -192,7 +181,7 @@ def fit_mixture_if_better(samples: Sequence[float], baseline_ks: float,
         mixture = LognormalMixture.fit(data, n_components=n_components, seed=seed)
     except Exception:
         return None
-    ks = ks_one_sample(data, mixture.cdf).statistic
+    ks = ks_distance(data, mixture.cdf)
     if ks < 0.5 * baseline_ks:
         return mixture
     return None

@@ -1,5 +1,7 @@
 """Unit tests for flow records and job traces."""
 
+import dataclasses
+
 import pytest
 
 from repro.capture.records import (
@@ -39,6 +41,19 @@ def test_flow_record_computed_fields():
     assert record.duration == pytest.approx(2.0)
     assert record.mean_rate == pytest.approx(50.0)
     assert record.cross_rack
+
+
+def test_flow_record_to_dict_equals_asdict():
+    record = FlowRecord(src="h007", dst="h012", src_rack=2, dst_rack=3,
+                        src_port=50010, dst_port=41234, size=4096.5,
+                        start=1.25, end=2.5, component="hdfs_write",
+                        service="datanode", job_id="job_0003", flow_id=17)
+    for spec in dataclasses.fields(FlowRecord):
+        if spec.default is not dataclasses.MISSING:
+            assert getattr(record, spec.name) != spec.default, spec.name
+    # Same values and the same key order: JSONL bytes follow that order.
+    assert list(record.to_dict().items()) == \
+        list(dataclasses.asdict(record).items())
 
 
 def test_flow_record_validation():

@@ -14,7 +14,7 @@ from repro.modeling.distributions import (
     fit_family,
 )
 from repro.modeling.fitting import fit_best, fit_candidates
-from repro.modeling.ks import ks_one_sample, ks_two_sample
+from repro.modeling.ks import ks_distance, ks_two_sample
 
 
 def test_fit_exponential_recovers_rate():
@@ -48,9 +48,9 @@ def test_fit_candidates_ranks_true_family_first():
     reports = fit_candidates(data)
     # Exponential (or its gamma/weibull superset) must rank on top.
     assert reports[0].family in ("exponential", "gamma", "weibull")
-    assert reports[0].ks.statistic < 0.05
+    assert reports[0].ks < 0.05
     # Reports are sorted by KS.
-    stats = [report.ks.statistic for report in reports]
+    stats = [report.ks for report in reports]
     assert stats == sorted(stats)
 
 
@@ -134,7 +134,7 @@ def test_ks_two_sample_distinguishes():
 
 def test_ks_one_sample_empty_rejected():
     with pytest.raises(ValueError):
-        ks_one_sample([], lambda x: x)
+        ks_distance([], lambda x: x)
 
 
 @settings(max_examples=40, deadline=None)

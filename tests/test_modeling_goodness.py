@@ -1,84 +1,8 @@
-"""Tests for AD statistics, Q-Q points, bootstrap and scaling laws."""
+"""Tests for the scaling laws' fits and their selection."""
 
-import numpy as np
 import pytest
-from scipy import stats
 
-from repro.modeling.distributions import fit_family
-from repro.modeling.goodness import anderson_darling, bootstrap_ks_pvalue, qq_points
 from repro.modeling.scaling import LinearLaw, PowerLaw, best_scaling_law
-
-
-def test_anderson_darling_small_for_true_model():
-    rng = np.random.default_rng(0)
-    data = rng.normal(loc=5.0, scale=2.0, size=2000)
-    a2 = anderson_darling(data, lambda x: stats.norm.cdf(x, 5.0, 2.0))
-    assert a2 < 2.5
-
-
-def test_anderson_darling_large_for_wrong_model():
-    rng = np.random.default_rng(1)
-    data = rng.exponential(scale=1.0, size=2000)
-    a2 = anderson_darling(data, lambda x: stats.norm.cdf(x, 0.0, 1.0))
-    assert a2 > 50.0
-
-
-@pytest.mark.filterwarnings("ignore::FutureWarning")  # scipy.anderson API change
-def test_anderson_darling_matches_scipy_normal_case():
-    rng = np.random.default_rng(2)
-    data = rng.normal(size=500)
-    # scipy's anderson() fits mu/sigma; do the same for comparability.
-    mu, sigma = data.mean(), data.std(ddof=1)
-    ours = anderson_darling(data, lambda x: stats.norm.cdf(x, mu, sigma))
-    scipys = stats.anderson(data, dist="norm").statistic
-    assert ours == pytest.approx(scipys, rel=1e-6)
-
-
-def test_anderson_darling_rejects_empty():
-    with pytest.raises(ValueError):
-        anderson_darling([], stats.norm.cdf)
-
-
-def test_qq_points_on_true_model_lie_on_diagonal():
-    rng = np.random.default_rng(3)
-    data = rng.exponential(scale=4.0, size=5000)
-    pairs = qq_points(data, lambda p: stats.expon.ppf(p, scale=4.0), points=16)
-    assert len(pairs) == 16
-    for theoretical, empirical in pairs:
-        assert empirical == pytest.approx(theoretical, rel=0.25)
-
-
-def test_qq_rejects_empty():
-    with pytest.raises(ValueError):
-        qq_points([], lambda p: p)
-
-
-def test_bootstrap_pvalue_high_for_true_family():
-    rng = np.random.default_rng(4)
-    data = rng.exponential(scale=2.0, size=300)
-    fitted = fit_family("exponential", data)
-    p = bootstrap_ks_pvalue(data, fitted,
-                            refit=lambda s: fit_family("exponential", s),
-                            rounds=60, seed=1)
-    assert p > 0.05
-
-
-def test_bootstrap_pvalue_low_for_wrong_family():
-    rng = np.random.default_rng(5)
-    data = rng.uniform(1.0, 2.0, size=400)
-    fitted = fit_family("exponential", data)
-    p = bootstrap_ks_pvalue(data, fitted,
-                            refit=lambda s: fit_family("exponential", s),
-                            rounds=60, seed=2)
-    assert p < 0.05
-
-
-def test_bootstrap_validation():
-    fitted = fit_family("exponential", [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        bootstrap_ks_pvalue([], fitted, refit=lambda s: fitted)
-    with pytest.raises(ValueError):
-        bootstrap_ks_pvalue([1.0], fitted, refit=lambda s: fitted, rounds=0)
 
 
 # -- power law ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.modeling.distributions import EmpiricalDistribution, distribution_from_dict
 from repro.modeling.fitting import fit_best
-from repro.modeling.ks import ks_one_sample, ks_two_sample
+from repro.modeling.ks import ks_distance, ks_two_sample
 from repro.modeling.mixture import LognormalMixture, fit_mixture_if_better
 
 
@@ -28,7 +28,7 @@ def test_em_recovers_two_well_separated_modes():
 def test_mixture_fits_bimodal_far_better_than_single_family():
     data = bimodal_sample()
     mixture = LognormalMixture.fit(data, seed=2)
-    ks = ks_one_sample(data, mixture.cdf).statistic
+    ks = ks_distance(data, mixture.cdf)
     assert ks < 0.05
 
 
