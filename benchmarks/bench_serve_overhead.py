@@ -1,18 +1,16 @@
 """Serve-daemon overhead benchmark: observing a campaign must stay cheap.
 
-``keddah campaign --serve-port N`` attaches an HTTP daemon, an event
-broker and (optionally) an alert loop to a running campaign.  The PR 3
-contract extends to all of it: serving is read-only, so captures stay
-byte-identical, and the wall-clock cost of being watched must stay
+``keddah campaign --serve-port N`` attaches an HTTP daemon and an
+event broker to a running campaign.  Serving is read-only, so captures
+stay byte-identical, and the wall-clock cost of being watched must stay
 under 3% even with a client polling ``/metrics`` + ``/snapshot`` in a
 tight loop for the whole run.
 
 Method: min-of-k over the same 4-point terasort campaign, (a) bare
 runner, (b) runner + serve daemon + a poller scraping ``/metrics`` and
 ``/snapshot`` every 100 ms (an order of magnitude denser than a real
-Prometheus scrape interval) + an alert engine evaluating every 250 ms.
-Traces from both arms are serialised and byte-compared.  Writes
-``BENCH_serve.json`` at the repo root.
+Prometheus scrape interval).  Traces from both arms are serialised and
+byte-compared.  Writes ``BENCH_serve.json`` at the repo root.
 
 Run via ``scripts/run_benchmarks.sh`` or::
 
@@ -30,7 +28,7 @@ import pytest
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.experiments.runner import CampaignRunner, CapturePoint
-from repro.obs import AlertEngine, AlertRule, EventBroker, Telemetry
+from repro.obs import EventBroker, Telemetry
 from repro.obs.server import serve_telemetry
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
@@ -66,14 +64,10 @@ def _run_bare():
 def _run_served():
     telemetry = Telemetry.disabled()
     broker = EventBroker()
-    engine = AlertEngine(
-        [AlertRule("progress", "metric:campaign.points_completed",
-                   value=0.0)], broker=broker)
     runner = CampaignRunner(telemetry=telemetry, events=broker)
     polls = 0
     stop = threading.Event()
-    with serve_telemetry(telemetry, broker=broker, engine=engine,
-                         alert_interval=0.25) as server:
+    with serve_telemetry(telemetry, broker=broker) as server:
         def scrape():
             nonlocal polls
             while not stop.wait(SCRAPE_INTERVAL_S):
@@ -93,8 +87,7 @@ def _run_served():
         elapsed = time.perf_counter() - started
         stop.set()
         poller.join(timeout=5)
-        firing = engine.firing()
-    return elapsed, outcomes, polls, firing, broker.published
+    return elapsed, outcomes, polls, broker.published
 
 
 def _min_of_k(fn, k=RUNS):
@@ -109,8 +102,7 @@ def _min_of_k(fn, k=RUNS):
 @pytest.mark.benchmark_suite
 def test_serve_overhead_budget():
     bare_s, bare_outcomes = _min_of_k(_run_bare)
-    served_s, served_outcomes, polls, firing, published = \
-        _min_of_k(_run_served)
+    served_s, served_outcomes, polls, published = _min_of_k(_run_served)
 
     # Observation is read-only: flow-for-flow identical captures.
     bare_bytes = _trace_bytes(bare_outcomes)
@@ -124,7 +116,6 @@ def test_serve_overhead_budget():
         "overhead_fraction": round(overhead, 4),
         "polls_during_fastest_run": polls,
         "events_published": published,
-        "alerts_firing_at_end": firing,
         "captures_byte_identical": bare_bytes == served_bytes,
         "points": len(bare_outcomes),
     }
@@ -133,5 +124,5 @@ def test_serve_overhead_budget():
     for key in sorted(report):
         print(f"  {key} = {report[key]}")
 
-    assert firing == ["progress"], "alert engine never saw progress"
+    assert published > 0, "the broker never carried campaign progress"
     assert overhead < OVERHEAD_BUDGET, report

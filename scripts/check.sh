@@ -82,14 +82,13 @@ python -m pytest tests/test_flow_batching.py -q
 echo "== model-selection identity suite =="
 python -m pytest tests/test_ks_distance_reference.py -q
 
-# 7. Live-observability gate: the serve daemon, the aggregate merge
-#    layer and the alert engine — including the mid-run /metrics
-#    liveness test and the byte-identity-with-server-attached test.
-#    Redundant with tier-1 on a full run, explicit so scoped runs
-#    still exercise the daemon end to end.
+# 7. Live-observability gate: the serve daemon and the aggregate merge
+#    layer — including the mid-run /metrics liveness test and the
+#    byte-identity-with-server-attached test.  Redundant with tier-1
+#    on a full run, explicit so scoped runs still exercise the daemon
+#    end to end.
 echo "== live-observability suite =="
-python -m pytest tests/test_obs_server.py tests/test_obs_aggregate.py \
-    tests/test_obs_alerts.py -q
+python -m pytest tests/test_obs_server.py tests/test_obs_aggregate.py -q
 
 # 8. Pipeline crash-resume gate: SIGKILL a pipeline mid-fit, resume,
 #    and require zero re-execution of completed nodes plus

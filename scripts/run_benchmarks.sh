@@ -26,7 +26,7 @@
 #                          (benchmarks/bench_flow_batching.py)
 #   BENCH_serve.json     — live observability daemon: campaign wall time
 #                          bare vs served-and-scraped, byte-identity of
-#                          the captures, alert liveness
+#                          the captures, events published
 #                          (benchmarks/bench_serve_overhead.py)
 #   BENCH_pipeline.json  — crash-safe pipeline DAG: cold flat campaign vs
 #                          cold DAG vs warm all-cached DAG, warm-skip

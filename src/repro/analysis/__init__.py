@@ -13,33 +13,27 @@ The quantitative layer between raw traces and the experiment outputs:
   workload-plan captures.
 """
 
-from repro.analysis.breakdown import component_breakdown, cross_rack_fraction
+from repro.analysis.breakdown import component_breakdown
 from repro.analysis.compare import compare_traces, validation_summary
 from repro.analysis.hotspots import hotspot_table, imbalance_factor, per_host_traffic
-from repro.analysis.jct import jct_summary
-from repro.analysis.matrix import host_matrix, matrix_sparsity, rack_matrix, rack_matrix_table
+from repro.analysis.matrix import rack_matrix, rack_matrix_table
 from repro.analysis.plans import is_plan_trace, plan_score, stage_breakdown, stage_table
-from repro.analysis.tables import Table, cdf_table, render_cdf_series, render_table
+from repro.analysis.tables import Table, cdf_table, render_table
 
 __all__ = [
     "Table",
     "cdf_table",
     "compare_traces",
     "component_breakdown",
-    "cross_rack_fraction",
     "hotspot_table",
     "imbalance_factor",
     "per_host_traffic",
-    "host_matrix",
     "is_plan_trace",
-    "jct_summary",
-    "matrix_sparsity",
     "plan_score",
     "stage_breakdown",
     "stage_table",
     "rack_matrix",
     "rack_matrix_table",
-    "render_cdf_series",
     "render_table",
     "validation_summary",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 from repro.capture.records import JobTrace, TrafficComponent
 
@@ -24,30 +24,3 @@ def component_breakdown(trace: JobTrace) -> Dict[str, Dict[str, float]]:
             "cross_rack_bytes": sum(f.size for f in flows if f.cross_rack),
         }
     return breakdown
-
-
-def cross_rack_fraction(trace: JobTrace,
-                        component: Optional[str] = None) -> float:
-    """Fraction of (component) bytes that cross rack boundaries."""
-    total = trace.total_bytes(component)
-    if total == 0:
-        return 0.0
-    return trace.cross_rack_bytes(component) / total
-
-
-def aggregate_breakdowns(traces: Iterable[JobTrace]) -> Dict[str, Dict[str, float]]:
-    """Sum component breakdowns over several traces (e.g. repeats)."""
-    totals: Dict[str, Dict[str, float]] = {
-        component: {"bytes": 0.0, "flows": 0.0, "cross_rack_bytes": 0.0}
-        for component in ALL_COMPONENTS
-    }
-    grand_total = 0.0
-    for trace in traces:
-        for component, stats in component_breakdown(trace).items():
-            totals[component]["bytes"] += stats["bytes"]
-            totals[component]["flows"] += stats["flows"]
-            totals[component]["cross_rack_bytes"] += stats["cross_rack_bytes"]
-            grand_total += stats["bytes"]
-    for stats in totals.values():
-        stats["share"] = stats["bytes"] / grand_total if grand_total else 0.0
-    return totals

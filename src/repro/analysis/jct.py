@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.mapreduce.result import JobResult
-from repro.modeling.empirical import summarize
-
-
-def jct_summary(results: Iterable[JobResult]) -> Dict[str, Dict[str, float]]:
-    """Per-job-kind completion-time summary statistics."""
-    by_kind: Dict[str, List[float]] = {}
-    for result in results:
-        by_kind.setdefault(result.kind, []).append(result.completion_time)
-    return {kind: summarize(values) for kind, values in sorted(by_kind.items())}
 
 
 def makespan(results: Iterable[JobResult]) -> float:

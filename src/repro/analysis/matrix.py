@@ -1,9 +1,8 @@
-"""Traffic matrices: who talks to whom, at host and rack granularity.
+"""Traffic matrices: who talks to whom, at rack granularity.
 
 The demand matrix is what a topology designer actually consumes from a
-traffic study: rack-to-rack volume determines bisection provisioning,
-host-to-host sparsity determines whether ECMP spreads load.  This
-module builds both from a trace and renders them as tables.
+traffic study: rack-to-rack volume determines bisection provisioning.
+This module builds it from a trace and renders it as a table.
 """
 
 from __future__ import annotations
@@ -12,17 +11,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import Table
 from repro.capture.records import JobTrace
-
-
-def host_matrix(trace: JobTrace,
-                component: Optional[str] = None) -> Dict[Tuple[str, str], float]:
-    """Bytes per (src host, dst host) pair."""
-    flows = trace.flows if component is None else trace.component(component)
-    matrix: Dict[Tuple[str, str], float] = {}
-    for flow in flows:
-        key = (flow.src, flow.dst)
-        matrix[key] = matrix.get(key, 0.0) + flow.size
-    return matrix
 
 
 def rack_matrix(trace: JobTrace,
@@ -34,16 +22,6 @@ def rack_matrix(trace: JobTrace,
         key = (flow.src_rack, flow.dst_rack)
         matrix[key] = matrix.get(key, 0.0) + flow.size
     return matrix
-
-
-def matrix_sparsity(matrix: Dict[Tuple, float], endpoints: int) -> float:
-    """Fraction of possible ordered pairs carrying any traffic."""
-    if endpoints < 2:
-        return 0.0
-    possible = endpoints * (endpoints - 1)
-    active = sum(1 for (src, dst), volume in matrix.items()
-                 if src != dst and volume > 0)
-    return active / possible
 
 
 def rack_matrix_table(trace: JobTrace,

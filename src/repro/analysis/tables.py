@@ -2,9 +2,8 @@
 
 Benchmarks regenerate the paper's tables and figures as text: a
 :class:`Table` holds the rows; :func:`render_table` pretty-prints them;
-:func:`render_cdf_series` prints the (x, F(x)) series a CDF figure
-would plot, which is the most faithful text form of a distribution
-plot.
+:func:`cdf_table` holds the (x, F(x)) series a CDF figure would plot,
+which is the most faithful text form of a distribution plot.
 """
 
 from __future__ import annotations
@@ -94,10 +93,3 @@ def cdf_table(title: str, samples: Sequence[float], fitted_cdf=None,
             row.append(round(float(fitted_cdf(value)), 4))
         table.add_row(*row)
     return table
-
-
-def render_cdf_series(title: str, samples: Sequence[float],
-                      fitted_cdf=None, points: int = 12,
-                      unit: str = "") -> str:
-    """Rendered form of :func:`cdf_table`."""
-    return render_table(cdf_table(title, samples, fitted_cdf, points, unit))

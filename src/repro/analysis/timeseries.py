@@ -85,18 +85,6 @@ def phase_profile(trace: JobTrace, bin_seconds: float = 1.0) -> Table:
     return table
 
 
-def component_peak_times(trace: JobTrace, bin_seconds: float = 1.0
-                         ) -> Dict[str, float]:
-    """Bin-start time of each component's throughput peak."""
-    series = throughput_series(trace, bin_seconds=bin_seconds)
-    peaks = {}
-    for component, values in series.items():
-        if component == "time" or not np.any(values > 0):
-            continue
-        peaks[component] = float(series["time"][int(np.argmax(values))])
-    return peaks
-
-
 def component_activity_spans(trace: JobTrace) -> Dict[str, tuple]:
     """(first activity, last activity) per data component, job-relative."""
     spans = {}

@@ -17,17 +17,13 @@ Turns raw traffic into labelled per-flow records grouped by job:
   :class:`JobTrace` per executed job.
 """
 
-from repro.capture.anonymize import anonymize_trace, anonymize_traces
 from repro.capture.classifier import classify_flow
 from repro.capture.collector import FlowCollector
-from repro.capture.merge import deduplicate_flows, estimate_clock_skew, merge_captures
 from repro.capture.pcap import PacketRecord, assemble_flows, read_packets, synthesize_packets, write_packets
 from repro.capture.records import CaptureMeta, FlowRecord, JobTrace, TrafficComponent
 
 __all__ = [
     "CaptureMeta",
-    "anonymize_trace",
-    "anonymize_traces",
     "FlowCollector",
     "FlowRecord",
     "JobTrace",
@@ -35,9 +31,6 @@ __all__ = [
     "TrafficComponent",
     "assemble_flows",
     "classify_flow",
-    "deduplicate_flows",
-    "estimate_clock_skew",
-    "merge_captures",
     "read_packets",
     "synthesize_packets",
     "write_packets",

@@ -13,7 +13,7 @@ from ports alone, which is the fidelity claim the capture stage makes.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.capture.records import FlowRecord, TrafficComponent
 from repro.cluster import ports
@@ -43,19 +43,6 @@ def classify_ports(src_port: int, dst_port: int) -> TrafficComponent:
 def classify_flow(flow: FlowRecord) -> TrafficComponent:
     """Classify one flow record by its ports."""
     return classify_ports(flow.src_port, flow.dst_port)
-
-
-def relabel(flows: Iterable[FlowRecord]) -> List[FlowRecord]:
-    """Return copies of ``flows`` with ``component`` set by the classifier.
-
-    Used when ingesting external captures that carry no labels.
-    """
-    relabelled = []
-    for flow in flows:
-        data = flow.to_dict()
-        data["component"] = classify_flow(flow).value
-        relabelled.append(FlowRecord.from_dict(data))
-    return relabelled
 
 
 def classification_accuracy(flows: Iterable[FlowRecord]) -> float:

@@ -14,7 +14,7 @@ Subcommands mirror the pipeline stages::
     keddah export   trace.jsonl --format ns3 -o replay.cc
     keddah report   trace.jsonl --telemetry telemetry/
     keddah trace    telemetry/spans.jsonl --kinds job,stage,task
-    keddah serve    --telemetry telemetry/ --port 9109 --alerts rules.json
+    keddah serve    --telemetry telemetry/ --port 9109
     keddah top      http://127.0.0.1:9109
 
 Every command reads/writes the JSONL trace and JSON model formats, so
@@ -165,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "run: /metrics, /events progress stream, ...")
     campaign.add_argument("--serve-host", default="127.0.0.1",
                           help="bind address for --serve-port")
-    campaign.add_argument("--alerts", default=None, metavar="RULES.json",
-                          help="alert rule file evaluated live during the "
-                               "run (with --serve-port)")
 
     pipeline = sub.add_parser(
         "pipeline",
@@ -228,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="attach the live observability daemon for "
                                "the run; node transitions stream on /events")
     pipeline.add_argument("--serve-host", default="127.0.0.1")
-    pipeline.add_argument("--alerts", default=None, metavar="RULES.json")
 
     serve = sub.add_parser(
         "serve", help="serve a telemetry directory over HTTP "
@@ -239,12 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="port to bind (0 = ephemeral, printed on start)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--alerts", default=None, metavar="RULES.json",
-                       help="alert rule file (threshold/derivative/absence "
-                            "rules over metrics and probe series)")
-    serve.add_argument("--alert-interval", type=float, default=1.0,
-                       metavar="S", help="wall seconds between alert "
-                                         "evaluation passes")
     serve.add_argument("--for-seconds", type=float, default=None, metavar="S",
                        help="serve for this long then exit (tests/demos); "
                             "default: until interrupted")
@@ -408,15 +398,6 @@ def _telemetry_from_args(args: argparse.Namespace):
         from repro.obs import DEFAULT_PROBE_INTERVAL
         interval = DEFAULT_PROBE_INTERVAL
     return Telemetry.enabled_in_memory(probe_interval=interval)
-
-
-def _alert_engine(rules_path: Optional[str], broker):
-    """An AlertEngine over a rule file, or None without one."""
-    if not rules_path:
-        return None
-    from repro.obs import AlertEngine, load_rules
-
-    return AlertEngine(load_rules(rules_path), broker=broker)
 
 
 def _write_telemetry_dir(telemetry, directory: str) -> None:
@@ -637,12 +618,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             # disabled telemetry, captures stay byte-identical.
             telemetry = Telemetry.disabled()
         broker = EventBroker()
-        engine = _alert_engine(args.alerts, broker)
         server = serve_telemetry(telemetry, port=args.serve_port,
-                                 host=args.serve_host, broker=broker,
-                                 engine=engine)
+                                 host=args.serve_host, broker=broker)
         print(f"live observability at {server.url} "
-              f"(/metrics /snapshot /probes /spans /alerts /events)")
+              f"(/metrics /snapshot /probes /spans /events)")
     runner = make_runner(workers, telemetry=telemetry, retry_policy=policy,
                          quarantine=quarantine, strict=False,
                          events=broker)
@@ -817,10 +796,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if telemetry is None:
             telemetry = Telemetry.disabled()
         broker = EventBroker()
-        engine = _alert_engine(args.alerts, broker)
         server = serve_telemetry(telemetry, port=args.serve_port,
-                                 host=args.serve_host, broker=broker,
-                                 engine=engine)
+                                 host=args.serve_host, broker=broker)
         print(f"live observability at {server.url} "
               f"(node transitions stream on /events)")
 
@@ -1205,23 +1182,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs import EventBroker
     from repro.obs.server import ENDPOINTS, serve_directory
 
     if not Path(args.telemetry).is_dir():
         print(f"no telemetry directory at {args.telemetry} "
               f"(run capture/campaign --telemetry DIR first)")
         return 2
-    broker = EventBroker()
-    engine = _alert_engine(args.alerts, broker)
-    server = serve_directory(args.telemetry, port=args.port, host=args.host,
-                             broker=broker, engine=engine,
-                             alert_interval=args.alert_interval)
+    server = serve_directory(args.telemetry, port=args.port, host=args.host)
     print(f"serving telemetry dir {args.telemetry} at {server.url}")
     print(f"endpoints: {' '.join(ENDPOINTS)}")
-    if engine is not None:
-        print(f"alerts: {len(engine.rules)} rule(s) from {args.alerts}, "
-              f"evaluated every {args.alert_interval}s")
     try:
         if args.for_seconds is not None:
             time.sleep(args.for_seconds)
@@ -1261,9 +1230,6 @@ def cmd_top(args: argparse.Namespace) -> int:
         print(f"{base}: {source.get('kind', '?')} source, "
               f"up {health.get('uptime_s', 0):.0f}s, "
               f"{health.get('requests_served', 0)} request(s) served")
-        firing = health.get("alerts_firing") or []
-        if firing:
-            print(f"ALERTS FIRING: {', '.join(firing)}")
     else:
         from repro.obs.server import DirSource
 

@@ -20,11 +20,6 @@ MBPS = 1_000_000 / 8.0
 GBPS = 1_000_000_000 / 8.0
 
 
-def gbit_to_bytes_per_s(gbits: float) -> float:
-    """Convert a link speed in Gbit/s to bytes/s."""
-    return gbits * GBPS
-
-
 def fmt_bytes(size: float) -> str:
     """Human-readable byte count (binary multiples), e.g. ``1.5 GiB``."""
     magnitude = float(size)
@@ -32,14 +27,4 @@ def fmt_bytes(size: float) -> str:
         if abs(magnitude) < 1024.0 or unit == "TiB":
             return f"{magnitude:.2f} {unit}" if unit != "B" else f"{int(magnitude)} B"
         magnitude /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def fmt_rate(rate_bytes_per_s: float) -> str:
-    """Human-readable rate in bits/s, e.g. ``1.00 Gbit/s``."""
-    bits = rate_bytes_per_s * 8.0
-    for unit in ("bit/s", "Kbit/s", "Mbit/s", "Gbit/s"):
-        if abs(bits) < 1000.0 or unit == "Gbit/s":
-            return f"{bits:.2f} {unit}"
-        bits /= 1000.0
     raise AssertionError("unreachable")

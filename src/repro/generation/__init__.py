@@ -23,7 +23,7 @@ from repro.generation.crosstraffic import (
 from repro.generation.export import to_flow_schedule_csv, to_json, to_ns3_script, to_omnet_ini
 from repro.generation.generator import generate_trace, worker_names
 from repro.generation.replay import ReplayReport, replay_trace
-from repro.generation.workload import ScheduledJob, generate_workload_trace, split_workload_trace
+from repro.generation.workload import ScheduledJob, generate_workload_trace
 
 __all__ = [
     "CrossTrafficSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "replay_with_cross_traffic",
     "ScheduledJob",
     "generate_workload_trace",
-    "split_workload_trace",
     "generate_trace",
     "replay_trace",
     "to_flow_schedule_csv",

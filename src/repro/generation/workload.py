@@ -85,27 +85,3 @@ def generate_workload_trace(bundle: ModelBundle,
     )
     return JobTrace(meta=meta, flows=flows)
 
-
-def split_workload_trace(trace: JobTrace) -> List[JobTrace]:
-    """Cut a merged workload trace back into per-job traces."""
-    by_job: dict = {}
-    for flow in trace.flows:
-        by_job.setdefault(flow.job_id, []).append(flow)
-    jobs_meta = trace.meta.extra.get("jobs", [])
-    traces = []
-    for index, (job_id, flows) in enumerate(sorted(by_job.items())):
-        info = jobs_meta[index] if index < len(jobs_meta) else {}
-        meta = CaptureMeta(
-            job_id=job_id,
-            job_kind=info.get("kind", job_id.rsplit("-", 1)[-1]),
-            input_bytes=float(info.get("input_gb", 0.0)) * GB,
-            cluster=dict(trace.meta.cluster),
-            hadoop=dict(trace.meta.hadoop),
-            seed=trace.meta.seed,
-            submit_time=min(flow.start for flow in flows),
-            finish_time=max(flow.end for flow in flows),
-            extra={"synthetic": True},
-        )
-        traces.append(JobTrace(meta=meta, flows=sorted(
-            flows, key=lambda f: (f.start, f.flow_id))))
-    return traces

@@ -17,7 +17,6 @@ The NameNode keeps a plain in-memory namespace; persistence (fsimage /
 edit log) is out of scope because it creates no network traffic.
 """
 
-from repro.hdfs.balancer import Balancer, BalancerReport
 from repro.hdfs.blocks import Block, BlockLocation
 from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
@@ -25,8 +24,6 @@ from repro.hdfs.namenode import BlockLostError, NameNode
 from repro.hdfs.placement import DefaultPlacementPolicy, PlacementPolicy, RandomPlacementPolicy
 
 __all__ = [
-    "Balancer",
-    "BalancerReport",
     "Block",
     "BlockLocation",
     "BlockLostError",

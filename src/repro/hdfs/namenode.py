@@ -237,15 +237,6 @@ class NameNode:
     def total_blocks(self) -> int:
         return len(self._locations)
 
-    def bytes_per_node(self) -> Dict[Host, int]:
-        """Physical bytes stored on each DataNode (the balancer's view)."""
-        usage: Dict[Host, int] = {host: 0 for host in self.datanodes}
-        for location in self._locations.values():
-            for replica in location.replicas:
-                if replica in usage:
-                    usage[replica] += location.block.size
-        return usage
-
     def blocks_on(self, host: Host) -> List[BlockLocation]:
         """All block locations holding a replica on ``host``."""
         return [location for location in self._locations.values()

@@ -7,7 +7,7 @@ can sample from.
 
 Pipeline:
 
-1. :mod:`repro.modeling.empirical` — ECDFs and summary statistics;
+1. :mod:`repro.modeling.empirical` — summary statistics;
 2. :mod:`repro.modeling.distributions` — a candidate family of
    parametric distributions (exponential, lognormal, Weibull, gamma,
    Pareto, normal, uniform) with MLE fitting, plus degenerate and
@@ -25,7 +25,7 @@ Pipeline:
 from repro.modeling.bundle import ModelBundle
 from repro.modeling.crossval import CrossValidationReport, leave_one_out
 from repro.modeling.diff import diff_models, diff_table
-from repro.modeling.health import check_model, is_healthy
+from repro.modeling.health import check_model
 from repro.modeling.inspect import describe_model
 from repro.modeling.mixture import LognormalMixture
 from repro.modeling.distributions import (
@@ -36,32 +36,28 @@ from repro.modeling.distributions import (
     distribution_from_dict,
     fit_family,
 )
-from repro.modeling.empirical import Ecdf, summarize
+from repro.modeling.empirical import summarize
 from repro.modeling.fitting import FitReport, fit_best, fit_candidates
 from repro.modeling.ks import ks_distance, ks_two_sample
 from repro.modeling.model import ComponentModel, JobTrafficModel, fit_job_model
-from repro.modeling.scaling import LinearLaw, PowerLaw, best_scaling_law
+from repro.modeling.scaling import LinearLaw
 
 __all__ = [
     "CANDIDATE_FAMILIES",
     "ComponentModel",
     "DegenerateDistribution",
-    "Ecdf",
     "EmpiricalDistribution",
     "FitReport",
     "FittedDistribution",
     "JobTrafficModel",
     "LinearLaw",
     "ModelBundle",
-    "PowerLaw",
     "CrossValidationReport",
     "LognormalMixture",
-    "best_scaling_law",
     "check_model",
     "describe_model",
     "diff_models",
     "diff_table",
-    "is_healthy",
     "leave_one_out",
     "distribution_from_dict",
     "fit_best",

@@ -1,45 +1,10 @@
-"""Empirical CDFs and summary statistics."""
+"""Summary statistics of empirical samples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable
 
 import numpy as np
-
-
-class Ecdf:
-    """Empirical cumulative distribution function.
-
-    Right-continuous step function: ``F(x) = #{samples <= x} / n``.
-    """
-
-    def __init__(self, samples: Sequence[float]):
-        data = np.asarray(list(samples), dtype=float)
-        if data.size == 0:
-            raise ValueError("ECDF needs at least one sample")
-        self.sorted = np.sort(data)
-        self.n = data.size
-
-    def __call__(self, x) -> np.ndarray:
-        """Evaluate F at scalar or array ``x``."""
-        x = np.asarray(x, dtype=float)
-        return np.searchsorted(self.sorted, x, side="right") / self.n
-
-    def quantile(self, q) -> np.ndarray:
-        """Inverse CDF (type-1 / lower empirical quantile)."""
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must be in [0, 1]")
-        indices = np.clip(np.ceil(q * self.n).astype(int) - 1, 0, self.n - 1)
-        return self.sorted[indices]
-
-    def support(self) -> tuple:
-        return float(self.sorted[0]), float(self.sorted[-1])
-
-    def points(self) -> tuple:
-        """(x, F(x)) arrays for plotting/serialising the step function."""
-        return self.sorted, np.arange(1, self.n + 1) / self.n
 
 
 def summarize(samples: Iterable[float]) -> Dict[str, float]:
@@ -60,14 +25,3 @@ def summarize(samples: Iterable[float]) -> Dict[str, float]:
         "sum": float(data.sum()),
     }
 
-
-def log_spaced_grid(samples: Sequence[float], points: int = 64) -> List[float]:
-    """A log-spaced evaluation grid covering the sample range (for CDF tables)."""
-    data = np.asarray(list(samples), dtype=float)
-    data = data[data > 0]
-    if data.size == 0:
-        return [0.0]
-    low, high = float(data.min()), float(data.max())
-    if low == high:
-        return [low]
-    return list(np.geomspace(low, high, points))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -102,8 +102,3 @@ def fit_best(samples: Sequence[float],
             return mixture
     return EmpiricalDistribution.from_samples(data)
 
-
-def fit_table(samples_by_key: Dict[str, Sequence[float]]) -> Dict[str, FitReport]:
-    """Best parametric fit per keyed sample set (the E5 table's engine)."""
-    return {key: fit_candidates(samples)[0]
-            for key, samples in samples_by_key.items() if len(samples) > 0}

@@ -78,8 +78,3 @@ def check_model(model: JobTrafficModel) -> List[ModelWarning]:
             "warn", "", f"duration law decreases with input size "
             f"({model.duration_law!r})"))
     return warnings
-
-
-def is_healthy(model: JobTrafficModel) -> bool:
-    """No ``warn``-severity findings."""
-    return not any(w.severity == "warn" for w in check_model(model))

@@ -57,65 +57,3 @@ class LinearLaw:
     def __repr__(self) -> str:
         return f"LinearLaw(y = {self.slope:.6g}*x + {self.intercept:.6g})"
 
-
-@dataclass(frozen=True)
-class PowerLaw:
-    """``y = coefficient * x^exponent`` fitted in log-log space.
-
-    Used for metrics that scale super- or sub-linearly with input —
-    e.g. shuffle flow counts when reducers are scaled with input size,
-    or completion times with a fixed cluster.  Requires strictly
-    positive observations.
-    """
-
-    coefficient: float
-    exponent: float
-
-    def predict(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return self.coefficient * float(x) ** self.exponent
-
-    @classmethod
-    def fit(cls, xs: Sequence[float], ys: Sequence[float]) -> "PowerLaw":
-        x = np.asarray(list(xs), dtype=float)
-        y = np.asarray(list(ys), dtype=float)
-        if x.size == 0 or x.size != y.size:
-            raise ValueError("need matching non-empty x/y samples")
-        if np.any(x <= 0) or np.any(y <= 0):
-            raise ValueError("power-law fit needs strictly positive data")
-        if x.size == 1 or float(np.ptp(x)) == 0.0:
-            # One support point: assume linear scaling through it.
-            return cls(coefficient=float(y.mean() / x[0]), exponent=1.0)
-        exponent, log_coefficient = np.polyfit(np.log(x), np.log(y), deg=1)
-        return cls(coefficient=float(np.exp(log_coefficient)),
-                   exponent=float(exponent))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"coefficient": self.coefficient, "exponent": self.exponent}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PowerLaw":
-        return cls(coefficient=float(data["coefficient"]),
-                   exponent=float(data["exponent"]))
-
-    def __repr__(self) -> str:
-        return f"PowerLaw(y = {self.coefficient:.6g}*x^{self.exponent:.4g})"
-
-
-def best_scaling_law(xs: Sequence[float], ys: Sequence[float]):
-    """Pick LinearLaw or PowerLaw by residual error on the data.
-
-    Falls back to linear whenever the power law is inapplicable
-    (non-positive observations) or not clearly better.
-    """
-    linear = LinearLaw.fit(xs, ys)
-    x = np.asarray(list(xs), dtype=float)
-    y = np.asarray(list(ys), dtype=float)
-    try:
-        power = PowerLaw.fit(xs, ys)
-    except ValueError:
-        return linear
-    linear_error = float(np.sum((y - [linear.predict(v) for v in x]) ** 2))
-    power_error = float(np.sum((y - [power.predict(v) for v in x]) ** 2))
-    return power if power_error < 0.8 * linear_error else linear

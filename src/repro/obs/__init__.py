@@ -29,13 +29,6 @@ from repro.obs.aggregate import (
     delta_envelope,
     registry_delta,
 )
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertRule,
-    load_rules,
-    parse_rule,
-    parse_rules,
-)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -65,8 +58,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "AggregateRegistry",
-    "AlertEngine",
-    "AlertRule",
     "DEFAULT_BUCKETS",
     "DEFAULT_PROBE_INTERVAL",
     "ClusterProbes",
@@ -75,9 +66,6 @@ __all__ = [
     "EventBroker",
     "Subscription",
     "delta_envelope",
-    "load_rules",
-    "parse_rule",
-    "parse_rules",
     "registry_delta",
     "FileSink",
     "Gauge",

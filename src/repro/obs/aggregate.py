@@ -16,9 +16,9 @@ This module is the aggregation layer the serve daemon stands on:
   delta carries a ``(source, delta_id)`` identity so re-delivery — a
   retried future — is idempotent;
 * :class:`EventBroker` — a tiny in-process pub/sub hub with a bounded
-  replay buffer.  The campaign runner publishes per-point progress, the
-  alert engine publishes firing/resolved transitions, and the server's
-  ``/events`` endpoint streams both to any number of subscribers.
+  replay buffer.  The campaign runner publishes per-point progress and
+  the server's ``/events`` endpoint streams it to any number of
+  subscribers.
 
 Everything here is thread-safe by construction: the serve daemon's
 handler threads read while the campaign thread writes.
@@ -244,8 +244,7 @@ class EventBroker:
     """In-process pub/sub with a bounded replay history.
 
     Publishers (:class:`~repro.experiments.runner.CampaignRunner`
-    progress, :class:`~repro.obs.alerts.AlertEngine` transitions) call
-    :meth:`publish`; the serve daemon's ``/events`` handler calls
+    progress) call :meth:`publish`; the serve daemon's ``/events`` handler calls
     :meth:`subscribe` per connection.  History lets a late subscriber
     see recent events (``replay``) without the broker ever growing
     unboundedly.

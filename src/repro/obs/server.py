@@ -12,8 +12,7 @@ telemetry directory on disk that may still be being written
 ``/snapshot``   the registry as JSON (what ``keddah top`` renders)
 ``/probes``     probe series as JSON
 ``/spans``      closed spans as JSON (``?limit=N`` for the tail)
-``/alerts``     rule set, per-rule state and recent transitions
-``/events``     Server-Sent Events: campaign progress + alert stream
+``/events``     Server-Sent Events: campaign progress stream
 ==============  =====================================================
 
 ``/events`` speaks standard SSE (``event:``/``data:`` frames, comment
@@ -21,8 +20,8 @@ keep-alives) so ``curl -N`` and any EventSource client work; the query
 parameters ``replay=N`` (historical events first) and ``max=N`` (close
 after N events — handy for scripts and tests) bound the stream.
 
-The server never *mutates* telemetry: every endpoint is a read, the
-evaluation loop only reads signals, and serving stays off unless asked
+The server never *mutates* telemetry: every endpoint is a read, and
+serving stays off unless asked
 — the PR 3 contract (captures byte-identical, null path free) holds
 with a daemon attached.
 """
@@ -38,14 +37,13 @@ from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.aggregate import EventBroker
-from repro.obs.alerts import AlertEngine
 from repro.obs.export import load_telemetry_dir, prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import ProbeLog
 from repro.obs.telemetry import Telemetry
 
 ENDPOINTS = ("/healthz", "/metrics", "/snapshot", "/probes", "/spans",
-             "/alerts", "/events")
+             "/events")
 
 #: How long an /events handler waits on its queue before emitting a
 #: keep-alive comment and re-checking the shutdown flag (seconds).
@@ -87,14 +85,6 @@ class LiveSource:
 
     def spans(self) -> List[Dict[str, Any]]:
         return [span.to_dict() for span in self.telemetry.spans]
-
-    def now(self) -> float:
-        """Latest simulated time any probe has seen (alert clock)."""
-        latest = 0.0
-        for series in self.telemetry.probes.series.values():
-            if series.times:
-                latest = max(latest, series.times[-1])
-        return latest
 
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind,
@@ -218,14 +208,6 @@ class DirSource:
         with self._lock:
             return list(self._spans)
 
-    def now(self) -> float:
-        probes = self.probes()
-        latest = 0.0
-        for series in probes.series.values():
-            if series.times:
-                latest = max(latest, series.times[-1])
-        return latest
-
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind, "directory": str(self.root),
                 "reloads": self.reloads,
@@ -237,25 +219,17 @@ class DirSource:
 
 
 class ObservabilityServer:
-    """HTTP daemon over a telemetry source, with alert evaluation.
+    """HTTP daemon over a telemetry source.
 
     ``port=0`` binds an ephemeral port (read it back from
-    :attr:`port`).  :meth:`start` spawns the accept loop and — when an
-    :class:`AlertEngine` is attached — an evaluation loop that
-    refreshes the source and evaluates the rules every
-    ``alert_interval`` wall seconds, publishing transitions on the
-    broker.  :meth:`stop` shuts both down; the object is also a context
-    manager.
+    :attr:`port`).  :meth:`start` spawns the accept loop and
+    :meth:`stop` shuts it down; the object is also a context manager.
     """
 
     def __init__(self, source, broker: Optional[EventBroker] = None,
-                 engine: Optional[AlertEngine] = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 alert_interval: float = 1.0):
+                 host: str = "127.0.0.1", port: int = 0):
         self.source = source
         self.broker = broker if broker is not None else EventBroker()
-        self.engine = engine
-        self.alert_interval = alert_interval
         self.started_wall = _time.time()
         self.requests_served = 0
         self._stopping = threading.Event()
@@ -273,7 +247,7 @@ class ObservabilityServer:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> "ObservabilityServer":
-        """Spawn the daemon threads; a second call is a no-op.
+        """Spawn the accept loop; a second call is a no-op.
 
         ``serve_telemetry`` returns a started server that callers often
         enter with ``with``, which calls this again: a second accept
@@ -287,11 +261,6 @@ class ObservabilityServer:
                                   name="keddah-serve-accept", daemon=True)
         accept.start()
         self._threads.append(accept)
-        if self.engine is not None and self.alert_interval > 0:
-            loop = threading.Thread(target=self._evaluate_loop,
-                                    name="keddah-serve-alerts", daemon=True)
-            loop.start()
-            self._threads.append(loop)
         return self
 
     def stop(self) -> None:
@@ -309,21 +278,6 @@ class ObservabilityServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- alert loop ----------------------------------------------------------------
-
-    def _evaluate_loop(self) -> None:
-        while not self._stopping.wait(self.alert_interval):
-            self.evaluate_once()
-
-    def evaluate_once(self) -> List[Dict[str, Any]]:
-        """Refresh the source and run one alert evaluation pass."""
-        self.source.refresh()
-        if self.engine is None:
-            return []
-        return self.engine.evaluate(metrics=self.source.metrics_snapshot(),
-                                    probes=self.source.probes(),
-                                    now=self.source.now())
-
     # -- payload builders (one per endpoint) ---------------------------------------
 
     def payload_healthz(self) -> Dict[str, Any]:
@@ -332,15 +286,7 @@ class ObservabilityServer:
                 "source": self.source.describe(),
                 "requests_served": self.requests_served,
                 "events_published": self.broker.published,
-                "alerts_firing": (self.engine.firing()
-                                  if self.engine is not None else []),
                 "endpoints": list(ENDPOINTS)}
-
-    def payload_alerts(self) -> Dict[str, Any]:
-        if self.engine is None:
-            return {"rules": [], "states": {}, "events": [],
-                    "evaluations": 0}
-        return self.engine.to_dict()
 
 
 def _make_handler(server: ObservabilityServer):
@@ -391,8 +337,6 @@ def _make_handler(server: ObservabilityServer):
                     if limit is not None:
                         spans = spans[-limit:]
                     self._send_json(spans)
-                elif route == "/alerts":
-                    self._send_json(server.payload_alerts())
                 elif route == "/events":
                     self._stream_events(query)
                 else:
@@ -457,22 +401,16 @@ def _int_param(query: Dict[str, List[str]], name: str) -> Optional[int]:
 
 def serve_telemetry(telemetry: Telemetry, port: int = 0,
                     host: str = "127.0.0.1",
-                    broker: Optional[EventBroker] = None,
-                    engine: Optional[AlertEngine] = None,
-                    alert_interval: float = 1.0) -> ObservabilityServer:
+                    broker: Optional[EventBroker] = None
+                    ) -> ObservabilityServer:
     """A started server over a live Telemetry (campaign attach mode)."""
     server = ObservabilityServer(LiveSource(telemetry), broker=broker,
-                                 engine=engine, host=host, port=port,
-                                 alert_interval=alert_interval)
+                                 host=host, port=port)
     return server.start()
 
 
-def serve_directory(directory, port: int = 0, host: str = "127.0.0.1",
-                    broker: Optional[EventBroker] = None,
-                    engine: Optional[AlertEngine] = None,
-                    alert_interval: float = 1.0) -> ObservabilityServer:
+def serve_directory(directory, port: int = 0,
+                    host: str = "127.0.0.1") -> ObservabilityServer:
     """A started server over a telemetry directory (standalone mode)."""
-    server = ObservabilityServer(DirSource(directory), broker=broker,
-                                 engine=engine, host=host, port=port,
-                                 alert_interval=alert_interval)
+    server = ObservabilityServer(DirSource(directory), host=host, port=port)
     return server.start()

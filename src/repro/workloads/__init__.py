@@ -4,7 +4,7 @@ Single-job captures (the core Keddah methodology) miss an axis real
 clusters have: *concurrency*.  This package layers it on:
 
 * :mod:`repro.workloads.arrivals` — inter-arrival processes (Poisson,
-  uniform, fixed trace);
+  uniform);
 * :mod:`repro.workloads.suite` — :class:`WorkloadSuite`: a weighted job
   mix sampled into a concrete submission schedule, run on one
   :class:`~repro.mapreduce.cluster.HadoopCluster`, yielding per-job
@@ -13,14 +13,12 @@ clusters have: *concurrency*.  This package layers it on:
   micro mix, a shuffle-heavy mix, an analytics mix).
 """
 
-from repro.workloads.arrivals import DiurnalArrivals, FixedArrivals, PoissonArrivals, UniformArrivals
+from repro.workloads.arrivals import PoissonArrivals, UniformArrivals
 from repro.workloads.hibench import ANALYTICS_MIX, MICRO_MIX, SHUFFLE_HEAVY_MIX
 from repro.workloads.suite import SuiteResult, WorkloadSuite
 
 __all__ = [
     "ANALYTICS_MIX",
-    "DiurnalArrivals",
-    "FixedArrivals",
     "MICRO_MIX",
     "PoissonArrivals",
     "SHUFFLE_HEAVY_MIX",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -41,55 +41,3 @@ class UniformArrivals(ArrivalProcess):
             return [0.0] * n
         return [self.span * i / (n - 1) for i in range(n)]
 
-
-class FixedArrivals(ArrivalProcess):
-    """Replay an explicit submission-time trace."""
-
-    def __init__(self, times: Sequence[float]):
-        self.times = sorted(float(t) for t in times)
-        if self.times and self.times[0] < 0:
-            raise ValueError("arrival times must be >= 0")
-
-    def sample(self, n: int, rng: np.random.Generator) -> List[float]:
-        if n > len(self.times):
-            raise ValueError(
-                f"trace holds {len(self.times)} arrivals, {n} requested")
-        return self.times[:n]
-
-
-class DiurnalArrivals(ArrivalProcess):
-    """Non-homogeneous Poisson arrivals with a sinusoidal daily rate.
-
-    The rate oscillates between ``base_rate * (1 - amplitude)`` and
-    ``base_rate * (1 + amplitude)`` over a ``period`` (default 24 h,
-    scaled down in simulations), peaking at ``peak_time``.  Sampled by
-    thinning a homogeneous Poisson process at the peak rate.
-    """
-
-    def __init__(self, base_rate: float, amplitude: float = 0.8,
-                 period: float = 86_400.0, peak_time: float = 0.0):
-        if base_rate <= 0:
-            raise ValueError(f"base_rate must be positive, got {base_rate}")
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self.base_rate = base_rate
-        self.amplitude = amplitude
-        self.period = period
-        self.peak_time = peak_time
-
-    def rate_at(self, t: float) -> float:
-        phase = 2.0 * np.pi * (t - self.peak_time) / self.period
-        return self.base_rate * (1.0 + self.amplitude * np.cos(phase))
-
-    def sample(self, n: int, rng: np.random.Generator) -> List[float]:
-        peak = self.base_rate * (1.0 + self.amplitude)
-        times: List[float] = []
-        t = 0.0
-        while len(times) < n:
-            t += float(rng.exponential(1.0 / peak))
-            if rng.random() < self.rate_at(t) / peak:  # thinning
-                times.append(t)
-        origin = times[0] if times else 0.0
-        return [time - origin for time in times]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analysis.breakdown import aggregate_breakdowns, component_breakdown, cross_rack_fraction
+from repro.analysis.breakdown import component_breakdown
 from repro.analysis.compare import compare_traces, validation_summary
-from repro.analysis.jct import jct_summary, makespan, slowdown
-from repro.analysis.tables import Table, cdf_table, render_cdf_series, render_table
+from repro.analysis.jct import makespan, slowdown
+from repro.analysis.tables import Table, cdf_table, render_table
 from repro.capture.records import CaptureMeta, FlowRecord, JobTrace
 from repro.mapreduce.result import JobResult, RoundResult
 
@@ -76,7 +76,7 @@ def test_cdf_table_empty_and_render():
     table = cdf_table("empty", [])
     assert table.rows == []
     assert "no samples" in render_table(table)
-    assert "cdf" in render_cdf_series("cdf", [1.0, 2.0])
+    assert "cdf" in render_table(cdf_table("cdf", [1.0, 2.0]))
 
 
 # -- breakdown ---------------------------------------------------------------------
@@ -90,22 +90,6 @@ def test_component_breakdown_shares_sum_to_one():
     assert breakdown["shuffle"]["flows"] == 1
     total_share = sum(stats["share"] for stats in breakdown.values())
     assert total_share == pytest.approx(1.0)
-
-
-def test_cross_rack_fraction():
-    t = trace([flow(size=100, src_rack=0, dst_rack=1),
-               flow(size=100, src_rack=0, dst_rack=0)])
-    assert cross_rack_fraction(t) == pytest.approx(0.5)
-    assert cross_rack_fraction(t, "hdfs_read") == 0.0
-
-
-def test_aggregate_breakdowns():
-    t1 = trace([flow("shuffle", 100)])
-    t2 = trace([flow("shuffle", 300)])
-    totals = aggregate_breakdowns([t1, t2])
-    assert totals["shuffle"]["bytes"] == 400
-    assert totals["shuffle"]["flows"] == 2
-    assert totals["shuffle"]["share"] == pytest.approx(1.0)
 
 
 # -- compare ------------------------------------------------------------------------
@@ -153,14 +137,6 @@ def result(job_id, kind, submit, finish):
     rounds = [RoundResult(app_id=f"{job_id}-r00", round_index=0,
                           submit_time=submit, finish_time=finish)]
     return JobResult(job_id=job_id, kind=kind, input_bytes=1e9, rounds=rounds)
-
-
-def test_jct_summary_groups_by_kind():
-    results = [result("a", "terasort", 0, 10), result("b", "terasort", 0, 20),
-               result("c", "grep", 0, 5)]
-    summary = jct_summary(results)
-    assert summary["terasort"]["mean"] == pytest.approx(15.0)
-    assert summary["grep"]["n"] == 1
 
 
 def test_makespan_and_slowdown():

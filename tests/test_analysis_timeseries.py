@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.timeseries import (
     component_activity_spans,
-    component_peak_times,
     phase_profile,
     throughput_series,
 )
@@ -59,16 +58,6 @@ def test_series_relative_to_submit_time():
 def test_series_rejects_bad_bins():
     with pytest.raises(ValueError):
         throughput_series(make_trace([]), bin_seconds=0.0)
-
-
-def test_peak_times_ordered_by_phase():
-    trace = make_trace([
-        flow("hdfs_read", 9000.0, 0.0, 1.0),
-        flow("shuffle", 9000.0, 3.0, 4.0),
-        flow("hdfs_write", 9000.0, 6.0, 7.0),
-    ])
-    peaks = component_peak_times(trace, bin_seconds=1.0)
-    assert peaks["hdfs_read"] < peaks["shuffle"] < peaks["hdfs_write"]
 
 
 def test_activity_spans():

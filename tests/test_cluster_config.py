@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.config import ClusterSpec, HadoopConfig
-from repro.cluster.units import MB, fmt_bytes, fmt_rate
+from repro.cluster.units import MB, fmt_bytes
 
 
 def test_cluster_spec_defaults_and_racks():
@@ -65,8 +65,3 @@ def test_fmt_bytes():
     assert fmt_bytes(512) == "512 B"
     assert fmt_bytes(1536) == "1.50 KiB"
     assert fmt_bytes(3 * MB) == "3.00 MiB"
-
-
-def test_fmt_rate():
-    assert fmt_rate(125_000_000) == "1.00 Gbit/s"
-    assert fmt_rate(125) == "1.00 Kbit/s"

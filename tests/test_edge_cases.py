@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.capture.classifier import classification_accuracy, classify_ports, relabel
+from repro.capture.classifier import classification_accuracy, classify_ports
 from repro.capture.collector import FlowCollector
 from repro.capture.records import FlowRecord, TrafficComponent
 from repro.cluster import ports
 from repro.cluster.topology import build_topology
-from repro.cluster.units import GB, KB, MB, TB, gbit_to_bytes_per_s
+from repro.cluster.units import GB, KB, MB, TB
 from repro.modeling.inspect import describe_model
 from repro.modeling.model import fit_job_model
 from repro.net.network import FlowNetwork
@@ -24,10 +24,6 @@ def test_unit_constants_are_binary_multiples():
     assert MB == 1024 * KB
     assert GB == 1024 * MB
     assert TB == 1024 * GB
-
-
-def test_gbit_conversion():
-    assert gbit_to_bytes_per_s(1.0) == pytest.approx(125_000_000.0)
 
 
 def test_ephemeral_ports_stable_and_in_range():
@@ -52,15 +48,6 @@ def test_classify_ports_priority_order():
     assert classify_ports(ports.SHUFFLE_HANDLER, ports.DATANODE_XFER) \
         == TrafficComponent.HDFS_WRITE
     assert classify_ports(50000, 50001) == TrafficComponent.OTHER
-
-
-def test_relabel_overwrites_components():
-    flow = FlowRecord(src="a", dst="b", src_rack=0, dst_rack=0,
-                      src_port=ports.SHUFFLE_HANDLER, dst_port=50001,
-                      size=1.0, start=0.0, end=1.0, component="other")
-    (relabelled,) = relabel([flow])
-    assert relabelled.component == "shuffle"
-    assert flow.component == "other"  # original untouched
 
 
 def test_classification_accuracy_empty_is_one():

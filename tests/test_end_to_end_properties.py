@@ -5,11 +5,14 @@ through a full capture and checks the invariants that must hold for
 *any* configuration — the strongest regression net in the suite.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterSpec, HadoopConfig
+from repro.cluster.ports import ephemeral_port
 from repro.cluster.units import MB
 from repro.hdfs.placement import DefaultPlacementPolicy, RandomPlacementPolicy
 from repro.jobs import make_job
@@ -124,8 +127,9 @@ capture_axes = dict(
 
 def _capture_all_flows(substrate, kind, input_mb, nodes, reducers,
                        replication, random_placement, seed):
-    """Run one fault-free capture; return (cluster, spec, every flow).
+    """Run one fault-free capture.
 
+    Returns (cluster, spec, every flow, job result, captured trace).
     The flows come from a backend listener, so host-local transfers
     (which the capture itself never records) are included.
     """
@@ -141,10 +145,10 @@ def _capture_all_flows(substrate, kind, input_mb, nodes, reducers,
     completed = []
     cluster.net.add_listener(completed.append)
     spec = make_job(kind, input_gb=input_mb / 1024.0, job_id="inv")
-    results, _ = cluster.run([spec])
+    results, traces = cluster.run([spec])
     assert not results[0].failed
     assert not cluster.net.active
-    return cluster, spec, completed
+    return cluster, spec, completed, results[0], traces[0]
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES,
@@ -159,7 +163,7 @@ def test_link_bytes_are_the_bytes_of_the_flows_crossing(substrate, **axes):
     half a byte undelivered; float accumulation adds a 1e-9 relative
     tolerance.  Utilisation can then never exceed line rate.
     """
-    cluster, _, completed = _capture_all_flows(substrate, **axes)
+    cluster, _, completed, _, _ = _capture_all_flows(substrate, **axes)
     net = cluster.net
     crossing_bytes = {}
     crossing_flows = {}
@@ -203,7 +207,7 @@ def test_hdfs_replicas_equal_write_hops_plus_local_writes(substrate, **axes):
     excluded), ``len(replicas)`` equals the replication pipeline's wire
     hops plus the writers' local replica writes.
     """
-    cluster, spec, completed = _capture_all_flows(substrate, **axes)
+    cluster, spec, completed, _, _ = _capture_all_flows(substrate, **axes)
     namenode = cluster.namenode
     replicas = sum(len(location.replicas)
                    for path in namenode.list_files()
@@ -217,3 +221,66 @@ def test_hdfs_replicas_equal_write_hops_plus_local_writes(substrate, **axes):
         "a pipeline hop stayed on one host"
     assert replicas > 0
     assert replicas == wire_hops + local_writes
+
+
+def _local_fetches_from_ports(result, shuffle):
+    """Host-local shuffle fetches, inferred from the remote ones alone.
+
+    Reducer ``r`` opens its fetch connection to host ``h`` on port
+    ``ephemeral_port("shuffle-<app>-<r>-<h>")``, which names the
+    reducer (and so its host) behind every captured shuffle flow.  A
+    host's map count is what any reducer elsewhere fetched from it, and
+    must agree between those reducers.  A reducer's local fetches are
+    the map count of its own host.
+    """
+    round0 = result.rounds[0]
+    maps, reduces = round0.num_maps, round0.num_reduces
+    hosts = {flow.src for flow in shuffle}
+    owner = {(host, ephemeral_port(f"shuffle-{round0.app_id}-{r}-{host}")): r
+             for r in range(reduces) for host in hosts}
+    fetched = Counter()
+    reducer_host = {}
+    for flow in shuffle:
+        reducer = owner.get((flow.src, flow.dst_port))
+        assert reducer is not None, f"{flow.flow_id} names no reducer"
+        fetched[reducer, flow.src] += 1
+        assert reducer_host.setdefault(reducer, flow.dst) == flow.dst, \
+            f"reducer {reducer} fetched on two hosts"
+    maps_on = {}
+    for (reducer, host), count in fetched.items():
+        assert maps_on.setdefault(host, count) == count, \
+            f"reducers disagree on the maps at {host}"
+    # A host no reducer fetched from remotely holds every map the
+    # remote fetches leave unaccounted for (all reducers sit there).
+    unseen = maps - sum(maps_on.values())
+    assert unseen >= 0, f"{sum(maps_on.values())} maps fetched, job ran {maps}"
+    local = sum(maps_on.get(host, unseen) for host in reducer_host.values())
+    # A reducer that fetched nothing remotely found every map on its host.
+    return local + maps * (reduces - len(reducer_host))
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES,
+                         ids=lambda pair: "/".join(pair))
+@capture_configs
+@given(**capture_axes)
+# One reducer: nobody fetches its host's map outputs remotely, so that
+# host's map count comes from the total.
+@example(kind="terasort", input_mb=160, nodes=4, reducers=1, replication=2,
+         random_placement=False, seed=0)
+def test_remote_shuffle_flows_are_maps_times_reduces_minus_local_fetches(
+        substrate, **axes):
+    """Every reducer fetches every map output exactly once.
+
+    The capture holds the remote fetches only, so remote shuffle flows
+    = maps x reduces - local fetches.  The local fetches are inferred
+    from the capture's fetch ports and must match the host-local
+    shuffle flows the substrate carried.
+    """
+    _, _, completed, result, trace = _capture_all_flows(substrate, **axes)
+    round0 = result.rounds[0]
+    shuffle = trace.component("shuffle")
+    local = _local_fetches_from_ports(result, shuffle)
+    carried_locally = sum(1 for flow in completed if flow.local
+                          and flow.metadata.get("service") == "shuffle-fetch")
+    assert local == carried_locally
+    assert len(shuffle) == round0.num_maps * round0.num_reduces - local

@@ -1,4 +1,4 @@
-"""Tests for the analytic TCP FCT model and sampled-capture modelling."""
+"""Tests for sampled-capture modelling."""
 
 import numpy as np
 import pytest
@@ -11,66 +11,6 @@ from repro.capture.sampling import (
     sampling_loss,
     scale_sampled_flows,
 )
-from repro.net.fct import compare_to_fluid, slow_start_rounds, tcp_fct
-
-GBPS = 1e9 / 8.0
-
-
-# -- tcp fct ---------------------------------------------------------------------
-
-
-def test_zero_byte_flow_costs_one_rtt():
-    assert tcp_fct(0, rtt=0.001, bandwidth=GBPS) == pytest.approx(0.001)
-
-
-def test_bulk_flow_approaches_line_rate():
-    size = 1.0 * GBPS  # one second of data
-    fct = tcp_fct(size, rtt=0.0001, bandwidth=GBPS)
-    assert fct == pytest.approx(1.0, rel=0.02)
-
-
-def test_small_flow_is_rtt_dominated():
-    size = 14_480  # 10 segments: fits in the initial window
-    rtt = 0.01
-    fct = tcp_fct(size, rtt=rtt, bandwidth=GBPS)
-    # Handshake + ~no slow-start rounds + negligible serialisation.
-    assert fct < 3 * rtt
-    assert fct >= rtt
-
-
-def test_slow_start_rounds_double_each_rtt():
-    # 100 segments with IW10 and a huge BDP: 10+20+40+80 -> 4 rounds.
-    size = 100 * 1448
-    assert slow_start_rounds(size, rtt=0.1, bandwidth=10 * GBPS) == 4
-    assert slow_start_rounds(0, rtt=0.1, bandwidth=GBPS) == 0
-
-
-def test_fct_monotone_in_size_and_rtt():
-    sizes = [1e3, 1e5, 1e7, 1e9]
-    fcts = [tcp_fct(s, rtt=0.001, bandwidth=GBPS) for s in sizes]
-    assert fcts == sorted(fcts)
-    assert tcp_fct(1e6, 0.01, GBPS) > tcp_fct(1e6, 0.001, GBPS)
-
-
-def test_fct_validation():
-    with pytest.raises(ValueError):
-        tcp_fct(-1, 0.001, GBPS)
-    with pytest.raises(ValueError):
-        tcp_fct(1, -0.1, GBPS)
-    with pytest.raises(ValueError):
-        tcp_fct(1, 0.001, 0)
-
-
-def test_compare_to_fluid_flags_small_flow_optimism():
-    sizes = [1e3, 1e9]
-    # The fluid model gives size/bandwidth durations.
-    fluid = [s / GBPS for s in sizes]
-    comparisons = compare_to_fluid(sizes, fluid, rtt=0.001, bandwidth=GBPS)
-    small, big = comparisons
-    assert small.ratio < 0.1  # fluid wildly optimistic for tiny flows
-    assert big.ratio == pytest.approx(1.0, rel=0.05)
-    with pytest.raises(ValueError):
-        compare_to_fluid([1.0], [], rtt=0.001, bandwidth=GBPS)
 
 
 # -- sampling --------------------------------------------------------------------

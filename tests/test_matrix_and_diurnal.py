@@ -1,11 +1,7 @@
-"""Tests for traffic matrices and diurnal arrivals."""
+"""Tests for rack traffic matrices."""
 
-import numpy as np
-import pytest
-
-from repro.analysis.matrix import host_matrix, matrix_sparsity, rack_matrix, rack_matrix_table
+from repro.analysis.matrix import rack_matrix, rack_matrix_table
 from repro.capture.records import CaptureMeta, FlowRecord, JobTrace
-from repro.workloads.arrivals import DiurnalArrivals
 
 
 def flow(src, dst, src_rack, dst_rack, size):
@@ -25,13 +21,6 @@ def make_trace():
                                      input_bytes=1e9), flows=flows)
 
 
-def test_host_matrix_accumulates_pairs():
-    matrix = host_matrix(make_trace())
-    assert matrix[("a", "b")] == 100.0
-    assert matrix[("a", "c")] == 225.0
-    assert matrix[("c", "a")] == 50.0
-
-
 def test_rack_matrix_and_cross_share():
     matrix = rack_matrix(make_trace())
     assert matrix[(0, 0)] == 100.0
@@ -40,54 +29,3 @@ def test_rack_matrix_and_cross_share():
     table = rack_matrix_table(make_trace())
     assert table.rows  # one row per rack
     assert "cross-rack share" in table.notes[0]
-
-
-def test_matrix_sparsity():
-    matrix = host_matrix(make_trace())
-    # 3 hosts -> 6 ordered pairs; 3 carry traffic.
-    assert matrix_sparsity(matrix, endpoints=3) == pytest.approx(0.5)
-    assert matrix_sparsity({}, endpoints=1) == 0.0
-
-
-def test_component_filter():
-    trace = make_trace()
-    assert host_matrix(trace, component="hdfs_read") == {}
-
-
-# -- diurnal arrivals -----------------------------------------------------------------
-
-
-def test_diurnal_validation():
-    with pytest.raises(ValueError):
-        DiurnalArrivals(base_rate=0.0)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(base_rate=1.0, amplitude=1.0)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(base_rate=1.0, period=0.0)
-
-
-def test_diurnal_rate_oscillates():
-    process = DiurnalArrivals(base_rate=1.0, amplitude=0.5, period=100.0,
-                              peak_time=0.0)
-    assert process.rate_at(0.0) == pytest.approx(1.5)
-    assert process.rate_at(50.0) == pytest.approx(0.5)
-    assert process.rate_at(100.0) == pytest.approx(1.5)
-
-
-def test_diurnal_sampling_concentrates_near_peaks():
-    process = DiurnalArrivals(base_rate=1.0, amplitude=0.9, period=100.0,
-                              peak_time=0.0)
-    times = process.sample(3000, np.random.default_rng(0))
-    assert times[0] == 0.0
-    assert times == sorted(times)
-    # Classify arrivals by phase: near-peak vs near-trough halves.
-    near_peak = sum(1 for t in times
-                    if (t % 100.0) < 25.0 or (t % 100.0) > 75.0)
-    assert near_peak / len(times) > 0.65
-
-
-def test_diurnal_mean_rate_close_to_base():
-    process = DiurnalArrivals(base_rate=0.5, amplitude=0.6, period=50.0)
-    times = process.sample(2000, np.random.default_rng(1))
-    observed_rate = len(times) / times[-1]
-    assert observed_rate == pytest.approx(0.5, rel=0.2)

@@ -1,11 +1,11 @@
-"""Tests for Ecdf, scaling laws and the assembled job traffic model."""
+"""Tests for summary statistics, scaling laws and the assembled job traffic model."""
 
 import numpy as np
 import pytest
 
 from repro.capture.records import CaptureMeta, FlowRecord, JobTrace
 from repro.cluster.units import GB
-from repro.modeling.empirical import Ecdf, log_spaced_grid, summarize
+from repro.modeling.empirical import summarize
 from repro.modeling.model import JobTrafficModel, fit_job_model
 from repro.modeling.scaling import LinearLaw
 
@@ -32,35 +32,7 @@ def make_trace(job_id, input_gb, shuffle_sizes, read_sizes=(), start_gap=1.0):
     return JobTrace(meta=meta, flows=flows)
 
 
-# -- Ecdf ------------------------------------------------------------------------
-
-
-def test_ecdf_basic_steps():
-    ecdf = Ecdf([1.0, 2.0, 3.0, 4.0])
-    assert ecdf(0.5) == 0.0
-    assert ecdf(1.0) == 0.25
-    assert ecdf(2.5) == 0.5
-    assert ecdf(10.0) == 1.0
-
-
-def test_ecdf_quantiles():
-    ecdf = Ecdf([10.0, 20.0, 30.0, 40.0])
-    assert ecdf.quantile(0.25) == 10.0
-    assert ecdf.quantile(0.5) == 20.0
-    assert ecdf.quantile(1.0) == 40.0
-    with pytest.raises(ValueError):
-        ecdf.quantile(1.5)
-
-
-def test_ecdf_needs_samples():
-    with pytest.raises(ValueError):
-        Ecdf([])
-
-
-def test_ecdf_points_are_plot_ready():
-    xs, ys = Ecdf([3.0, 1.0, 2.0]).points()
-    assert list(xs) == [1.0, 2.0, 3.0]
-    assert list(ys) == pytest.approx([1 / 3, 2 / 3, 1.0])
+# -- summarize -------------------------------------------------------------------
 
 
 def test_summarize():
@@ -69,14 +41,6 @@ def test_summarize():
     assert stats["mean"] == 2.5
     assert stats["sum"] == 10.0
     assert summarize([])["n"] == 0
-
-
-def test_log_spaced_grid():
-    grid = log_spaced_grid([1.0, 1000.0], points=4)
-    assert grid[0] == pytest.approx(1.0)
-    assert grid[-1] == pytest.approx(1000.0)
-    assert log_spaced_grid([0.0]) == [0.0]
-    assert log_spaced_grid([5.0, 5.0]) == [5.0]
 
 
 # -- LinearLaw --------------------------------------------------------------------

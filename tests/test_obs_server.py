@@ -3,7 +3,6 @@
 import json
 import re
 import threading
-import time
 import urllib.request
 
 import pytest
@@ -13,12 +12,11 @@ from repro.cli import main
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.experiments.runner import CampaignRunner, CapturePoint
-from repro.obs import AlertEngine, AlertRule, EventBroker, Telemetry
+from repro.obs import EventBroker, Telemetry
 from repro.obs.export import write_telemetry
 from repro.obs.server import (
     ENDPOINTS,
     DirSource,
-    LiveSource,
     ObservabilityServer,
     serve_directory,
     serve_telemetry,
@@ -104,28 +102,6 @@ def test_events_sse_stream_with_replay_and_max():
                     for frame in frames]
         assert [p["index"] for p in payloads] == [0, 1]
         assert all(p["kind"] == "point" for p in payloads)
-
-
-def test_alert_loop_publishes_into_events_stream():
-    telemetry = _observed_telemetry()
-    broker = EventBroker()
-    engine = AlertEngine([AlertRule("fired", "metric:sim.events_fired",
-                                    value=0.0)], broker=broker)
-    server = ObservabilityServer(LiveSource(telemetry), broker=broker,
-                                 engine=engine, alert_interval=0.02)
-    with server:
-        deadline = time.monotonic() + 5.0
-        while not engine.firing() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert engine.firing() == ["fired"]
-        alerts = _get_json(server.url + "/alerts")
-        assert alerts["states"]["fired"]["firing"] is True
-        assert alerts["events"][-1]["rule"] == "fired"
-        health = _get_json(server.url + "/healthz")
-        assert health["alerts_firing"] == ["fired"]
-        # The transition is also an SSE event.
-        status, _, body = _get(server.url + "/events?replay=50&max=1")
-        assert "\"kind\": \"alert\"" in body.decode()
 
 
 # -- the acceptance criterion: /metrics updates DURING a campaign --------------------

@@ -6,7 +6,7 @@ from repro.cluster.config import HadoopConfig
 from repro.cluster.units import GB, MB
 from repro.experiments.campaigns import capture_campaign
 from repro.generation.replay import replay_trace
-from repro.generation.workload import ScheduledJob, generate_workload_trace, split_workload_trace
+from repro.generation.workload import ScheduledJob, generate_workload_trace
 from repro.modeling.bundle import ModelBundle
 
 
@@ -68,18 +68,6 @@ def test_workload_schedule_validation(bundle):
         ScheduledJob("terasort", input_gb=1.0, start_s=-5.0)
     with pytest.raises(KeyError):
         generate_workload_trace(bundle, [ScheduledJob("kmeans", 0.1)])
-
-
-def test_split_workload_roundtrip(bundle):
-    schedule = [ScheduledJob("terasort", input_gb=0.25, start_s=0.0),
-                ScheduledJob("grep", input_gb=0.125, start_s=5.0)]
-    workload = generate_workload_trace(bundle, schedule, seed=4)
-    parts = split_workload_trace(workload)
-    assert len(parts) == 2
-    assert sum(len(part.flows) for part in parts) == len(workload.flows)
-    kinds = sorted(part.meta.job_kind for part in parts)
-    assert kinds == ["grep", "terasort"]
-    assert parts[0].meta.input_bytes == pytest.approx(0.25 * GB)
 
 
 def test_workload_is_replayable(bundle):

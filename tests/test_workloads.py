@@ -7,7 +7,6 @@ from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.workloads import (
     ANALYTICS_MIX,
-    FixedArrivals,
     MICRO_MIX,
     PoissonArrivals,
     SHUFFLE_HEAVY_MIX,
@@ -37,15 +36,6 @@ def test_uniform_arrivals_even_spacing():
     times = UniformArrivals(span=10.0).sample(5, np.random.default_rng(0))
     assert times == [0.0, 2.5, 5.0, 7.5, 10.0]
     assert UniformArrivals(span=10.0).sample(1, np.random.default_rng(0)) == [0.0]
-
-
-def test_fixed_arrivals_replays_trace():
-    process = FixedArrivals([5.0, 1.0, 3.0])
-    assert process.sample(2, np.random.default_rng(0)) == [1.0, 3.0]
-    with pytest.raises(ValueError):
-        process.sample(4, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        FixedArrivals([-1.0])
 
 
 def test_mix_entry_validation():
