@@ -104,6 +104,16 @@ python scripts/pipeline_gate.py
 echo "== campaign crash-resume gate =="
 python -m pytest tests/test_campaign_crash_resume.py -q
 
+# 9b. Supervised-executor suite: campaign points and pipeline nodes
+#    run on one executor (experiments/supervision.py) — retries,
+#    deadline kills, pool collapse and degradation to in-process runs,
+#    quarantine, failure propagation, a deadline-run node keeping its
+#    telemetry, and a worker count that never re-keys the capture
+#    sweep.  Explicit so scoped runs still exercise all of it.
+echo "== supervised-executor suite =="
+python -m pytest tests/test_supervision.py tests/test_campaign_runner.py \
+    tests/test_pipeline_dag.py tests/test_pipeline_supervision.py -q
+
 # 10. Workload-plan suite: the plan IR/executor semantics must hold,
 #    and plan store entries must stay disjoint from single-job
 #    entries.  Explicit so scoped runs still exercise the contract.

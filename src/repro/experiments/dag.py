@@ -2,10 +2,8 @@
 
 The toolchain this repo reproduces is itself a pipeline — capture
 Hadoop traffic, classify it, fit per-job models, replay synthetic
-traces, validate, report — and every experiment figure used to
-re-derive that chain from scratch.  This module turns the chain into
-an explicit DAG of stages with three properties the flat
-:class:`~repro.experiments.runner.CampaignRunner` cannot offer:
+traces, validate, report.  This module makes the chain an explicit
+DAG of stages with three properties:
 
 **Isolation** — every node runs in its own working directory under
 ``<root>/nodes/<name>@<sig12>/``, where the signature is the SHA-256 of
@@ -30,11 +28,12 @@ the manifests hold node-relative output paths, so the whole pipeline
 directory can be moved (or shipped) and a new :class:`DAGRunner`
 pointed at it resumes with full cache hits.
 
-Failure handling is the campaign runner's supervision layer: a
-per-node :class:`~repro.experiments.supervision.RetryPolicy` (with
-watchdog deadlines enforced by a disposable spawn worker), the shared
-:class:`~repro.experiments.supervision.AttemptLedger` retry decision,
-and a :class:`~repro.experiments.supervision.Quarantine` sidecar.
+Each node attempt runs as one task on the
+:class:`~repro.experiments.supervision.SupervisedExecutor` campaign
+points run on: one :class:`~repro.experiments.supervision.RetryPolicy`,
+retry decision and deadline watchdog (a deadline runs registry stages
+on the executor's spawn pool), and a
+:class:`~repro.experiments.supervision.Quarantine` sidecar.
 Propagation is configurable — ``fail-fast`` stops scheduling at the
 first quarantined node, ``continue`` finishes every independent branch
 before raising, ``skip-descendants`` finishes independent branches and
@@ -51,21 +50,16 @@ import json
 import os
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.store import canonical_json, write_atomic
 from repro.experiments.supervision import (
-    AttemptLedger,
-    DeadlineExpired,
     PointFailure,
     Quarantine,
     RetryPolicy,
-    terminate_workers,
+    SupervisedExecutor,
 )
 from repro.obs.telemetry import Telemetry
 
@@ -76,10 +70,9 @@ DAG_FORMAT_VERSION = 1
 # -- node lifecycle states ----------------------------------------------------------
 
 PENDING = "pending"        #: not yet scheduled this run
-RUNNING = "running"        #: published just before the stage function runs
+RUNNING = "running"        #: published just before the node's first attempt
 DONE = "done"              #: executed this run; outputs.json published
 CACHED = "cached"          #: valid outputs.json found; stage not re-run
-FAILED = "failed"          #: one attempt failed (may still retry)
 QUARANTINED = "quarantined"  #: attempt budget exhausted; recorded in sidecar
 BLOCKED = "blocked"        #: an upstream node failed; cannot run
 SKIPPED = "skipped"        #: unstarted when a fail-fast run aborted
@@ -117,9 +110,9 @@ _STAGE_REGISTRY: Dict[str, Callable[["StageContext"], Any]] = {}
 def register_stage(name: str) -> Callable[[Callable], Callable]:
     """Register a stage function under a stable name.
 
-    Registry stages (unlike raw ``fn=`` callables) can be executed in a
-    disposable spawn worker, which is what makes watchdog deadlines
-    enforceable — the parent can terminate the worker mid-stage.
+    Registry stages (unlike raw ``fn=`` callables) can run in a spawn
+    worker, which is what makes watchdog deadlines enforceable — the
+    parent can terminate the worker mid-stage.
     """
 
     def decorate(fn: Callable[["StageContext"], Any]) -> Callable:
@@ -163,10 +156,16 @@ class StageNode:
 
 
 class PipelineDAG:
-    """A named set of :class:`StageNode`\\ s with validated wiring."""
+    """A named set of :class:`StageNode`\\ s with validated wiring.
+
+    ``workers`` is how many processes a stage may fan its own work out
+    to (:attr:`StageContext.workers`); it is a property of the run,
+    never of a node's signature, so changing it reuses every node.
+    """
 
     def __init__(self, name: str = "pipeline"):
         self.name = name
+        self.workers = 1
         self._nodes: Dict[str, StageNode] = {}
 
     def add(self, node: StageNode) -> StageNode:
@@ -330,6 +329,7 @@ class StageContext:
     the upstream artifact; ``out(name)`` returns where the declared
     output must be materialised (parents pre-created).  Stages must
     write only under ``workdir`` — that is the isolation contract.
+    ``workers`` is the run's worker count (:attr:`PipelineDAG.workers`).
     """
 
     name: str
@@ -338,6 +338,7 @@ class StageContext:
     inputs: Dict[str, Path]
     out_paths: Dict[str, str]
     telemetry: Telemetry
+    workers: int = 1
 
     def input(self, name: str) -> Path:
         try:
@@ -363,26 +364,43 @@ class StageContext:
         return write_atomic(self.out(name), text)
 
 
-def _run_stage_in_worker(stage: str, name: str, workdir: str,
-                         config: Dict[str, Any], inputs: Dict[str, str],
-                         out_paths: Dict[str, str]) -> None:
-    """Spawn-worker entry point for deadline-enforced stages.
+@dataclass(frozen=True)
+class _StageTask:
+    """One node attempt as an executor task (picklable without ``fn``)."""
 
-    Imports the built-in stage definitions (registration is an import
-    side effect), then runs the named stage against the shared
-    filesystem.  Only registry stages come through here — a raw ``fn``
-    callable cannot be named across a spawn boundary.
+    node: StageNode
+    workdir: Path
+    inputs: Dict[str, Path]
+    workers: int
+
+
+def _run_stage(task: _StageTask,
+               telemetry: Telemetry) -> Dict[str, Dict[str, Any]]:
+    """Run one stage attempt and digest its declared outputs.
+
+    Module-level, so the executor can run it in a spawn worker: there a
+    registry stage is looked up by name (importing the built-in stage
+    definitions registers them); a raw ``fn`` only runs in-process.
     """
-    import repro.experiments.pipelines  # noqa: F401  (registers stages)
-
-    fn = _STAGE_REGISTRY[stage]
-    context = StageContext(name=name, workdir=Path(workdir),
-                           config=dict(config),
-                           inputs={key: Path(value)
-                                   for key, value in inputs.items()},
-                           out_paths=dict(out_paths),
-                           telemetry=Telemetry.disabled())
-    fn(context)
+    node = task.node
+    fn = node.fn
+    if fn is None:
+        if node.stage not in _STAGE_REGISTRY:
+            import repro.experiments.pipelines  # noqa: F401  (registers stages)
+        try:
+            fn = _STAGE_REGISTRY[node.stage]
+        except KeyError:
+            raise PipelineDefinitionError(
+                f"node {node.name!r}: stage {node.stage!r} is not "
+                "registered and no fn was given") from None
+    task.workdir.mkdir(parents=True, exist_ok=True)
+    fn(StageContext(name=node.name, workdir=task.workdir,
+                    config=dict(node.config), inputs=dict(task.inputs),
+                    out_paths=dict(node.out_paths), telemetry=telemetry,
+                    workers=task.workers))
+    return {output: {"path": (Path("work") / relative).as_posix(),
+                     "digest": digest_path(task.workdir / relative)}
+            for output, relative in sorted(node.out_paths.items())}
 
 
 # -- run results --------------------------------------------------------------------
@@ -497,13 +515,14 @@ class DAGRunner:
         self.dag = dag
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.retry_policy = retry_policy or RetryPolicy()
         self.quarantine = quarantine
         self.on_failure = on_failure
         self.telemetry = telemetry or Telemetry.disabled()
         self.events = events
         self.node_telemetry = node_telemetry
         self._registry = self.telemetry.registry
+        self.executor = SupervisedExecutor(retry_policy or RetryPolicy(),
+                                           self._registry, "pipeline")
 
     # -- bookkeeping -----------------------------------------------------------------
 
@@ -640,8 +659,8 @@ class DAGRunner:
                 self._finish_node(result, outcome)
                 continue
 
-            outcome = self._execute_with_retries(
-                node, signature, node_dir, dirname, result)
+            outcome = self._execute(node, signature, node_dir, dirname,
+                                    result)
             if outcome.state == DONE:
                 digests[name] = {output: meta["digest"]
                                  for output, meta in outcome.outputs.items()}
@@ -676,44 +695,53 @@ class DAGRunner:
 
     # -- single-node execution -------------------------------------------------------
 
-    def _execute_with_retries(self, node: StageNode, signature: str,
-                              node_dir: Path, dirname: str,
-                              result: PipelineResult) -> NodeOutcome:
-        ledger = AttemptLedger(signature, self.retry_policy)
+    def _execute(self, node: StageNode, signature: str, node_dir: Path,
+                 dirname: str, result: PipelineResult) -> NodeOutcome:
+        """Run one node as a single executor task and commit it."""
         inputs = self._resolve_inputs(node, result)
         self._write_descriptor(node, signature, node_dir, inputs)
-        while True:
-            attempt = ledger.attempts + 1
-            self._publish("node", node=node.name, stage=node.stage,
-                          status=RUNNING, signature=signature[:12],
-                          attempt=attempt)
-            self._maybe_crash(node)
-            try:
-                outputs = self._execute(node, signature, node_dir,
-                                        inputs, attempt)
-            except Exception as exc:  # noqa: BLE001 — classified below
-                delay = ledger.charge(exc)
-                self._publish("node", node=node.name, stage=node.stage,
-                              status=FAILED, attempt=attempt,
-                              classification=ledger.fingerprints[-1]
-                              .classification)
-                if isinstance(exc, DeadlineExpired):
-                    self._count("deadline_kills")
-                if delay is not None:
-                    self._count("retries")
-                    time.sleep(delay)
-                    continue
-                failure = ledger.failure(f"{self.dag.name}/{node.name}")
-                result.failures.append(failure)
-                if self.quarantine is not None:
-                    self.quarantine.record(failure)
-                return NodeOutcome(
-                    name=node.name, stage=node.stage, state=QUARANTINED,
-                    signature=signature, dir=dirname, attempts=attempt,
-                    reason=ledger.fingerprints[-1].short())
-            return NodeOutcome(name=node.name, stage=node.stage, state=DONE,
-                               signature=signature, dir=dirname,
-                               attempts=attempt, outputs=outputs)
+        self._publish("node", node=node.name, stage=node.stage,
+                      status=RUNNING, signature=signature[:12])
+        self._maybe_crash(node)
+        telemetry = (Telemetry.enabled_in_memory() if self.node_telemetry
+                     else Telemetry.disabled())
+        task = _StageTask(node, node_dir / "work", dict(inputs),
+                          self.dag.workers)
+        settled: List[Tuple[int, Dict[str, Dict[str, Any]]]] = []
+        # A raw fn cannot cross a process boundary, so it runs
+        # in-process (and its deadline goes unenforced).
+        spent = self.executor.run(
+            _run_stage, [(signature, task)], telemetry,
+            lambda ledger, outputs: settled.append((ledger.attempts + 1,
+                                                    outputs)),
+            isolate=node.fn is None and self.executor.isolates(1))
+        if spent:
+            (ledger,) = spent
+            failure = ledger.failure(f"{self.dag.name}/{node.name}")
+            result.failures.append(failure)
+            if self.quarantine is not None:
+                self.quarantine.record(failure)
+            return NodeOutcome(name=node.name, stage=node.stage,
+                               state=QUARANTINED, signature=signature,
+                               dir=dirname, attempts=ledger.attempts,
+                               reason=ledger.fingerprints[-1].short())
+
+        ((attempt, outputs),) = settled
+        if self.node_telemetry:
+            from repro.obs.export import write_telemetry
+
+            write_telemetry(telemetry, node_dir / "telemetry")
+        manifest = {"format": DAG_FORMAT_VERSION, "node": node.name,
+                    "stage": node.stage, "signature": signature,
+                    "attempt": attempt, "outputs": outputs}
+        # Publishing outputs.json is the commit point: it is written
+        # atomically and durably *after* every output digest is taken,
+        # so a manifest on disk always describes complete outputs.
+        write_atomic(node_dir / "outputs.json",
+                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return NodeOutcome(name=node.name, stage=node.stage, state=DONE,
+                           signature=signature, dir=dirname,
+                           attempts=attempt, outputs=outputs)
 
     def _resolve_inputs(self, node: StageNode,
                         result: PipelineResult) -> Dict[str, Path]:
@@ -728,79 +756,6 @@ class DAGRunner:
             resolved[input_name] = (self.root / outcome.dir
                                     / outcome.outputs[output]["path"])
         return resolved
-
-    def _execute(self, node: StageNode, signature: str, node_dir: Path,
-                 inputs: Mapping[str, Path], attempt: int
-                 ) -> Dict[str, Dict[str, Any]]:
-        workdir = node_dir / "work"
-        workdir.mkdir(parents=True, exist_ok=True)
-
-        telemetry = (Telemetry.enabled_in_memory() if self.node_telemetry
-                     else Telemetry.disabled())
-        deadline = self.retry_policy.deadline_s
-        if deadline is not None and node.fn is None:
-            self._execute_in_worker(node, workdir, inputs, deadline)
-        else:
-            fn = node.fn
-            if fn is None:
-                try:
-                    fn = _STAGE_REGISTRY[node.stage]
-                except KeyError:
-                    raise PipelineDefinitionError(
-                        f"node {node.name!r}: stage {node.stage!r} is not "
-                        "registered and no fn was given") from None
-            context = StageContext(
-                name=node.name, workdir=workdir, config=dict(node.config),
-                inputs=dict(inputs), out_paths=dict(node.out_paths),
-                telemetry=telemetry)
-            fn(context)
-
-        if self.node_telemetry:
-            from repro.obs.export import write_telemetry
-
-            write_telemetry(telemetry, node_dir / "telemetry")
-
-        outputs: Dict[str, Dict[str, Any]] = {}
-        for output, relative in sorted(node.out_paths.items()):
-            path = workdir / relative
-            outputs[output] = {"path": (Path("work") / relative).as_posix(),
-                               "digest": digest_path(path)}
-        manifest = {"format": DAG_FORMAT_VERSION, "node": node.name,
-                    "stage": node.stage, "signature": signature,
-                    "attempt": attempt, "outputs": outputs}
-        # Publishing outputs.json is the commit point: it is written
-        # atomically and durably *after* every output digest is taken,
-        # so a manifest on disk always describes complete outputs.
-        write_atomic(node_dir / "outputs.json",
-                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return outputs
-
-    def _execute_in_worker(self, node: StageNode, workdir: Path,
-                           inputs: Mapping[str, Path],
-                           deadline: float) -> None:
-        """Run a registry stage in a disposable spawn worker.
-
-        The watchdog is the parent: if the worker misses the deadline
-        its process is terminated (a stage cannot be cancelled from
-        inside) and the attempt raises :class:`DeadlineExpired`.
-        """
-        context = get_context("spawn")
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-        future = pool.submit(
-            _run_stage_in_worker, node.stage, node.name, str(workdir),
-            dict(node.config),
-            {name: str(path) for name, path in inputs.items()},
-            dict(node.out_paths))
-        try:
-            done, _ = wait([future], timeout=deadline,
-                           return_when=FIRST_COMPLETED)
-            if not done:
-                terminate_workers(pool)
-                raise DeadlineExpired(
-                    f"node {node.name!r} exceeded {deadline:.3f}s deadline")
-            future.result()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     def _write_descriptor(self, node: StageNode, signature: str,
                           node_dir: Path,

@@ -276,7 +276,7 @@ def stage_capture(context: StageContext) -> None:
     store = CaptureStore(context.out("store"),
                          registry=context.telemetry.registry)
     runner = CampaignRunner(store=store,
-                            workers=int(context.config.get("workers", 1)),
+                            workers=context.workers,
                             telemetry=context.telemetry)
     runner.run(points)
     manifest = {"points": sorted(
@@ -306,7 +306,7 @@ def stage_capture_plans(context: StageContext) -> None:
     store = CaptureStore(context.out("store"),
                          registry=context.telemetry.registry)
     runner = CampaignRunner(store=store,
-                            workers=int(context.config.get("workers", 1)),
+                            workers=context.workers,
                             telemetry=context.telemetry)
     outcomes = runner.run(points)
     rows = []
@@ -530,6 +530,10 @@ def stage_sleep(context: StageContext) -> None:
 def build_pipeline(spec: PipelineSpec) -> PipelineDAG:
     """The built-in capture→classify→fit→replay→validate→report DAG."""
     dag = PipelineDAG("keddah")
+    # The worker count reaches the capture stages through their
+    # StageContext, not their config: it cannot change a capture's
+    # bytes, so it must not re-key (and re-simulate) the sweep.
+    dag.workers = spec.workers
     base = base_point_payloads(spec)
     campaign = spec.campaign_config().to_dict()
     training = list(spec.training_sizes)
@@ -539,14 +543,13 @@ def build_pipeline(spec: PipelineSpec) -> PipelineDAG:
     # fit stage must know each training size's original index.
     dag.add(StageNode(
         "capture", "capture",
-        config={"points": capture_point_payloads(spec),
-                "workers": spec.workers},
+        config={"points": capture_point_payloads(spec)},
         out_paths={"store": "store", "manifest": "manifest.json"}))
     if spec.plans:
         dag.add(StageNode(
             "capture_plans", "capture_plans",
             config={"plans": list(spec.plans), "seed": spec.seed,
-                    "campaign": campaign, "workers": spec.workers},
+                    "campaign": campaign},
             out_paths={"store": "store",
                        "plan_summary": "plan_summary.json"}))
     dag.add(StageNode(

@@ -25,39 +25,22 @@ it or in what order.  Parallel campaign output is flow-for-flow
 identical to serial output, and both are byte-identical once written
 as JSONL.
 
-Supervision
------------
-Simulation is executed under the supervision layer
-(:mod:`repro.experiments.supervision`): transient worker failures
-(broken pools, SIGKILLed workers, pickling errors) are retried with
-deterministic exponential backoff; a per-point wall-clock deadline is
-enforced by a watchdog that kills hung workers; points that exhaust
-their attempt budget — or fail deterministically — are quarantined
-with failure fingerprints and the campaign *completes*, returning a
-partial result set.  After ``pool_failure_limit`` consecutive pool
-collapses the runner degrades gracefully from parallel to serial
-in-process execution.  Every mechanism is counted on the telemetry
-registry (``campaign.retries``, ``campaign.deadline_kills``,
-``campaign.quarantined``, ``campaign.pool_failures``,
-``campaign.degraded_serial``).
-
-Seed derivation
----------------
-Historically the repo had two formulas — ``seed + size_index`` in the
-campaign memo and ``seed * 10_007 + size_index * 101 + repeat`` in the
-top-level API — so the same logical sweep point hashed to different
-captures depending on the entry path.  :func:`derive_seed` is now the
-single documented rule, used by both.
+Simulation runs on the
+:class:`~repro.experiments.supervision.SupervisedExecutor`, the same
+executor pipeline nodes run on: transient failures are retried with
+deterministic backoff, a deadline kills hung workers, and points that
+exhaust their budget are quarantined while the campaign *completes*
+with a partial result set.  Its actions count on the registry as
+``campaign.retries``, ``campaign.deadline_kills``,
+``campaign.pool_failures`` and ``campaign.degraded_serial``, next to
+the runner's own ``campaign.*`` resolution counters.
+:func:`derive_seed` is the one seed rule every entry path uses.
 """
 
 from __future__ import annotations
 
 import os
-import time as _time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.capture.records import JobTrace
@@ -65,18 +48,17 @@ from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.jobs import make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.mapreduce.result import JobResult
-from repro.obs.aggregate import AggregateRegistry, EventBroker, delta_envelope
-from repro.obs.telemetry import Telemetry, TelemetryConfig
+from repro.obs.aggregate import EventBroker
+from repro.obs.telemetry import Telemetry
 from repro.experiments.store import (TRACE_FORMAT_VERSION, CaptureStore,
                                      key_hash)
 from repro.experiments.supervision import (
     AttemptLedger,
     CampaignPointsFailed,
-    DeadlineExpired,
     PointFailure,
     Quarantine,
     RetryPolicy,
-    terminate_workers,
+    SupervisedExecutor,
 )
 
 
@@ -299,36 +281,10 @@ def _thaw(items: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
     return dict(items)
 
 
-def _simulate_point(point: CapturePoint) -> Tuple[JobResult, JobTrace]:
-    """Module-level worker entry point (picklable under spawn)."""
-    return point.simulate()
-
-
-def _simulate_point_observed(
-        point: CapturePoint, config: Optional[TelemetryConfig],
-        delta_id: Optional[str] = None,
-) -> Tuple[Tuple[JobResult, JobTrace], Dict[str, Any]]:
-    """Worker entry point that also ships telemetry back to the parent.
-
-    The worker builds its own telemetry from the picklable ``config``
-    (span sinks stay per-process — workers default to the null sink).
-    With a ``delta_id`` (the point's content hash) it returns an
-    identified *delta envelope* — the worker telemetry is fresh per
-    point, so the registry snapshot is exactly the increment — which
-    the parent folds into its :class:`~repro.obs.aggregate.
-    AggregateRegistry`: counters sum, gauges land under this worker's
-    label, and a re-delivered completion merges exactly once.  Without
-    one it returns the legacy plain snapshot.
-    """
-    telemetry = config.build() if config is not None else Telemetry.disabled()
-    value = point.simulate(telemetry=telemetry)
-    if delta_id is None:
-        return value, telemetry.snapshot()
-    envelope = delta_envelope(telemetry.registry,
-                              source=f"worker-{os.getpid()}",
-                              delta_id=delta_id,
-                              spans_emitted=telemetry.tracer.spans_emitted)
-    return value, envelope
+def _simulate(point: CapturePoint, telemetry: Telemetry,
+              ) -> Tuple[JobResult, JobTrace]:
+    """The executor's task call (module-level: picklable under spawn)."""
+    return point.simulate(telemetry=telemetry)
 
 
 #: The per-level counters a runner keeps on its registry as
@@ -339,22 +295,16 @@ _RUNNER_STAT_FIELDS = ("points", "points_completed", "memo_hits",
                        "pool_failures", "degraded_serial")
 
 
-#: How the watchdog polls in-flight futures when a deadline is set
-#: (seconds).  Coarse enough to be free, fine enough that a kill lands
-#: within a small fraction of any realistic deadline.
-_WATCHDOG_TICK = 0.05
-
-
 class CampaignRunner:
     """Resolve capture points through memo → store → simulation.
 
-    ``workers <= 1`` simulates in-process; ``workers > 1`` uses a
-    ``spawn``-context :class:`ProcessPoolExecutor` so workers import the
-    package fresh (fork-safety of the simulator's global state is never
-    relied on).  ``memo_get``/``memo_put`` plug in the process-local
-    memo without creating an import cycle with ``campaigns``.
+    ``workers <= 1`` simulates in-process; ``workers > 1`` fans cache
+    misses out over the executor's spawn pool.  ``memo_get``/``memo_put``
+    plug in the process-local memo without creating an import cycle
+    with ``campaigns``.
 
-    Supervision knobs:
+    Supervision knobs (handed to the
+    :class:`~repro.experiments.supervision.SupervisedExecutor`):
 
     ``retry_policy``
         attempt budget, backoff and per-point deadline
@@ -381,20 +331,11 @@ class CampaignRunner:
                  strict: bool = True, pool_failure_limit: int = 3,
                  events: Optional[EventBroker] = None):
         self.store = store
-        self.workers = max(1, int(workers))
         self._memo_get = memo_get or (lambda key: None)
         self._memo_put = memo_put or (lambda key, value: None)
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.quarantine = quarantine
         self.strict = strict
-        self.pool_failure_limit = max(1, int(pool_failure_limit))
-        # Worker registry deltas fold in here: counters sum into the
-        # runner telemetry's registry, gauges land per-worker, and a
-        # re-delivered completion merges exactly once.  The serve
-        # daemon reads the same registry, so the aggregate IS the live
-        # cluster-wide view.
-        self.aggregate = AggregateRegistry(self.telemetry.registry)
         # Optional live progress stream (campaign/point events) for the
         # serve daemon's /events endpoint.
         self.events = events
@@ -403,6 +344,12 @@ class CampaignRunner:
         registry = self.telemetry.registry
         self._counters = {name: registry.counter(f"campaign.{name}")
                           for name in _RUNNER_STAT_FIELDS}
+        # Worker registries fold into this registry too (the serve
+        # daemon reads it, so it is the live cluster-wide view).
+        self.executor = SupervisedExecutor(
+            retry_policy if retry_policy is not None else RetryPolicy(),
+            registry, "campaign", workers=workers,
+            pool_failure_limit=pool_failure_limit)
 
     def _count(self, name: str, amount: int = 1) -> None:
         self._counters[name].value += amount
@@ -425,30 +372,6 @@ class CampaignRunner:
                       seed=point.seed,
                       completed=int(self._counters["points_completed"].value),
                       total=self._total_points)
-
-    def _simulated(self, key: str, point: CapturePoint,
-                   value: Tuple[JobResult, JobTrace]) -> None:
-        """Checkpoint one freshly simulated point, then count it resolved.
-
-        Runs inside the serial loop / the pool's fan-in, so a campaign
-        killed mid-run has already stored every point that finished.
-        """
-        if self.store is not None:
-            self.store.put(point.key_dict(), *value)
-        self._memo_put(key, value)
-        self._resolved(point, "simulated")
-
-    def _absorb(self, envelope: Optional[Dict[str, Any]]) -> None:
-        """Fold a worker's telemetry return into the parent registry.
-
-        Identified delta envelopes (``source`` key) go through the
-        aggregate — idempotent per (source, delta_id), gauges labelled
-        per worker; legacy plain snapshots merge directly.
-        """
-        if envelope and "source" in envelope:
-            self.aggregate.apply(envelope)
-        else:
-            self.telemetry.absorb(envelope)
 
     # -- single point -------------------------------------------------------------
 
@@ -496,19 +419,31 @@ class CampaignRunner:
             pending[key] = [index]
             pending_points[key] = point
 
+        def simulated(ledger: AttemptLedger,
+                      value: Tuple[JobResult, JobTrace]) -> None:
+            # Checkpoint each point the moment it resolves, so a
+            # campaign killed mid-run has already stored every point
+            # that finished; its deduplicated repeats settle with it.
+            point, indices = pending_points[ledger.key], pending[ledger.key]
+            if self.store is not None:
+                self.store.put(point.key_dict(), *value)
+            self._memo_put(ledger.key, value)
+            for index in indices:
+                results[index] = value
+            self._resolved(point, "simulated")
+            if len(indices) > 1:
+                self._count("points_completed", len(indices) - 1)
+
         if pending:
-            simulated, failures = self._simulate_all(
-                list(pending_points.items()))
-            for key, value in simulated.items():
-                for index in pending[key]:
-                    results[index] = value
-                # The first occurrence was already counted live at
-                # resolution time; later (deduplicated) indices settle
-                # here.
-                duplicates = len(pending[key]) - 1
-                if duplicates:
-                    self._count("points_completed", duplicates)
-            for failure in failures:
+            self._count("simulated", len(pending_points))
+            if self.executor.isolates(len(pending_points)):
+                self._count("parallel_simulated", len(pending_points))
+            spent = self.executor.run(_simulate, list(pending_points.items()),
+                                      self.telemetry, simulated)
+            for ledger in spent:
+                point = pending_points[ledger.key]
+                failure = ledger.failure(point.job, point.input_gb,
+                                         point.seed)
                 self._count("quarantined")
                 self.failures.append(failure)
                 if self.quarantine is not None:
@@ -531,206 +466,6 @@ class CampaignRunner:
                           for name, counter in self._counters.items()},
                 "quarantined": [failure.to_dict()
                                 for failure in self.failures]}
-
-    # -- simulation back-ends -----------------------------------------------------
-
-    def _simulate_all(self, items: List[Tuple[str, CapturePoint]],
-                      ) -> Tuple[Dict[str, Tuple[JobResult, JobTrace]],
-                                 List[PointFailure]]:
-        self._count("simulated", len(items))
-        # Deadline enforcement needs a killable process, so a deadline
-        # promotes even single-worker runs onto the pool path.
-        use_pool = len(items) > 1 and self.workers > 1
-        if self.retry_policy.deadline_s is not None:
-            use_pool = True
-        if not use_pool:
-            # In-process: points run directly against the runner's
-            # telemetry, so counters/spans/probes accumulate in place.
-            return self._run_serial(items)
-        self._count("parallel_simulated", len(items))
-        return self._run_pool(items)
-
-    # -- serial (in-process) path ---------------------------------------------------
-
-    def _run_serial(self, items: List[Tuple[str, CapturePoint]],
-                    ) -> Tuple[Dict[str, Tuple[JobResult, JobTrace]],
-                               List[PointFailure]]:
-        resolved: Dict[str, Tuple[JobResult, JobTrace]] = {}
-        failures: List[PointFailure] = []
-        for key, point in items:
-            ledger = AttemptLedger(key, self.retry_policy)
-            while True:
-                try:
-                    value = point.simulate(telemetry=self.telemetry)
-                except Exception as exc:
-                    delay = ledger.charge(exc)
-                    if delay is None:
-                        failures.append(_quarantined(ledger, point))
-                        break
-                    self._count("retries")
-                    _time.sleep(delay)
-                    continue
-                resolved[key] = value
-                self._simulated(key, point, value)
-                break
-        return resolved, failures
-
-    # -- pool (process-isolated) path ------------------------------------------------
-
-    def _new_pool(self, size: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=size,
-                                   mp_context=get_context("spawn"))
-
-    def _run_pool(self, items: List[Tuple[str, CapturePoint]],
-                  ) -> Tuple[Dict[str, Tuple[JobResult, JobTrace]],
-                             List[PointFailure]]:
-        order = [key for key, _ in items]
-        state = {key: (point, AttemptLedger(key, self.retry_policy))
-                 for key, point in items}
-        resolved: Dict[str, Tuple[JobResult, JobTrace]] = {}
-        failures: List[PointFailure] = []
-        unresolved = set(state)
-        ready_at = {key: 0.0 for key in unresolved}
-        consecutive_breaks = 0
-        # Workers re-create telemetry from the picklable config (null
-        # span sink — span streams stay per-process) and return their
-        # registry snapshots, which the parent merges in.
-        worker_config = self.telemetry.config()
-        pool: Optional[ProcessPoolExecutor] = None
-        try:
-            while unresolved:
-                if consecutive_breaks >= self.pool_failure_limit:
-                    # Graceful degradation: the pool keeps collapsing,
-                    # so finish the campaign serially in-process (no
-                    # deadline — there is nothing left to kill safely).
-                    self._count("degraded_serial", len(unresolved))
-                    serial_items = [(key, state[key][0])
-                                    for key in order if key in unresolved]
-                    more, more_failures = self._run_serial(serial_items)
-                    resolved.update(more)
-                    failures.extend(more_failures)
-                    return resolved, failures
-                now = _time.monotonic()
-                wake = min(ready_at[key] for key in unresolved)
-                if wake > now:
-                    _time.sleep(wake - now)
-                if pool is None:
-                    pool = self._new_pool(min(self.workers, len(unresolved)))
-                round_keys = [key for key in order
-                              if key in unresolved
-                              and ready_at[key] <= _time.monotonic()]
-                broke = self._run_round(pool, round_keys, state, resolved,
-                                        unresolved, failures, ready_at,
-                                        worker_config)
-                if broke == "organic":
-                    self._count("pool_failures")
-                    consecutive_breaks += 1
-                elif broke == "deadline":
-                    consecutive_breaks = 0
-                else:
-                    consecutive_breaks = 0
-                if broke:
-                    pool.shutdown(wait=False)
-                    pool = None
-            if pool is not None:
-                # Every future is done: join the idle workers so none
-                # outlives the campaign and competes with what runs next.
-                pool.shutdown(wait=True)
-                pool = None
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
-        return resolved, failures
-
-    def _run_round(self, pool: ProcessPoolExecutor, round_keys: List[str],
-                   state: Dict[str, Tuple[CapturePoint, AttemptLedger]],
-                   resolved: Dict[str, Tuple[JobResult, JobTrace]],
-                   unresolved: set, failures: List[PointFailure],
-                   ready_at: Dict[str, float],
-                   worker_config: TelemetryConfig) -> str:
-        """Submit one batch and supervise it to quiescence.
-
-        Returns ``""`` when the pool survived, ``"deadline"`` when the
-        watchdog killed it deliberately, ``"organic"`` when a worker
-        died underneath us (SIGKILL, OOM, crash).
-        """
-        policy = self.retry_policy
-        futures = {pool.submit(_simulate_point_observed, state[key][0],
-                               worker_config, key): key
-                   for key in round_keys}
-        started = {key: _time.monotonic() for key in round_keys}
-        expired: set = set()
-        deliberate_kill = False
-        saw_break = False
-        remaining = set(futures)
-        while remaining:
-            timeout = _WATCHDOG_TICK if (policy.deadline_s is not None
-                                         and not saw_break) else None
-            done, remaining = wait(remaining, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-            for future in done:
-                key = futures[future]
-                try:
-                    value, snapshot = future.result()
-                except BrokenExecutor:
-                    # The pool collapsed under this future.  Either we
-                    # killed it (deadline watchdog) or a worker died.
-                    # (A point's own OSError arrives as a plain
-                    # exception below — only BrokenExecutor means the
-                    # executor itself is gone.)
-                    saw_break = True
-                    if key in expired:
-                        self._point_failed(*state[key],
-                                           DeadlineExpired(
-                                               f"point exceeded deadline of "
-                                               f"{policy.deadline_s}s"),
-                                           unresolved, failures, ready_at)
-                    # Collateral victims are rescheduled free of charge:
-                    # their failure tells us nothing about the point.
-                    continue
-                except Exception as exc:
-                    # The *point* failed inside a healthy worker.
-                    self._point_failed(*state[key], exc, unresolved,
-                                       failures, ready_at)
-                    continue
-                self._absorb(snapshot)
-                resolved[key] = value
-                unresolved.discard(key)
-                self._simulated(key, state[key][0], value)
-            if saw_break:
-                # A broken pool fails all outstanding futures promptly;
-                # drop the timeout and drain them.
-                continue
-            if policy.deadline_s is not None:
-                now = _time.monotonic()
-                overdue = [key for future, key in futures.items()
-                           if not future.done()
-                           and now - started[key] > policy.deadline_s]
-                if overdue:
-                    expired.update(overdue)
-                    self._count("deadline_kills", len(overdue))
-                    deliberate_kill = True
-                    terminate_workers(pool)
-        if saw_break:
-            return "deadline" if deliberate_kill else "organic"
-        return ""
-
-    def _point_failed(self, point: CapturePoint, ledger: AttemptLedger,
-                      exc: BaseException, unresolved: set,
-                      failures: List[PointFailure],
-                      ready_at: Dict[str, float]) -> None:
-        """Charge one failed attempt; schedule a retry or quarantine."""
-        delay = ledger.charge(exc)
-        if delay is None:
-            failures.append(_quarantined(ledger, point))
-            unresolved.discard(ledger.key)
-        else:
-            self._count("retries")
-            ready_at[ledger.key] = _time.monotonic() + delay
-
-
-def _quarantined(ledger: AttemptLedger, point: CapturePoint) -> PointFailure:
-    return ledger.failure(point.job, point.input_gb, point.seed)
 
 
 def default_workers() -> int:

@@ -1,13 +1,14 @@
-"""Fault tolerance for campaign execution: the supervision layer.
+"""Fault tolerance for campaigns and pipelines: the supervision layer.
 
 A measurement campaign is a long sequence of independent capture
-points, and production-scale sweeps only finish because the harness
-tolerates partial failure: a worker OOM-killed by the kernel, a point
-that hangs in a pathological configuration, or a genuinely poisoned
-point that raises deterministically must not abort the whole run and
-discard every in-flight result.  This module supplies the pieces the
+points, and a pipeline a chain of stages over them; both only finish
+because the harness tolerates partial failure: a worker OOM-killed by
+the kernel, a point that hangs in a pathological configuration, or a
+genuinely poisoned point that raises deterministically must not abort
+the whole run and discard every in-flight result.  This module is the
+one executor both the
 :class:`~repro.experiments.runner.CampaignRunner` and the
-:class:`~repro.experiments.dag.DAGRunner` thread together:
+:class:`~repro.experiments.dag.DAGRunner` run their work on:
 
 * **failure classification** (:func:`classify_failure`) — *transient*
   worker failures (broken pools, pickling/IPC errors, OOM kills) are
@@ -15,23 +16,23 @@ discard every in-flight result.  This module supplies the pieces the
   pure function on the same inputs re-raises the same exception);
   *deadline* expiries sit in between (a hang may be load-dependent, so
   they retry like transients).
-* **retry policy** (:class:`RetryPolicy`) — attempt budget, per-point
+* **retry policy** (:class:`RetryPolicy`) — attempt budget, per-task
   wall-clock deadline, and exponential backoff whose jitter is derived
-  deterministically from the point key, so two runs of the same
+  deterministically from the task key, so two runs of the same
   campaign sleep identically (no ``random`` in the control path).
 * **failure fingerprints** (:class:`FailureFingerprint`) — exception
   type + message + a hash of the normalised traceback, so repeated
   failures of the same point are recognisably "the same crash".
 * **attempt ledger** (:class:`AttemptLedger`) — the single retry
   decision: count the failed attempt, fingerprint it, ask the policy.
+* **the executor** (:class:`SupervisedExecutor`) — runs keyed tasks
+  in-process or on one spawn pool, charges every failed attempt to its
+  ledger, kills workers that miss the deadline, reschedules the
+  collateral victims of a broken pool free of charge and falls back to
+  in-process execution after repeated pool collapses.
 * **quarantine** (:class:`Quarantine`) — a ``quarantine.jsonl`` sidecar
-  recording each poisoned point's fingerprints; the campaign completes
-  with an explicit partial-result manifest instead of dying.
-
-The campaign's checkpoint is its
-:class:`~repro.experiments.store.CaptureStore`: the runner stores each
-point the moment it resolves, and rerunning against the same store
-resumes a killed campaign.
+  recording each poisoned task's fingerprints; the run completes with
+  an explicit partial-result manifest instead of dying.
 
 Everything here is host-side machinery: it never touches simulated
 time, and resolved captures are byte-identical whether a point
@@ -46,14 +47,19 @@ import hashlib
 import json
 import os
 import pickle
+import time
 import traceback
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.store import fsync_dir, write_atomic
+from repro.obs.aggregate import AggregateRegistry, delta_envelope
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 
 #: Failure classes.  ``TRANSIENT`` failures are environmental and
 #: retryable; ``DETERMINISTIC`` failures repeat on every attempt;
@@ -65,7 +71,7 @@ DEADLINE = "deadline"
 
 
 class DeadlineExpired(Exception):
-    """A point exceeded its per-point wall-clock deadline."""
+    """A task exceeded its wall-clock deadline."""
 
 
 #: Exception types indicating the *worker* (not the simulation) failed:
@@ -227,6 +233,230 @@ def terminate_workers(pool: ProcessPoolExecutor) -> None:
             process.terminate()
         except Exception:
             pass
+
+
+#: How the watchdog polls in-flight tasks when a deadline is set
+#: (seconds).  Coarse enough to be free, fine enough that a kill lands
+#: within a small fraction of any realistic deadline.
+_WATCHDOG_TICK = 0.05
+
+
+def _run_observed(call: Callable[[Any, Telemetry], Any], item: Any,
+                  config: TelemetryConfig, key: str,
+                  ) -> Tuple[Any, Dict[str, Any]]:
+    """Spawn-worker entry point: run one task, ship its registry back.
+
+    The worker builds its own telemetry from the picklable ``config``
+    (span sinks stay per-process — workers default to the null sink).
+    That telemetry is fresh per task, so its whole registry *is* the
+    increment: it returns as one delta envelope identified by the task
+    key, which the parent's :class:`~repro.obs.aggregate.
+    AggregateRegistry` folds in exactly once — counters sum, gauges
+    land under this worker's label.
+    """
+    telemetry = config.build()
+    value = call(item, telemetry)
+    return value, delta_envelope(telemetry.registry,
+                                 source=f"worker-{os.getpid()}",
+                                 delta_id=key)
+
+
+class SupervisedExecutor:
+    """Run keyed tasks under one retry, deadline and pool policy.
+
+    A task is ``(key, item)``; running it means ``call(item,
+    telemetry)``, where ``call`` is a module-level function (picklable
+    under spawn).  :meth:`run` executes tasks either in-process against
+    the caller's telemetry, or on one ``spawn``-context
+    :class:`ProcessPoolExecutor` of up to ``workers`` processes — fresh
+    interpreters, so fork-safety of the simulator's global state is
+    never relied on.  Either way every failed attempt is charged to the
+    task's :class:`AttemptLedger`, and the supervision actions count on
+    ``registry`` as ``<prefix>.retries``, ``<prefix>.deadline_kills``,
+    ``<prefix>.pool_failures`` and ``<prefix>.degraded_serial``.
+
+    On the pool the parent is the watchdog: a task past
+    ``policy.deadline_s`` has its workers terminated and is charged a
+    :class:`DeadlineExpired` attempt.  A worker that dies underneath
+    (SIGKILL, OOM) breaks the whole pool and fails every in-flight
+    task; those collateral victims are rescheduled free of charge, and
+    after ``pool_failure_limit`` consecutive such collapses the rest
+    run in-process.
+    """
+
+    def __init__(self, policy: RetryPolicy, registry: MetricsRegistry,
+                 prefix: str, workers: int = 1, pool_failure_limit: int = 3):
+        self.policy = policy
+        self.workers = max(1, int(workers))
+        self.pool_failure_limit = max(1, int(pool_failure_limit))
+        self._registry = registry
+        self._prefix = prefix
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        self._registry.counter(f"{self._prefix}.{name}").inc(amount)
+
+    def isolates(self, count: int) -> bool:
+        """Would :meth:`run` put ``count`` tasks on the process pool?
+
+        Deadline enforcement needs a killable process, so a deadline
+        isolates even a single task.
+        """
+        return (self.policy.deadline_s is not None
+                or (self.workers > 1 and count > 1))
+
+    def run(self, call: Callable[[Any, Telemetry], Any],
+            tasks: Sequence[Tuple[str, Any]], telemetry: Telemetry,
+            on_done: Callable[[AttemptLedger, Any], None],
+            isolate: Optional[bool] = None) -> List[AttemptLedger]:
+        """Run every task to success or to an exhausted budget.
+
+        ``on_done(ledger, value)`` fires in this process the moment a
+        task succeeds (``ledger.attempts`` failed attempts before it),
+        so callers checkpoint as results arrive.  Returns the ledgers of
+        the tasks that failed for good, in the order they gave up.
+        ``isolate`` overrides :meth:`isolates` (``False`` for tasks that
+        cannot cross a process boundary).
+        """
+        if isolate is None:
+            isolate = self.isolates(len(tasks))
+        failed: List[AttemptLedger] = []
+        if isolate:
+            self._run_pool(call, tasks, telemetry, on_done, failed)
+        else:
+            for key, item in tasks:
+                self._settle(call, item, AttemptLedger(key, self.policy),
+                             telemetry, on_done, failed)
+        return failed
+
+    def _charge(self, ledger: AttemptLedger, exc: BaseException,
+                failed: List[AttemptLedger]) -> Optional[float]:
+        """Charge one failed attempt: the backoff, or None once spent."""
+        delay = ledger.charge(exc)
+        if delay is None:
+            failed.append(ledger)
+        else:
+            self._count("retries")
+        return delay
+
+    def _settle(self, call: Callable[[Any, Telemetry], Any], item: Any,
+                ledger: AttemptLedger, telemetry: Telemetry,
+                on_done: Callable[[AttemptLedger, Any], None],
+                failed: List[AttemptLedger]) -> None:
+        """Run one task in-process until it succeeds or gives up."""
+        while True:
+            try:
+                value = call(item, telemetry)
+            except Exception as exc:
+                delay = self._charge(ledger, exc, failed)
+                if delay is None:
+                    return
+                time.sleep(delay)
+                continue
+            on_done(ledger, value)
+            return
+
+    def _run_pool(self, call: Callable[[Any, Telemetry], Any],
+                  tasks: Sequence[Tuple[str, Any]], telemetry: Telemetry,
+                  on_done: Callable[[AttemptLedger, Any], None],
+                  failed: List[AttemptLedger]) -> None:
+        deadline = self.policy.deadline_s
+        items = dict(tasks)
+        ledgers = {key: AttemptLedger(key, self.policy) for key in items}
+        # Unresolved task -> when its next attempt may start (backoff).
+        ready_at = {key: 0.0 for key in items}
+        config = telemetry.config()
+        aggregate = AggregateRegistry(telemetry.registry)
+        consecutive_breaks = 0
+        pool: Optional[ProcessPoolExecutor] = None
+
+        def fail(key: str, exc: BaseException) -> None:
+            delay = self._charge(ledgers[key], exc, failed)
+            if delay is None:
+                del ready_at[key]
+            else:
+                ready_at[key] = time.monotonic() + delay
+
+        try:
+            while ready_at:
+                if consecutive_breaks >= self.pool_failure_limit:
+                    # Graceful degradation: the pool keeps collapsing,
+                    # so finish in-process (no deadline — there is
+                    # nothing left to kill safely).
+                    rest = [key for key in items if key in ready_at]
+                    self._count("degraded_serial", len(rest))
+                    for key in rest:
+                        self._settle(call, items[key], ledgers[key],
+                                     telemetry, on_done, failed)
+                    return
+                backoff = min(ready_at.values()) - time.monotonic()
+                if backoff > 0:
+                    time.sleep(backoff)
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=min(self.workers, len(ready_at)),
+                        mp_context=get_context("spawn"))
+                now = time.monotonic()
+                futures = {pool.submit(_run_observed, call, items[key],
+                                       config, key): key
+                           for key in items
+                           if key in ready_at and ready_at[key] <= now}
+                expired: set = set()
+                killed = broke = False
+                remaining = set(futures)
+                while remaining:
+                    watching = deadline is not None and not broke
+                    done, remaining = wait(
+                        remaining, timeout=_WATCHDOG_TICK if watching else None,
+                        return_when=FIRST_COMPLETED)
+                    for future in done:
+                        key = futures[future]
+                        try:
+                            value, envelope = future.result()
+                        except BrokenExecutor:
+                            # The pool collapsed under this task: the
+                            # watchdog killed it, or a worker died.  Only
+                            # the expired task is charged; collateral
+                            # victims are rescheduled free — their
+                            # failure says nothing about them.  (A task's
+                            # own OSError arrives as a plain exception.)
+                            broke = True
+                            if key in expired:
+                                fail(key, DeadlineExpired(
+                                    f"task {key[:12]} exceeded its "
+                                    f"{deadline}s deadline"))
+                            continue
+                        except Exception as exc:
+                            # The task itself failed in a healthy worker.
+                            fail(key, exc)
+                            continue
+                        aggregate.apply(envelope)
+                        del ready_at[key]
+                        on_done(ledgers[key], value)
+                    if watching and time.monotonic() - now > deadline:
+                        overdue = [key for future, key in futures.items()
+                                   if not future.done() and key not in expired]
+                        if overdue:
+                            expired.update(overdue)
+                            self._count("deadline_kills", len(overdue))
+                            killed = True
+                            terminate_workers(pool)
+                # Only an organic collapse (not the watchdog's own
+                # kill) counts toward degrading to in-process runs.
+                organic = broke and not killed
+                consecutive_breaks = consecutive_breaks + 1 if organic else 0
+                if organic:
+                    self._count("pool_failures")
+                if broke:
+                    pool.shutdown(wait=False)
+                    pool = None
+            # Every future is done: join the idle workers so none
+            # outlives the run and competes with what runs next.
+            if pool is not None:
+                pool.shutdown(wait=True)
+                pool = None
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=False)
 
 
 @dataclass

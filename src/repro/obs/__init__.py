@@ -23,11 +23,9 @@ simulation hot path never needs.
 
 from repro.obs.aggregate import (
     AggregateRegistry,
-    DeltaTracker,
     EventBroker,
     Subscription,
     delta_envelope,
-    registry_delta,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -62,11 +60,9 @@ __all__ = [
     "DEFAULT_PROBE_INTERVAL",
     "ClusterProbes",
     "Counter",
-    "DeltaTracker",
     "EventBroker",
     "Subscription",
     "delta_envelope",
-    "registry_delta",
     "FileSink",
     "Gauge",
     "Histogram",

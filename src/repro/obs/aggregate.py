@@ -1,15 +1,13 @@
 """Mergeable registries and live event fan-out for ``keddah serve``.
 
-Campaign workers used to ship one full registry snapshot per completed
-point, and the parent folded it in with ``Telemetry.absorb`` — fine for
-an end-of-run report, useless for a live view: a re-delivered snapshot
-double-counts, and two workers' gauges overwrite each other blindly.
-This module is the aggregation layer the serve daemon stands on:
+Executor workers ship their registries back to the parent; a live view
+needs the merge to be idempotent (a re-delivered registry must not
+double-count) and gauges from two workers must not overwrite each
+other blindly.  This module is the aggregation layer the serve daemon
+stands on:
 
-* :func:`registry_delta` / :class:`DeltaTracker` — turn a registry into
-  *incremental* deltas (what changed since the last shipment), so a
-  long-lived worker can stream updates instead of ever-growing
-  snapshots;
+* :func:`delta_envelope` — one worker registry wrapped as an
+  identified delta;
 * :class:`AggregateRegistry` — the parent-side merge target.  Counters
   and histogram buckets **add**, gauges are **last-write-wins under a
   ``worker`` label** (each source keeps its own gauge series), and every
@@ -31,7 +29,7 @@ import queue
 import threading
 import time as _time
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -39,92 +37,20 @@ from repro.obs.metrics import MetricsRegistry
 WORKER_LABEL = "worker"
 
 
-# -- delta computation (worker side) -------------------------------------------------
+# -- delta envelopes (worker side) ---------------------------------------------------
 
 
-def _entry_key(entry: Dict[str, Any]) -> Tuple[str, str, Tuple[Tuple[str, str], ...]]:
-    labels = entry.get("labels") or {}
-    return (entry["type"], entry["name"],
-            tuple(sorted((str(k), str(v)) for k, v in labels.items())))
-
-
-def registry_delta(previous: Iterable[Dict[str, Any]],
-                   current: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Snapshot entries representing ``current - previous``.
-
-    Counters carry the value increase (entries that did not move are
-    dropped); histograms carry per-bucket count increases plus the
-    sum/count increase; gauges always pass through their current value
-    (a gauge's delta *is* its level).  Metrics absent from ``previous``
-    appear whole.
-    """
-    before = {_entry_key(entry): entry for entry in previous}
-    delta: List[Dict[str, Any]] = []
-    for entry in current:
-        prior = before.get(_entry_key(entry))
-        if prior is None:
-            if entry["type"] != "counter" or entry["value"]:
-                delta.append(dict(entry))
-            continue
-        if entry["type"] == "counter":
-            moved = entry["value"] - prior["value"]
-            if moved:
-                changed = dict(entry)
-                changed["value"] = moved
-                delta.append(changed)
-        elif entry["type"] == "gauge":
-            delta.append(dict(entry))
-        else:  # histogram
-            counts = [now - then for now, then
-                      in zip(entry["counts"], prior["counts"])]
-            if any(counts):
-                changed = dict(entry)
-                changed["counts"] = counts
-                changed["sum"] = entry["sum"] - prior["sum"]
-                changed["count"] = entry["count"] - prior["count"]
-                delta.append(changed)
-    return delta
-
-
-class DeltaTracker:
-    """Produces successive delta envelopes for one registry.
-
-    Each call to :meth:`delta` returns everything that changed since the
-    previous call, wrapped in an envelope carrying the tracker's
-    ``source`` name and a monotonically increasing per-source ``seq``
-    (which doubles as the delta id for idempotent re-delivery).
-    """
-
-    def __init__(self, registry: MetricsRegistry, source: str):
-        self.registry = registry
-        self.source = source
-        self._previous: List[Dict[str, Any]] = []
-        self._seq = 0
-
-    def delta(self, **extra: Any) -> Dict[str, Any]:
-        current = self.registry.snapshot()
-        entries = registry_delta(self._previous, current)
-        self._previous = current
-        self._seq += 1
-        envelope = {"source": self.source, "delta_id": f"seq-{self._seq}",
-                    "metrics": entries}
-        envelope.update(extra)
-        return envelope
-
-
-def delta_envelope(registry: MetricsRegistry, source: str, delta_id: str,
-                   **extra: Any) -> Dict[str, Any]:
+def delta_envelope(registry: MetricsRegistry, source: str,
+                   delta_id: str) -> Dict[str, Any]:
     """One-shot envelope: a whole registry as a single identified delta.
 
-    This is what campaign workers ship — their telemetry is fresh per
-    point, so the full snapshot *is* the increment; ``delta_id`` (the
-    point's content hash) makes re-delivery of the same completed point
-    a no-op on the aggregate side.
+    This is what executor workers ship — their telemetry is fresh per
+    task, so the full snapshot *is* the increment; ``delta_id`` (the
+    task key) makes re-delivery of the same completed task a no-op on
+    the aggregate side.
     """
-    envelope = {"source": source, "delta_id": delta_id,
-                "metrics": registry.snapshot()}
-    envelope.update(extra)
-    return envelope
+    return {"source": source, "delta_id": delta_id,
+            "metrics": registry.snapshot()}
 
 
 # -- the merge target (parent side) --------------------------------------------------
@@ -144,7 +70,7 @@ class AggregateRegistry:
     ============  ==================================================
 
     An envelope is ``{"source": str, "delta_id": str, "metrics": [...]}``
-    (:func:`delta_envelope` / :class:`DeltaTracker` build them).  The
+    (:func:`delta_envelope` builds them).  The
     ``(source, delta_id)`` pair identifies the delta: applying the same
     pair twice counts once — the runner may re-deliver a completion
     after a pool collapse.

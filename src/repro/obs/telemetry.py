@@ -19,15 +19,16 @@ only *read* engine state, so capture traces are byte-identical either
 way (pinned by the determinism tests).
 
 :class:`TelemetryConfig` is the picklable recipe used to re-create an
-equivalent telemetry in campaign worker processes; workers send their
-registry snapshots back and the parent merges them
-(:meth:`Telemetry.absorb`).
+equivalent telemetry in executor worker processes; workers send their
+registries back as delta envelopes
+(:func:`~repro.obs.aggregate.delta_envelope`) that the parent folds
+into an :class:`~repro.obs.aggregate.AggregateRegistry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import ProbeLog
@@ -45,7 +46,7 @@ DEFAULT_PROBE_INTERVAL = 1.0
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Picklable telemetry recipe (what campaign workers receive).
+    """Picklable telemetry recipe (what executor workers receive).
 
     ``sink`` names a sink kind rather than carrying one: ``"null"``,
     ``"memory"`` or ``"file:<path>"``.  Workers default to ``"null"`` —
@@ -107,7 +108,7 @@ class Telemetry:
                    probe_interval=probe_interval,
                    probe_max_samples=probe_max_samples)
 
-    # -- campaign aggregation ------------------------------------------------------
+    # -- worker recipe -------------------------------------------------------------
 
     def config(self, sink: str = "null") -> TelemetryConfig:
         """The picklable recipe reproducing this telemetry's settings."""
@@ -116,17 +117,6 @@ class Telemetry:
                                DEFAULT_PROBE_INTERVAL,
                                sink=sink,
                                probe_max_samples=self.probe_max_samples)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable registry + tracer counters (what workers return)."""
-        return {"metrics": self.registry.snapshot(),
-                "spans_emitted": self.tracer.spans_emitted}
-
-    def absorb(self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Merge a worker's :meth:`snapshot` into this telemetry."""
-        if not snapshot:
-            return
-        self.registry.merge(snapshot.get("metrics", ()))
 
     # -- convenience ---------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Registry deltas, the aggregate merge target and the event broker."""
+"""The aggregate merge target and the event broker."""
 
 import threading
 
@@ -6,73 +6,11 @@ import pytest
 
 from repro.obs import (
     AggregateRegistry,
-    DeltaTracker,
     EventBroker,
     MetricsRegistry,
     delta_envelope,
-    registry_delta,
 )
 from repro.obs.aggregate import WORKER_LABEL
-
-
-# -- registry_delta / DeltaTracker ---------------------------------------------------
-
-
-def test_counter_delta_carries_only_movement():
-    registry = MetricsRegistry()
-    registry.counter("a").inc(3)
-    registry.counter("b").inc(1)
-    before = registry.snapshot()
-    registry.counter("a").inc(2)
-    delta = registry_delta(before, registry.snapshot())
-    assert [(e["name"], e["value"]) for e in delta] == [("a", 2.0)]
-
-
-def test_new_metrics_appear_whole_and_zero_counters_drop():
-    registry = MetricsRegistry()
-    registry.counter("seen").inc(5)
-    before = registry.snapshot()
-    registry.counter("fresh").inc(7)
-    registry.counter("idle")  # created but never incremented
-    delta = registry_delta(before, registry.snapshot())
-    assert [(e["name"], e["value"]) for e in delta] == [("fresh", 7.0)]
-
-
-def test_gauge_delta_is_its_level():
-    registry = MetricsRegistry()
-    registry.gauge("depth").set(4.0)
-    before = registry.snapshot()
-    registry.gauge("depth").set(9.0)
-    delta = registry_delta(before, registry.snapshot())
-    assert [(e["name"], e["value"]) for e in delta] == [("depth", 9.0)]
-
-
-def test_histogram_delta_is_per_bucket():
-    registry = MetricsRegistry()
-    hist = registry.histogram("lat", buckets=(1.0, 10.0))
-    hist.observe(0.5)
-    before = registry.snapshot()
-    hist.observe(0.5)
-    hist.observe(5.0)
-    (entry,) = registry_delta(before, registry.snapshot())
-    assert entry["counts"] == [1, 1, 0]
-    assert entry["count"] == 2
-    assert entry["sum"] == pytest.approx(5.5)
-
-
-def test_delta_tracker_deltas_reassemble_the_registry():
-    registry = MetricsRegistry()
-    tracker = DeltaTracker(registry, source="w1")
-    target = AggregateRegistry()
-    registry.counter("points").inc(2)
-    target.apply(tracker.delta())
-    registry.counter("points").inc(3)
-    registry.gauge("depth").set(1.5)
-    target.apply(tracker.delta())
-    assert target.registry.value("points") == 5.0
-    assert target.registry.value("depth", **{WORKER_LABEL: "w1"}) == 1.5
-    # Envelope ids increase per source.
-    assert tracker.delta()["delta_id"] == "seq-3"
 
 
 # -- AggregateRegistry ---------------------------------------------------------------
@@ -91,9 +29,8 @@ def test_counters_sum_unlabeled_across_sources():
     aggregate = AggregateRegistry()
     aggregate.apply(_worker_envelope("w1", "p1", counter=10))
     aggregate.apply(_worker_envelope("w2", "p2", counter=32))
-    # The cluster-wide total lands on the plain, unlabeled counter —
-    # the same series Telemetry.absorb fed, so end-of-run assertions
-    # keep working unchanged.
+    # The cluster-wide total lands on the plain, unlabeled counter, so
+    # end-of-run assertions read one series.
     assert aggregate.registry.value("sim.events_fired") == 42.0
 
 

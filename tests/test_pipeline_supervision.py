@@ -1,0 +1,50 @@
+"""The built-in pipeline on the supervised executor: what a node keeps
+when it runs in a worker, and what the run's worker count may not touch."""
+
+import json
+
+from repro.experiments.dag import CACHED, DONE, DAGRunner, PipelineDAG
+from repro.experiments.pipelines import (
+    PipelineSpec,
+    build_pipeline,
+    capture_point_payloads,
+)
+from repro.experiments.supervision import RetryPolicy
+
+SPEC = PipelineSpec(jobs=("grep",), sizes_gb=(0.0625, 0.125),
+                    campaign={"nodes": 4, "hosts_per_rack": 2})
+
+
+def _metric(metrics_path, name):
+    entries = json.loads(metrics_path.read_text(encoding="utf-8"))
+    return [entry["value"] for entry in entries
+            if entry["name"] == name and not entry.get("labels")]
+
+
+def test_deadline_run_capture_keeps_its_telemetry(tmp_path):
+    # A deadline puts a registry stage on the executor's spawn pool; the
+    # worker's registry must come back into the node's telemetry.
+    dag = PipelineDAG("capture-only")
+    dag.add(build_pipeline(SPEC).node("capture"))
+    root = tmp_path / "pl"
+    result = DAGRunner(dag, root,
+                       retry_policy=RetryPolicy(max_attempts=1,
+                                                deadline_s=120.0),
+                       node_telemetry=True).run()
+    assert result.states() == {"capture": DONE}
+    metrics = root / result.outcomes["capture"].dir / "telemetry" / \
+        "metrics.json"
+    assert _metric(metrics, "campaign.simulated") == \
+        [len(capture_point_payloads(SPEC))]
+
+
+def test_worker_count_does_not_rekey_the_capture_sweep(tmp_path):
+    root = tmp_path / "pl"
+    first = DAGRunner(build_pipeline(SPEC.with_overrides(workers=1)),
+                      root).run()
+    assert first.states()["capture"] == DONE
+
+    wider = DAGRunner(build_pipeline(SPEC.with_overrides(workers=2)), root)
+    actions = {entry["node"]: entry["action"] for entry in wider.plan()}
+    assert actions["capture"] == CACHED
+    assert set(actions.values()) == {CACHED}

@@ -138,16 +138,6 @@ def test_telemetry_config_rejects_unknown_sink():
         TelemetryConfig(enabled=True, sink="teapot").build_sink()
 
 
-def test_snapshot_absorb_merges_counters():
-    worker = Telemetry.disabled()
-    worker.registry.counter("sim.events_fired").inc(10)
-    parent = Telemetry.enabled_in_memory()
-    parent.registry.counter("sim.events_fired").inc(1)
-    parent.absorb(worker.snapshot())
-    parent.absorb(None)  # tolerated
-    assert parent.registry.value("sim.events_fired") == 11.0
-
-
 def _points(sizes=(0.125, 0.25)):
     campaign = CampaignConfig(nodes=4, hosts_per_rack=2, num_reducers=2)
     return [CapturePoint.from_campaign("terasort", size, 90 + index, campaign)
