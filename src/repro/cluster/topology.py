@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import networkx as nx
+from networkx.algorithms.shortest_paths.generic import (
+    _build_paths_from_predecessors,
+)
 
 from repro.simkit.rng import stable_hash
 
@@ -79,7 +82,8 @@ class Topology:
     graph: nx.Graph
     hosts: List[Host]
     kind: str
-    _paths: Dict[Tuple[str, str], List[List[object]]] = field(default_factory=dict, repr=False)
+    _predecessors: Dict[object, Dict[object, List[object]]] = field(
+        default_factory=dict, repr=False)
     _selected_paths: Dict[Tuple[str, str], List[object]] = field(default_factory=dict, repr=False)
     _host_by_name: Dict[str, Host] = field(default_factory=dict, repr=False)
 
@@ -108,20 +112,50 @@ class Topology:
         if src == dst:
             return [src]
         key = (src.name, dst.name)
-        # The *selected* path is cached too: ECMP is per-pair stable, so
-        # the stable_hash draw need only ever happen once per pair.
+        # ECMP is per-pair stable, so the selected path is cached and
+        # the stable_hash draw happens once per pair.
         selected = self._selected_paths.get(key)
         if selected is not None:
             return selected
-        candidates = self._paths.get(key)
-        if candidates is None:
-            candidates = list(
-                itertools.islice(nx.all_shortest_paths(self.graph, src, dst), 16))
-            self._paths[key] = candidates
+        candidates = list(itertools.islice(self._shortest_paths(src, dst), 16))
         index = stable_hash(f"{src.name}->{dst.name}") % len(candidates)
         selected = candidates[index]
         self._selected_paths[key] = selected
         return selected
+
+    def _shortest_paths(self, src: object, dst: object) -> Iterator[List[object]]:
+        """``nx.all_shortest_paths(graph, src, dst)``, in networkx's order,
+        from one cached BFS per switch instead of one BFS per pair.
+
+        A leaf (a host on one switch) reaches everything through its
+        one neighbour, and a BFS from that neighbour finds every other
+        node in the same order as a BFS from the leaf.  So each shortest
+        path is the host, a shortest path between the two hosts'
+        switches, then the other host, and networkx's own walk back
+        over the switch's BFS yields them in the same order.  One BFS
+        serves every host behind a switch, and the cache drops leaf
+        entries (about ``switches²`` entries, not ``hosts × nodes``).
+        """
+        first, last = self._attachment(src), self._attachment(dst)
+        pred = self._predecessors.get(first)
+        if pred is None:
+            pred = {node: hops for node, hops
+                    in nx.predecessor(self.graph, first).items()
+                    if self._attachment(node) is node}
+            self._predecessors[first] = pred
+        head = [] if first is src else [src]
+        tail = [] if last is dst else [dst]
+        return (head + walk + tail for walk
+                in _build_paths_from_predecessors({first}, last, pred))
+
+    def _attachment(self, node: object) -> object:
+        """A leaf's one neighbour (unless that is a leaf too); else ``node``."""
+        neighbours = self.graph[node]
+        if len(neighbours) == 1:
+            (hub,) = neighbours
+            if len(self.graph[hub]) > 1:
+                return hub
+        return node
 
     def edges_on_path(self, nodes: List[object]) -> List[Tuple[object, object]]:
         """The (u, v) directed hops of a node path."""

@@ -47,6 +47,7 @@ import hashlib
 import json
 import os
 import pickle
+import queue
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
@@ -241,10 +242,44 @@ def terminate_workers(pool: ProcessPoolExecutor) -> None:
 _WATCHDOG_TICK = 0.05
 
 
+#: Worker-side only: where :func:`_run_observed` posts ``(key, start
+#: time)`` for the parent's deadline watchdog.  Set by the pool
+#: initializer; ``None`` when no deadline is enforced.
+_start_queue: Optional[Any] = None
+
+
+def _install_start_queue(starts: Optional[Any]) -> None:
+    """Pool initializer: keep the watchdog's start queue in the worker."""
+    global _start_queue
+    _start_queue = starts
+
+
+def _drain_starts(starts: Any, started: Dict[str, float],
+                  since: float) -> None:
+    """Move posted task starts into ``started``.
+
+    A start before ``since`` is left over from an earlier round (the
+    post can arrive after the task's result) and is dropped.
+    """
+    while True:
+        try:
+            key, at = starts.get_nowait()
+        except queue.Empty:
+            return
+        if at >= since:
+            started[key] = at
+
+
 def _run_observed(call: Callable[[Any, Telemetry], Any], item: Any,
                   config: TelemetryConfig, key: str,
-                  ) -> Tuple[Any, Dict[str, Any]]:
+                  ) -> Tuple[Any, Dict[str, Any], float]:
     """Spawn-worker entry point: run one task, ship its registry back.
+
+    The task's deadline clock runs from here, not from its submission:
+    pool start-up and queueing behind other tasks are not the task's
+    time.  Under a deadline the start is posted for the watchdog, and
+    the run time returns with the result, so a task that overran is
+    caught even when it finished between two watchdog ticks.
 
     The worker builds its own telemetry from the picklable ``config``
     (span sinks stay per-process — workers default to the null sink).
@@ -254,11 +289,15 @@ def _run_observed(call: Callable[[Any, Telemetry], Any], item: Any,
     AggregateRegistry` folds in exactly once — counters sum, gauges
     land under this worker's label.
     """
+    began = time.monotonic()
+    if _start_queue is not None:
+        _start_queue.put((key, began))
     telemetry = config.build()
     value = call(item, telemetry)
+    ran = time.monotonic() - began
     return value, delta_envelope(telemetry.registry,
                                  source=f"worker-{os.getpid()}",
-                                 delta_id=key)
+                                 delta_id=key), ran
 
 
 class SupervisedExecutor:
@@ -275,13 +314,14 @@ class SupervisedExecutor:
     ``registry`` as ``<prefix>.retries``, ``<prefix>.deadline_kills``,
     ``<prefix>.pool_failures`` and ``<prefix>.degraded_serial``.
 
-    On the pool the parent is the watchdog: a task past
-    ``policy.deadline_s`` has its workers terminated and is charged a
-    :class:`DeadlineExpired` attempt.  A worker that dies underneath
-    (SIGKILL, OOM) breaks the whole pool and fails every in-flight
-    task; those collateral victims are rescheduled free of charge, and
-    after ``pool_failure_limit`` consecutive such collapses the rest
-    run in-process.
+    On the pool the parent is the watchdog: a task running longer than
+    ``policy.deadline_s`` (timed from when a worker started it) has its
+    workers terminated and is charged a :class:`DeadlineExpired`
+    attempt; so is one whose result shows it overran between ticks.
+    A worker that dies underneath (SIGKILL, OOM) breaks the whole pool
+    and fails every in-flight task; those collateral victims are
+    rescheduled free of charge, and after ``pool_failure_limit``
+    consecutive such collapses the rest run in-process.
     """
 
     def __init__(self, policy: RetryPolicy, registry: MetricsRegistry,
@@ -368,6 +408,10 @@ class SupervisedExecutor:
         aggregate = AggregateRegistry(telemetry.registry)
         consecutive_breaks = 0
         pool: Optional[ProcessPoolExecutor] = None
+        # Workers post task starts here when a deadline is set.  Each
+        # pool gets its own queue: a worker killed mid-post can leave a
+        # queue's lock held.
+        starts: Optional[Any] = None
 
         def fail(key: str, exc: BaseException) -> None:
             delay = self._charge(ledgers[key], exc, failed)
@@ -392,15 +436,19 @@ class SupervisedExecutor:
                 if backoff > 0:
                     time.sleep(backoff)
                 if pool is None:
+                    context = get_context("spawn")
+                    starts = context.Queue() if deadline is not None else None
                     pool = ProcessPoolExecutor(
                         max_workers=min(self.workers, len(ready_at)),
-                        mp_context=get_context("spawn"))
+                        mp_context=context,
+                        initializer=_install_start_queue, initargs=(starts,))
                 now = time.monotonic()
                 futures = {pool.submit(_run_observed, call, items[key],
                                        config, key): key
                            for key in items
                            if key in ready_at and ready_at[key] <= now}
                 expired: set = set()
+                started: Dict[str, float] = {}
                 killed = broke = False
                 remaining = set(futures)
                 while remaining:
@@ -411,7 +459,7 @@ class SupervisedExecutor:
                     for future in done:
                         key = futures[future]
                         try:
-                            value, envelope = future.result()
+                            value, envelope, ran = future.result()
                         except BrokenExecutor:
                             # The pool collapsed under this task: the
                             # watchdog killed it, or a worker died.  Only
@@ -429,12 +477,21 @@ class SupervisedExecutor:
                             # The task itself failed in a healthy worker.
                             fail(key, exc)
                             continue
+                        if deadline is not None and ran > deadline:
+                            # Overran, but finished before a tick saw it.
+                            fail(key, DeadlineExpired(
+                                f"task {key[:12]} ran {ran:.3f}s, past its "
+                                f"{deadline}s deadline"))
+                            continue
                         aggregate.apply(envelope)
                         del ready_at[key]
                         on_done(ledgers[key], value)
-                    if watching and time.monotonic() - now > deadline:
+                    if watching:
+                        _drain_starts(starts, started, since=now)
+                        tick = time.monotonic()
                         overdue = [key for future, key in futures.items()
-                                   if not future.done() and key not in expired]
+                                   if not future.done() and key not in expired
+                                   and tick - started.get(key, tick) > deadline]
                         if overdue:
                             expired.update(overdue)
                             self._count("deadline_kills", len(overdue))

@@ -22,7 +22,11 @@ Two implementations live here:
   to dense integer ids (so the inner loop never hashes topology-node
   tuples), and the water-filling inner loop replaces the per-round
   ``min()`` scans with a lazy heap of link fair shares plus a heap of
-  flow caps — O((F + L) log L) per recompute.
+  cap values.  The deltas also keep the set of loaded link ids and the
+  routed capped flows grouped by cap value (one *cap class* per
+  distinct cap), so a recompute's set-up is O(loaded links + distinct
+  caps), not O(all links + capped flows); the rounds then cost
+  O((F + L) log L).
 """
 
 from __future__ import annotations
@@ -121,16 +125,22 @@ class FairShareAllocator:
     """
 
     __slots__ = ("_link_ids", "_link_keys", "_link_caps", "_members",
-                 "_flow_links", "_flow_caps", "recomputes", "rounds",
-                 "allocator_seconds")
+                 "_loaded", "_flow_links", "_flow_caps", "_cap_classes",
+                 "_linkless", "recomputes", "rounds", "allocator_seconds")
 
     def __init__(self, capacities: Optional[Mapping[Hashable, float]] = None):
         self._link_ids: Dict[Hashable, int] = {}   # external link key -> dense id
         self._link_keys: List[Hashable] = []       # dense id -> external link key
         self._link_caps: List[float] = []          # id -> capacity, bytes/s
         self._members: List[Set[Hashable]] = []    # id -> flows crossing the link
+        self._loaded: Set[int] = set()             # ids with at least one member
         self._flow_links: Dict[Hashable, List[int]] = {}
         self._flow_caps: Dict[Hashable, float] = {}
+        # Routed capped flows by cap value: the cap heap holds one entry
+        # per distinct cap, not one per flow.
+        self._cap_classes: Dict[float, Set[Hashable]] = {}
+        # Flows with no links, in admission order (rate = cap or inf).
+        self._linkless: Dict[Hashable, None] = {}
         self.recomputes = 0
         self.rounds = 0
         self.allocator_seconds = 0.0
@@ -182,11 +192,7 @@ class FairShareAllocator:
         except KeyError as missing:
             raise KeyError(
                 f"unknown link {missing.args[0]!r}; call set_capacity first") from None
-        self._flow_links[flow] = ids
-        for link_id in ids:
-            self._members[link_id].add(flow)
-        if cap is not None:
-            self._flow_caps[flow] = float(cap)
+        self._enter(flow, ids, cap)
         return ids
 
     def add_flows(self, entries: Sequence[Tuple[Hashable, Sequence[Hashable],
@@ -196,14 +202,13 @@ class FairShareAllocator:
 
         ``entries`` is ``(flow, links, cap)`` per flow.  Same state
         transitions and validation as the per-flow calls in the same
-        order — the grouping only hoists the attribute and dict lookups
-        out of the per-flow path.  Returns each flow's link ids, as
+        order — the grouping only hoists the link-id resolution out of
+        the per-flow path.  Returns each flow's link ids, as
         :meth:`add_flow` does.
         """
         link_ids = self._link_ids
         flow_links = self._flow_links
-        flow_caps = self._flow_caps
-        members = self._members
+        enter = self._enter
         # Same-wave flows often share their ``links`` object (the
         # caller resolves each (src, dst) pair once); the resolved id
         # list is read-only, so sharing it between flows is safe.
@@ -222,35 +227,56 @@ class FairShareAllocator:
                     raise KeyError(f"unknown link {missing.args[0]!r}; "
                                    f"call set_capacity first") from None
                 ids_memo[id(links)] = ids
-            flow_links[flow] = ids
+            enter(flow, ids, cap)
             result.append(ids)
+        return result
+
+    def _enter(self, flow: Hashable, ids: List[int],
+               cap: Optional[float]) -> None:
+        """Record a validated flow in every membership structure."""
+        self._flow_links[flow] = ids
+        if ids:
+            members = self._members
+            loaded = self._loaded
             for link_id in ids:
                 members[link_id].add(flow)
-            if cap is not None:
-                flow_caps[flow] = float(cap)
-        return result
+                loaded.add(link_id)
+        else:
+            self._linkless[flow] = None
+        if cap is not None:
+            cap = float(cap)
+            self._flow_caps[flow] = cap
+            if ids:
+                self._cap_classes.setdefault(cap, set()).add(flow)
 
     def remove_flow(self, flow: Hashable) -> None:
         """Remove a completed (or aborted) flow."""
-        ids = self._flow_links.pop(flow, None)
-        if ids is None:
-            raise KeyError(f"flow {flow!r} is not active")
-        for link_id in ids:
-            self._members[link_id].discard(flow)
-        self._flow_caps.pop(flow, None)
+        self.remove_flows((flow,))
 
     def remove_flows(self, flows: Sequence[Hashable]) -> None:
         """Grouped :meth:`remove_flow` for a completion wave, in order."""
         flow_links = self._flow_links
         flow_caps = self._flow_caps
         members = self._members
+        loaded = self._loaded
         for flow in flows:
             ids = flow_links.pop(flow, None)
             if ids is None:
                 raise KeyError(f"flow {flow!r} is not active")
+            cap = flow_caps.pop(flow, None)
+            if not ids:
+                del self._linkless[flow]
+                continue
             for link_id in ids:
-                members[link_id].discard(flow)
-            flow_caps.pop(flow, None)
+                crossing = members[link_id]
+                crossing.discard(flow)
+                if not crossing:
+                    loaded.discard(link_id)
+            if cap is not None:
+                capped = self._cap_classes[cap]
+                capped.discard(flow)
+                if not capped:
+                    del self._cap_classes[cap]
 
     def rates(self) -> Dict[Hashable, float]:
         """Max-min fair rates of all active flows (see :func:`max_min_rates`)."""
@@ -264,13 +290,11 @@ class FairShareAllocator:
         flow_caps = self._flow_caps
         members = self._members
         link_caps = self._link_caps
+        cap_classes = self._cap_classes
         rates: Dict[Hashable, float] = {}
-        remaining = 0
-        for flow, ids in self._flow_links.items():
-            if ids:
-                remaining += 1
-            else:
-                rates[flow] = flow_caps.get(flow, float("inf"))
+        for flow in self._linkless:
+            rates[flow] = flow_caps.get(flow, float("inf"))
+        remaining = len(self._flow_links) - len(self._linkless)
         if not remaining:
             return rates
 
@@ -280,16 +304,16 @@ class FairShareAllocator:
         count: Dict[int, int] = {}
         residual: Dict[int, float] = {}
         heap: List[Tuple[float, int]] = []
-        for link_id, flows_on in enumerate(members):
-            loaded = len(flows_on)
-            if loaded:
-                count[link_id] = loaded
-                residual[link_id] = link_caps[link_id]
-                heap.append((link_caps[link_id] / loaded, link_id))
+        for link_id in self._loaded:
+            loaded = len(members[link_id])
+            count[link_id] = loaded
+            residual[link_id] = link_caps[link_id]
+            heap.append((link_caps[link_id] / loaded, link_id))
         heapq.heapify(heap)
-        cap_heap: List[Tuple[float, Hashable]] = [
-            (cap, flow) for flow, cap in flow_caps.items()
-            if self._flow_links.get(flow)]
+        # One entry per cap class.  A class is *spent* once every member
+        # froze; spent classes are only looked at (and dropped) when
+        # their cap would otherwise undercut the link share.
+        cap_heap: List[float] = list(cap_classes)
         heapq.heapify(cap_heap)
         frozen: Set[Hashable] = set()
         flow_links = self._flow_links
@@ -316,21 +340,26 @@ class FairShareAllocator:
                     continue
                 link_share = share
                 break
-            while cap_heap and cap_heap[0][1] in frozen:
-                heapq.heappop(cap_heap)
-            cap_share = cap_heap[0][0] if cap_heap else float("inf")
-            bottleneck = cap_share if cap_share < link_share else link_share
+            # The smallest cap of a class with an unfrozen member, when
+            # it undercuts the link share (otherwise the link binds).
+            bottleneck = link_share
+            while cap_heap and cap_heap[0] < link_share:
+                if frozen.issuperset(cap_classes[cap_heap[0]]):
+                    heapq.heappop(cap_heap)
+                    continue
+                bottleneck = cap_heap[0]
+                break
             if bottleneck == float("inf"):
                 raise RuntimeError(
                     "water-filling stalled with unfrozen flows (allocator bug)")
             rate = bottleneck if bottleneck > 0.0 else 0.0
             threshold = bottleneck * (1.0 + _EPS)
             newly: List[Hashable] = []
-            while cap_heap and cap_heap[0][0] <= threshold:
-                _, capped = heapq.heappop(cap_heap)
-                if capped not in frozen:
-                    frozen.add(capped)
-                    newly.append(capped)
+            while cap_heap and cap_heap[0] <= threshold:
+                for capped in cap_classes[heapq.heappop(cap_heap)]:
+                    if capped not in frozen:
+                        frozen.add(capped)
+                        newly.append(capped)
             while heap and heap[0][0] <= threshold:
                 share, candidate = heapq.heappop(heap)
                 loaded = count[candidate]

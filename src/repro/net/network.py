@@ -66,7 +66,7 @@ included.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import Host, Topology
 from repro.net.backend import ENGINE_NAMES, FlowRequest, TransportBackend
@@ -145,8 +145,9 @@ class FlowNetwork(TransportBackend):
         self._batch_depth = 0
         self._batch_dirty = False
         self._last_progress = -1.0
-        # Perf counters live on the simulator's telemetry registry; the
-        # allocator keeps plain ints and is exposed via callback gauges.
+        # Perf counters live on the simulator's telemetry registry.  The
+        # allocator keeps plain running totals; each recompute adds its
+        # share to the counters, so networks sharing a registry sum.
         self.telemetry = sim.telemetry
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
@@ -158,12 +159,11 @@ class FlowNetwork(TransportBackend):
         self._c_flows_completed = registry.counter("net.flows_completed")
         self._c_bytes_completed = registry.counter("net.bytes_completed")
         registry.gauge("net.active_flows", fn=lambda: len(self.active))
-        registry.gauge("net.recomputes",
-                       fn=lambda: self._allocator.recomputes)
-        registry.gauge("net.waterfill_rounds",
-                       fn=lambda: self._allocator.rounds)
-        registry.gauge("net.allocator_seconds",
-                       fn=lambda: self._allocator.allocator_seconds)
+        self._c_recomputes = registry.counter("net.recomputes")
+        self._c_rounds = registry.counter("net.waterfill_rounds")
+        self._c_allocator_s = registry.counter("net.allocator_seconds")
+        # The allocator totals already added to those three counters.
+        self._folded: Tuple[int, int, float] = (0, 0, 0.0)
         registry.gauge("net.engine", engine=self.engine).set(1.0)
 
     # -- observation ---------------------------------------------------------
@@ -450,7 +450,7 @@ class FlowNetwork(TransportBackend):
         """The active flow set changed: recompute now, or batch it."""
         self._c_updates.value += 1
         if not self.batch_updates:
-            self._advance_and_reschedule()
+            self._update_rates()
             return
         if self._batch_depth > 0:
             if self._batch_dirty:
@@ -469,13 +469,13 @@ class FlowNetwork(TransportBackend):
     def _flush(self) -> None:
         self._flush_event = None
         self._c_flushes.value += 1
-        self._advance_and_reschedule()
+        self._update_rates()
 
     def _complete_due(self) -> None:
         """The scheduled completion horizon was reached."""
         self._completion_event = None
         if not self.batch_updates:
-            self._advance_and_reschedule()
+            self._update_rates()
             return
         # Harvest *before* the flush so completion signals fire first
         # and any same-instant reactions (a dependent transfer, the next
@@ -543,6 +543,19 @@ class FlowNetwork(TransportBackend):
         order = self._link_order
         for link_id in flow.link_ids:
             order.setdefault(link_id)
+
+    def _update_rates(self) -> None:
+        """:meth:`_advance_and_reschedule`, then add the allocator's new
+        work to the registry counters, so every network on a registry
+        (and every worker registry merged into it) adds up."""
+        self._advance_and_reschedule()
+        allocator = self._allocator
+        recomputes, rounds, seconds = self._folded
+        self._folded = (allocator.recomputes, allocator.rounds,
+                        allocator.allocator_seconds)
+        self._c_recomputes.value += allocator.recomputes - recomputes
+        self._c_rounds.value += allocator.rounds - rounds
+        self._c_allocator_s.value += allocator.allocator_seconds - seconds
 
     def _advance_and_reschedule(self) -> None:
         self._harvest_finished(self._advance_progress())

@@ -1,11 +1,13 @@
 """Event loop, events, signals and generator-based processes.
 
 The kernel is intentionally close to the classic event-list design:
-a binary heap of ``(time, priority, seq)``-ordered events, each carrying
-a callback.  On top of that sits a small coroutine layer: a
-:class:`Process` wraps a generator that ``yield``s *waitables*
-(:class:`Timeout`, :class:`Signal`, or another :class:`Process`) and is
-resumed with the waitable's payload when it fires.
+a binary heap of ``(time, priority, seq, event)`` tuples, each event
+carrying a callback.  ``seq`` is unique, so heap comparisons never
+reach the event and run entirely in C (no Python ``__lt__``).  On top
+of that sits a small coroutine layer: a :class:`Process` wraps a
+generator that ``yield``s *waitables* (:class:`Timeout`,
+:class:`Signal`, or another :class:`Process`) and is resumed with the
+waitable's payload when it fires.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class Event:
         self.cancelled = True
         if self.sim is not None and not self.popped:
             self.sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -306,7 +305,9 @@ class Simulator:
     _COMPACT_MIN_SIZE = 64
 
     def __init__(self, telemetry: Optional[Telemetry] = None):
-        self._queue: List[Event] = []
+        # Heap of (time, priority, seq, event); compaction edits it in
+        # place, so loops may hold the list in a local.
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._now = 0.0
         self._seq = itertools.count()
         self._running = False
@@ -340,8 +341,9 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now t={self._now}): time travel")
-        event = Event(time, priority, next(self._seq), callback, args, sim=self)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, priority, seq, callback, args, sim=self)
+        heapq.heappush(self._queue, (time, priority, seq, event))
         self._pending += 1
         return event
 
@@ -355,9 +357,14 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.  O(live events)."""
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
+        """Drop cancelled entries and re-heapify, in place.  O(live events).
+
+        Runs from inside callbacks (a cancel during :meth:`run`), so the
+        list object must stay the one :meth:`run` is draining.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[3].cancelled]
+        heapq.heapify(queue)
         self._cancelled = 0
         self._c_compactions.value += 1
 
@@ -423,7 +430,7 @@ class Simulator:
     def step(self) -> bool:
         """Run the next pending event.  Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             event.popped = True
             if event.cancelled:
                 self._cancelled -= 1
@@ -445,20 +452,23 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         fired_counter = self._c_fired
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while self._queue:
-                event = self._queue[0]
+            while queue:
+                entry = queue[0]
+                event = entry[3]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     event.popped = True
                     self._cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and entry[0] > until:
                     break
-                heapq.heappop(self._queue)
+                heappop(queue)
                 event.popped = True
                 self._pending -= 1
-                self._now = event.time
+                self._now = entry[0]
                 fired_counter.value += 1
                 event.callback(*event.args)
             if until is not None and self._now < until:

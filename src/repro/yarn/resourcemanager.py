@@ -78,10 +78,14 @@ class ResourceManager:
 
     @property
     def cluster_total(self) -> Resources:
-        total = Resources.zero()
+        # Sum the fields directly: folding ``Resources.__add__`` builds
+        # (and validates) one frozen dataclass per node, per heartbeat.
+        vcores = memory_mb = 0
         for node in self.nodes:
-            total = total + node.capacity
-        return total
+            capacity = node.capacity
+            vcores += capacity.vcores
+            memory_mb += capacity.memory_mb
+        return Resources(vcores, memory_mb)
 
     def submit_application(self, app: Application,
                            client_host: Optional[Host] = None) -> None:

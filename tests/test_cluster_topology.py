@@ -1,9 +1,13 @@
 """Unit tests for topology construction and routing."""
 
+from itertools import islice
+
+import networkx as nx
 import pytest
 
-from repro.cluster.topology import Host, Switch, build_topology
+from repro.cluster.topology import Host, Switch, Topology, build_topology
 from repro.cluster.units import GBPS
+from repro.simkit.rng import stable_hash
 
 
 def test_star_connects_all_hosts_to_one_switch():
@@ -112,3 +116,56 @@ def test_bisection_links_tree():
     crossing = topo.bisection_links()
     assert len(crossing) == 2  # two ToR-core edges
     assert all(isinstance(u, Switch) and isinstance(v, Switch) for u, v in crossing)
+
+
+def _assert_paths_match_networkx(topo):
+    """Every ordered host pair takes the stable-hash pick among the first
+    16 of networkx's all shortest paths, in networkx's order.  Returns
+    how many pairs had more than one candidate."""
+    multipath = 0
+    for src in topo.hosts:
+        for dst in topo.hosts:
+            if src == dst:
+                continue
+            candidates = list(islice(
+                nx.all_shortest_paths(topo.graph, src, dst), 16))
+            multipath += len(candidates) > 1
+            expected = candidates[
+                stable_hash(f"{src.name}->{dst.name}") % len(candidates)]
+            assert topo.path(src, dst) == expected, (src.name, dst.name)
+    return multipath
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("star", dict(num_hosts=6)),
+    ("tree", dict(num_hosts=16, hosts_per_rack=4)),
+    ("leafspine", dict(num_hosts=16, hosts_per_rack=4)),
+    ("fattree", dict(num_hosts=16, fattree_k=4)),
+    ("jellyfish", dict(num_hosts=24, hosts_per_rack=3)),
+])
+def test_path_pins_ecmp_choice_among_all_shortest_paths(kind, params):
+    multipath = _assert_paths_match_networkx(build_topology(kind, **params))
+    if kind in ("leafspine", "fattree", "jellyfish"):
+        assert multipath > 0  # the pin covers real ECMP choices
+
+
+def test_path_pins_ecmp_choice_for_multihomed_hosts():
+    """Hosts wired to two switches (and to each other) route from their
+    own BFS, a leaf behind a host from that host's; the pick still
+    matches networkx."""
+    graph = nx.Graph()
+    hosts = [Host(f"h{index}", rack=index % 2) for index in range(4)]
+    left, right = Switch("sw-a", tier="tor"), Switch("sw-b", tier="tor")
+    for host in hosts:
+        graph.add_edge(host, left, capacity=1.0)
+        graph.add_edge(host, right, capacity=1.0)
+    graph.add_edge(hosts[0], hosts[1], capacity=1.0)
+    extra = Host("h4", rack=0)
+    graph.add_edge(extra, hosts[3], capacity=1.0)  # a leaf behind a host
+    topo = Topology(graph=graph, hosts=hosts + [extra], kind="custom")
+    assert _assert_paths_match_networkx(topo) > 0
+    # Two hosts wired only to each other are both leaves.
+    pair = nx.Graph()
+    pair.add_edge(hosts[0], hosts[1], capacity=1.0)
+    topo = Topology(graph=pair, hosts=hosts[:2], kind="custom")
+    assert _assert_paths_match_networkx(topo) == 0

@@ -372,6 +372,112 @@ def test_bottlenecked_flows_skips_missing_and_coerces():
     assert capped["c"]
 
 
+# -- cap classes: flows sharing one cap value ------------------------------------------
+
+
+def _cap_class_scenario(rng):
+    """A random fabric whose capped flows share 2-3 cap values.
+
+    Cap values are drawn around the first round's link fair shares:
+    exactly on one, within ``_EPS`` either side (ties grouped into one
+    round), well below (the cap binds before any link) and well above
+    (links freeze part of the class first).  Linkless flows draw from
+    the same values.
+    """
+    capacities, flow_links, _ = _random_scenario(rng)
+    if rng.random() < 0.5:
+        flow_links["local"] = []
+    loads = {}
+    for links in flow_links.values():
+        for link in set(links):
+            loads[link] = loads.get(link, 0) + 1
+    shares = [capacities[link] / count for link, count in loads.items()]
+    values = []
+    for _ in range(rng.randint(2, 3)):
+        share = rng.choice(shares) if shares else rng.uniform(1.0, 1000.0)
+        values.append(share * rng.choice(
+            (1.0, 1.0 + 5e-10, 1.0 - 5e-10, 0.5, 1.7, 3.0)))
+    caps = {flow: rng.choice(values) for flow in flow_links
+            if rng.random() < 0.7}
+    return capacities, flow_links, caps
+
+
+def _class_coverage(rates, flow_links, caps, seen):
+    """Tally which cap-class situations an allocation exercised."""
+    by_cap = {}
+    for flow, cap in caps.items():
+        if flow_links[flow]:
+            by_cap.setdefault(cap, []).append(rates[flow])
+        else:
+            seen["linkless"] += 1
+    for cap, members in by_cap.items():
+        at_cap = [rate for rate in members if rate == cap]
+        below = [rate for rate in members if rate < cap * (1 - 1e-9)]
+        tied = [rate for rate in members
+                if rate != cap and abs(rate - cap) <= cap * 1e-9]
+        seen["binds"] += bool(at_cap)
+        seen["partly_frozen"] += bool(at_cap and below)
+        seen["tied"] += bool(tied)
+
+
+@needs_numpy
+def test_cap_class_differential_randomized_cases():
+    """Shared caps: scalar == vectorized, and both match the oracle."""
+    seen = {"binds": 0, "partly_frozen": 0, "tied": 0, "linkless": 0}
+    for seed in range(300):
+        rng = random.Random(5000 + seed)
+        capacities, flow_links, caps = _cap_class_scenario(rng)
+        scalar = _build_allocator(capacities, flow_links, caps).rates()
+        vectorized = _build_vectorized(capacities, flow_links, caps).rates()
+        assert scalar == vectorized, f"seed {seed}"
+        _assert_rates_match(scalar, max_min_rates(flow_links, capacities, caps),
+                            context=f"seed {seed}")
+        _class_coverage(scalar, flow_links, caps, seen)
+    assert all(seen.values()), seen
+
+
+@needs_numpy
+def test_cap_class_churn_empties_and_refills_classes():
+    """Add/remove churn over shared caps: a class that empties and is
+    refilled behaves like a fresh one, on both engines."""
+    refills = 0
+    for seed in range(60):
+        rng = random.Random(7000 + seed)
+        capacities, flow_links, caps = _cap_class_scenario(rng)
+        scalar = FairShareAllocator(capacities)
+        vectorized = VectorizedFairShareAllocator(capacities)
+        active = {}
+        emptied = set()
+        for step in range(80):
+            if active and rng.random() < 0.45:
+                flow = rng.choice(list(active))
+                del active[flow]
+                scalar.remove_flow(flow)
+                vectorized.remove_flow(flow)
+                cap = caps.get(flow)
+                if cap is not None and not any(
+                        caps.get(other) == cap for other in active):
+                    emptied.add(cap)
+            else:
+                inactive = [flow for flow in flow_links if flow not in active]
+                if not inactive:
+                    continue
+                flow = rng.choice(inactive)
+                active[flow] = flow_links[flow]
+                scalar.add_flow(flow, flow_links[flow], caps.get(flow))
+                vectorized.add_flow(flow, flow_links[flow], caps.get(flow))
+                if caps.get(flow) in emptied:
+                    emptied.discard(caps[flow])
+                    refills += 1
+            got = scalar.rates()
+            assert got == vectorized.rates(), f"seed {seed} step {step}"
+            reference = max_min_rates(
+                active, capacities, {f: caps[f] for f in active if f in caps})
+            _assert_rates_match(got, reference,
+                                context=f"seed {seed} step {step}")
+    assert refills > 0
+
+
 # -- end-to-end: byte-identical captures across engines --------------------------------
 
 

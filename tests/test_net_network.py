@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.topology import build_topology
 from repro.cluster.units import GBPS
 from repro.net.network import FlowNetwork
+from repro.obs.telemetry import Telemetry
 from repro.simkit import Simulator
 
 
@@ -222,3 +223,29 @@ def test_allocator_membership_tracks_active_flows():
     sim.run()
     assert len(net.allocator) == 0
     assert sim.telemetry.registry.value("net.allocator_seconds") >= 0.0
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+def test_allocator_counters_sum_over_networks_on_one_registry(engine):
+    """Two networks share one registry: each allocator metric is the sum
+    of both allocators' work, not the last network's."""
+    telemetry = Telemetry.disabled()
+    allocators = []
+    for flows in (1, 3):
+        sim = Simulator(telemetry=telemetry)
+        topo = build_topology("star", num_hosts=4)
+        net = FlowNetwork(sim, topo, engine=engine)
+        for index in range(flows):
+            net.start_flow(topo.hosts[0], topo.hosts[index + 1],
+                           (index + 1) * GBPS)
+        sim.run()
+        allocators.append(net.allocator)
+    value = telemetry.registry.value
+    assert all(allocator.recomputes > 0 for allocator in allocators)
+    assert allocators[0].recomputes != allocators[1].recomputes
+    assert value("net.recomputes") == sum(
+        allocator.recomputes for allocator in allocators)
+    assert value("net.waterfill_rounds") == sum(
+        allocator.rounds for allocator in allocators)
+    assert value("net.allocator_seconds") == pytest.approx(
+        sum(allocator.allocator_seconds for allocator in allocators))

@@ -279,6 +279,46 @@ def test_heap_compaction_discards_cancelled_backlog():
     assert live.popped
 
 
+def test_compaction_inside_run_keeps_every_live_event_in_order():
+    """A callback cancelling over 64 queued events compacts the heap in
+    the middle of ``run()``; the loop must keep draining the same heap,
+    including events scheduled after the compaction."""
+    sim = Simulator()
+    value = sim.telemetry.registry.value
+    fired = []
+    victims = []
+    sizes = []
+
+    def record(key):
+        fired.append(key)
+
+    def cancel_victims():
+        for event in victims:
+            event.cancel()
+        assert value("sim.heap_compactions") >= 1
+        for index in range(3):
+            key = (2.5 + index, 0, 1000 + index)
+            sim.schedule_at(key[0], record, key)
+            expected.append(key)
+        sizes.append((value("sim.heap_size"), len(sim._queue)))
+
+    expected = []
+    sim.schedule(1.0, cancel_victims)
+    for index in range(100):
+        victims.append(sim.schedule(2.0 + index, record, ("victim", index)))
+    for index in range(40):
+        # Same-time and priority ties: order is (time, priority, seq).
+        key = (1.0 + index % 5, -(index % 3), index)
+        sim.schedule_at(key[0], record, key, priority=key[1])
+        expected.append(key)
+    sim.run()
+    assert fired == sorted(expected)
+    assert value("sim.events_fired") == 1 + len(expected)
+    assert sizes[0][0] == sizes[0][1]
+    assert value("sim.heap_size") == len(sim._queue) == 0
+    assert sim.pending() == 0
+
+
 def test_perf_snapshot_tracks_counters():
     sim = Simulator()
     event = sim.schedule(1.0, lambda: None)

@@ -23,9 +23,12 @@ from repro.experiments.supervision import (
     PointFailure,
     Quarantine,
     RetryPolicy,
+    SupervisedExecutor,
     classify_failure,
     terminate_workers,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 
 SMALL = CampaignConfig(nodes=4, hosts_per_rack=2)
 
@@ -326,6 +329,46 @@ def test_deadline_watchdog_kills_hung_point_and_retry_succeeds(tmp_path):
     assert runner.manifest()["stats"]["deadline_kills"] >= 1
     assert runner.manifest()["stats"]["retries"] >= 1
     assert runner.manifest()["stats"]["quarantined"] == 0
+
+
+def _sleep_task(seconds, telemetry):
+    time.sleep(seconds)
+    return seconds
+
+
+def test_deadline_clock_starts_when_the_task_starts():
+    """Queued tasks are not charged for the wait behind other tasks (or
+    for worker start-up): one worker runs three 0.5 s tasks in turn
+    under a 1.2 s deadline, above each task's run time but below the
+    sum, and none is killed."""
+    registry = MetricsRegistry()
+    executor = SupervisedExecutor(
+        RetryPolicy(max_attempts=1, deadline_s=1.2), registry,
+        prefix="test", workers=1)
+    done = []
+    failed = executor.run(
+        _sleep_task, [(f"task-{index}", 0.5) for index in range(3)],
+        Telemetry.disabled(), lambda ledger, value: done.append(ledger.key))
+    charged = [fingerprint.exception_type for ledger in failed
+               for fingerprint in ledger.fingerprints]
+    assert "DeadlineExpired" not in charged
+    assert not failed
+    assert sorted(done) == ["task-0", "task-1", "task-2"]
+    assert registry.value("test.deadline_kills") == 0
+
+
+def test_task_overrunning_its_deadline_between_ticks_is_charged():
+    """A task that ends past its deadline but before the watchdog polls
+    again is still a deadline failure."""
+    executor = SupervisedExecutor(
+        RetryPolicy(max_attempts=1, deadline_s=0.001), MetricsRegistry(),
+        prefix="test", workers=1)
+    done = []
+    (ledger,) = executor.run(
+        _sleep_task, [("late", 0.02)], Telemetry.disabled(),
+        lambda ledger, value: done.append(ledger.key))
+    assert not done
+    assert ledger.fingerprints[-1].exception_type == "DeadlineExpired"
 
 
 def test_repeated_pool_collapse_degrades_to_serial(tmp_path):
