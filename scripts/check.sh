@@ -141,5 +141,25 @@ print(f"null path clean: {trace.flow_count()} flows, "
       "0 spans, 0 probe samples")
 EOF
 
+# 12. Examples smoke: every examples/*.py must run to completion.  The
+#    examples write keddah-* directories into the cwd, so each one runs
+#    from its own fresh temp directory; any non-zero exit fails the
+#    gate and prints that example's output.
+echo "== examples smoke =="
+repo="$(pwd)"
+examples_tmp="$(mktemp -d)"
+trap 'rm -rf "$examples_tmp"' EXIT
+for example in examples/*.py; do
+    run_dir="$(mktemp -d "$examples_tmp/run.XXXXXX")"
+    if (cd "$run_dir" && PYTHONPATH="$repo/src" \
+            python "$repo/$example" >"$run_dir/output.log" 2>&1); then
+        echo "ok: $example"
+    else
+        cat "$run_dir/output.log" >&2
+        echo "error: $example exited non-zero (output above)" >&2
+        exit 1
+    fi
+done
+
 echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
 echo "check.sh: all gates passed"

@@ -7,6 +7,11 @@
     model = fit_job_model(traces)
     synthetic = generate_trace(model, input_gb=10.0, seed=2)
     report = replay_trace(synthetic)
+
+Captures here take the one path every campaign, store and CLI capture
+takes (:class:`~repro.experiments.runner.CapturePoint` /
+:class:`~repro.experiments.runner.PlanPoint`), so a capture depends only
+on its arguments, never on what ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from repro.capture.records import JobTrace
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.generation.generator import generate_trace
 from repro.generation.replay import replay_trace
-from repro.jobs import make_job
-from repro.mapreduce.cluster import HadoopCluster
 from repro.modeling.model import fit_job_model
 from repro.obs.telemetry import Telemetry
 
@@ -40,7 +43,7 @@ def run_capture(job: Optional[str] = None, input_gb: float = 1.0,
                 telemetry: Optional[Telemetry] = None,
                 backend: Optional[str] = None,
                 engine: Optional[str] = None,
-                plan: Optional[object] = None,
+                plan: Optional[str] = None,
                 plan_params: Optional[dict] = None,
                 **job_kwargs) -> JobTrace:
     """Run one job or workload plan on a fresh cluster; return its capture.
@@ -48,17 +51,26 @@ def run_capture(job: Optional[str] = None, input_gb: float = 1.0,
     ``job`` is a catalog kind (``terasort``, ``wordcount``, ...);
     ``job_kwargs`` pass through to :func:`repro.jobs.make_job` (e.g.
     ``num_reducers=32`` or ``iterations=5``).  Alternatively ``plan``
-    names a registered :class:`~repro.jobs.plan.WorkloadPlan` (or is
-    one), built with ``plan_params`` and run as a multi-stage DAG;
-    exactly one of ``job``/``plan`` must be given.  ``cluster_spec``
-    wins over the ``nodes``/``hosts_per_rack`` shortcuts when provided.
-    ``telemetry`` (e.g. ``Telemetry.enabled_in_memory()``) observes the
-    run without changing the captured bytes.  ``backend`` selects the
-    transport substrate (``fluid``/``analytic``/``record``, see
+    names a registered :class:`~repro.jobs.plan.WorkloadPlan`, built
+    with ``plan_params`` and run as a multi-stage DAG; exactly one of
+    ``job``/``plan`` must be given.  ``cluster_spec`` wins over the
+    ``nodes``/``hosts_per_rack`` shortcuts when provided.  ``telemetry``
+    (e.g. ``Telemetry.enabled_in_memory()``) observes the run without
+    changing the captured bytes.  ``backend`` selects the transport
+    substrate (``fluid``/``analytic``/``record``, see
     :mod:`repro.net.backend`); ``engine`` the fluid implementation
     (``scalar``/``vectorized``, bit-identical results).  Either
     overrides the corresponding ``cluster_spec`` field when given.
+
+    The capture is simulated as a
+    :class:`~repro.experiments.runner.CapturePoint` (or
+    :class:`~repro.experiments.runner.PlanPoint`), the path every
+    campaign, store and CLI capture takes: the job id derives from the
+    point's content unless ``job_id=`` is passed, so equal arguments
+    give byte-identical traces.
     """
+    from repro.experiments.runner import CapturePoint, PlanPoint
+
     if (job is None) == (plan is None):
         raise ValueError("run_capture needs exactly one of job= or plan=")
     spec = cluster_spec or ClusterSpec(num_nodes=nodes,
@@ -67,23 +79,17 @@ def run_capture(job: Optional[str] = None, input_gb: float = 1.0,
         spec = replace(spec, backend=backend)
     if engine is not None and engine != spec.engine:
         spec = replace(spec, engine=engine)
-    cluster = HadoopCluster(spec, config or HadoopConfig(), seed=seed,
-                            telemetry=telemetry)
+    hadoop = config or HadoopConfig()
     if plan is not None:
-        from repro.jobs.plan import WorkloadPlan, make_plan
-
         if job_kwargs:
             raise ValueError("job kwargs do not apply to plan captures; "
                              "use plan_params=")
-        if not isinstance(plan, WorkloadPlan):
-            plan = make_plan(str(plan), **(plan_params or {}))
-        elif plan_params:
-            raise ValueError("plan_params only apply when plan is a name")
-        _, trace = cluster.run_plan(plan)
-        return trace
-    job_spec = make_job(job, input_gb=input_gb, **job_kwargs)
-    _, traces = cluster.run([job_spec])
-    return traces[0]
+        point = PlanPoint.from_configs(plan, seed, spec, hadoop, plan_params)
+    else:
+        point = CapturePoint.from_configs(job, input_gb, seed, spec, hadoop,
+                                          job_kwargs)
+    _, trace = point.simulate(telemetry)
+    return trace
 
 
 def run_capture_campaign(job: str, input_sizes_gb: Sequence[float],

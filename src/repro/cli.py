@@ -36,9 +36,8 @@ from typing import List, Optional
 
 from repro.analysis.breakdown import component_breakdown
 from repro.analysis.tables import Table, render_table
-from repro.api import run_capture
 from repro.capture.records import JobTrace
-from repro.cluster.config import HadoopConfig
+from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.generation.export import to_flow_schedule_csv, to_json, to_ns3_script, to_omnet_ini
 from repro.generation.generator import generate_trace
@@ -437,58 +436,32 @@ def cmd_capture(args: argparse.Namespace) -> int:
                           num_reducers=args.reducers,
                           replication=args.replication,
                           scheduler=args.scheduler)
-    store = _resolve_store(args.store)
-    telemetry = _telemetry_from_args(args)
+    from repro.experiments.runner import CampaignRunner, CapturePoint, PlanPoint
+
+    spec = ClusterSpec(num_nodes=args.nodes,
+                       hosts_per_rack=args.hosts_per_rack,
+                       backend=args.backend, engine=args.engine)
     if args.plan is not None:
         try:
             params = _plan_params_from_args(args)
         except ValueError as exc:
             print(exc)
             return 2
-        if store is not None:
-            from repro.cluster.config import ClusterSpec
-            from repro.experiments.runner import CampaignRunner, PlanPoint
-
-            spec = ClusterSpec(num_nodes=args.nodes,
-                               hosts_per_rack=args.hosts_per_rack,
-                               backend=args.backend, engine=args.engine)
-            point = PlanPoint.from_configs(args.plan, args.seed, spec, config,
-                                           params)
-            _, trace = CampaignRunner(store=store,
-                                      telemetry=telemetry).run_point(point)
-            origin = ("store" if store.registry.value("store.hits")
-                      else "simulated")
-        else:
-            trace = run_capture(plan=args.plan, plan_params=params,
-                                nodes=args.nodes, seed=args.seed,
-                                config=config,
-                                hosts_per_rack=args.hosts_per_rack,
-                                telemetry=telemetry, backend=args.backend,
-                                engine=args.engine)
-            origin = "simulated"
+        point = PlanPoint.from_configs(args.plan, args.seed, spec, config,
+                                       params)
+    else:
+        point = CapturePoint.from_configs(args.job, args.input_gb, args.seed,
+                                          spec, config)
+    store = _resolve_store(args.store)
+    telemetry = _telemetry_from_args(args)
+    runner = CampaignRunner(store=store, telemetry=telemetry)
+    _, trace = runner.run_point(point)
+    origin = ("store" if runner.manifest()["stats"]["store_hits"]
+              else "simulated")
+    if args.plan is not None:
         from repro.analysis.plans import stage_table
 
         print(render_table(stage_table(trace)))
-    elif store is not None:
-        from repro.cluster.config import ClusterSpec
-        from repro.experiments.runner import CampaignRunner, CapturePoint
-
-        spec = ClusterSpec(num_nodes=args.nodes,
-                           hosts_per_rack=args.hosts_per_rack,
-                           backend=args.backend, engine=args.engine)
-        point = CapturePoint.from_configs(args.job, args.input_gb, args.seed,
-                                          spec, config)
-        _, trace = CampaignRunner(store=store,
-                                  telemetry=telemetry).run_point(point)
-        origin = ("store" if store.registry.value("store.hits")
-                  else "simulated")
-    else:
-        trace = run_capture(args.job, input_gb=args.input_gb, nodes=args.nodes,
-                            seed=args.seed, config=config,
-                            hosts_per_rack=args.hosts_per_rack,
-                            telemetry=telemetry, backend=args.backend,
-                            engine=args.engine)
-        origin = "simulated"
     trace.to_jsonl(args.output)
     print(f"captured {trace.flow_count()} flows "
           f"({trace.total_bytes() / MB:.1f} MiB, {origin}) -> {args.output}")
@@ -1038,7 +1011,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     from repro.capture.records import save_traces
-    from repro.cluster.config import ClusterSpec
     from repro.workloads import (
         ANALYTICS_MIX,
         MICRO_MIX,

@@ -261,12 +261,9 @@ def e09_schedulers(input_gb: float = 0.5, seed: int = DEFAULT_SEED) -> List[Tabl
             campaign.cluster_spec(), campaign.hadoop_config(), seed=seed,
             queue_capacities={"prod": 0.7, "research": 0.3})
         specs = [
-            make_job("wordcount", input_gb=input_gb, queue="prod",
-                     job_id=f"{scheduler}_wc_a"),
-            make_job("wordcount", input_gb=input_gb, queue="prod",
-                     job_id=f"{scheduler}_wc_b"),
-            make_job("terasort", input_gb=input_gb, queue="research",
-                     job_id=f"{scheduler}_ts"),
+            make_job("wordcount", input_gb=input_gb, queue="prod"),
+            make_job("wordcount", input_gb=input_gb, queue="prod"),
+            make_job("terasort", input_gb=input_gb, queue="research"),
         ]
         results, _ = cluster.run(specs, arrival_times=[0.0, 1.0, 2.0])
         jcts = [result.completion_time for result in results]
@@ -440,7 +437,6 @@ def e13_failures(job: str = "terasort", input_gb: float = 0.5,
                  seed: int = DEFAULT_SEED) -> List[Table]:
     """Traffic and completion time with a mid-job DataNode/node failure."""
     from repro.faults import DATANODE, NODE, FaultEvent, FaultInjector
-    from repro.jobs import make_job as _make_job
 
     campaign = CampaignConfig()
     table = Table(
@@ -460,8 +456,7 @@ def e13_failures(job: str = "terasort", input_gb: float = 0.5,
             victim = cluster.workers[5]
             injector = FaultInjector(
                 cluster, [FaultEvent(4.0, fault_kind, victim.name)])
-        results, traces = cluster.run(
-            [_make_job(job, input_gb=input_gb, job_id=f"e13_{label.split()[0]}")])
+        results, traces = cluster.run([make_job(job, input_gb=input_gb)])
         result, trace = results[0], traces[0]
         rerep = sum(r.size for r in cluster.collector.records
                     if r.service == "re-replication")
@@ -835,8 +830,7 @@ def a4_delay_scheduling(input_gb: float = 0.25,
     for wait in (0.0, 2.0, 6.0):
         config = campaign.hadoop_config().replace(delay_scheduling_s=wait)
         cluster = HadoopCluster(campaign.cluster_spec(), config, seed=seed)
-        results, traces = cluster.run(
-            [make_job("terasort", input_gb=input_gb, job_id=f"a4_{wait:g}")])
+        results, traces = cluster.run([make_job("terasort", input_gb=input_gb)])
         round0 = results[0].rounds[0]
         table.add_row(wait, round0.node_local_reads, round0.rack_local_reads,
                       round0.remote_reads,
@@ -865,9 +859,7 @@ def a5_speculation(input_gb: float = 1.0, seed: int = DEFAULT_SEED) -> List[Tabl
         config = campaign.hadoop_config().replace(
             straggler_prob=0.25, straggler_slowdown=20.0)
         cluster = HadoopCluster(campaign.cluster_spec(), config, seed=seed)
-        results, traces = cluster.run(
-            [make_job("wordcount", input_gb=input_gb,
-                      job_id=f"a5_{speculative}")])
+        results, traces = cluster.run([make_job("wordcount", input_gb=input_gb)])
         round0 = results[0].rounds[0]
         counters = results[0].counters()
         table.add_row("on" if speculative else "off",

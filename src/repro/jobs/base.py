@@ -22,18 +22,15 @@ from repro.cluster.units import MB
 
 
 class JobIdStream:
-    """Deterministic, instance-scoped stream of fallback job ids.
+    """Per-kind job ids for the specs one cluster runs.
 
-    The repo once used a single module-global ``itertools.count`` for
-    every auto-assigned job id — the same process-history hazard PR 7
-    removed for flow ids: the id (and therefore the job's RNG streams
-    and HDFS paths) depended on how many specs *any* code had built
-    before.  Ids now count per job kind within one stream instance, so
-    "the 3rd terasort in this scope" is always ``job_terasort_0003`` no
-    matter what other kinds were interleaved, and executors that own
-    their stream (e.g. :class:`~repro.mapreduce.cluster.HadoopCluster`)
-    allocate identically whether specs are built serially or
-    interleaved across executors.
+    A :class:`~repro.mapreduce.cluster.HadoopCluster` owns one stream
+    and names every spec submitted without an id from it, in
+    submission order: the 3rd terasort a cluster runs is always
+    ``job_terasort_0003``, whatever other kinds came between and
+    whatever ran earlier in the process.  The id seeds the job's RNG
+    streams and HDFS paths, so a capture depends only on its cluster,
+    its seed and what was submitted to it.
     """
 
     def __init__(self) -> None:
@@ -43,24 +40,6 @@ class JobIdStream:
         number = self._next.get(kind, 0) + 1
         self._next[kind] = number
         return f"job_{kind}_{number:04d}"
-
-    def reset(self) -> None:
-        self._next.clear()
-
-
-#: Process-wide fallback for bare ``JobSpec(...)`` construction; code
-#: that needs reproducible ids passes an explicit ``job_id`` (campaign
-#: points, plan stages) or its own :class:`JobIdStream`.
-_default_ids = JobIdStream()
-
-
-def default_id_stream() -> JobIdStream:
-    return _default_ids
-
-
-def reset_default_ids() -> None:
-    """Rewind the fallback id stream (test isolation helper)."""
-    _default_ids.reset()
 
 
 @dataclass(frozen=True)
@@ -131,12 +110,18 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.input_bytes < 0:
             raise ValueError(f"input_bytes must be >= 0, got {self.input_bytes}")
-        if not self.job_id:
-            self.job_id = _default_ids.allocate(self.profile.kind)
-        if not self.input_path:
-            self.input_path = f"/data/{self.job_id}/input"
-        if not self.output_path:
-            self.output_path = f"/data/{self.job_id}/output"
+        if self.job_id:
+            self.set_id(self.job_id)
+
+    def set_id(self, job_id: str) -> None:
+        """Name the job; paths not given explicitly derive from the id.
+
+        A spec built without an id stays unnamed (empty id and paths)
+        until the cluster that runs it names it at submission.
+        """
+        self.job_id = job_id
+        self.input_path = self.input_path or f"/data/{job_id}/input"
+        self.output_path = self.output_path or f"/data/{job_id}/output"
 
     @property
     def kind(self) -> str:
@@ -169,12 +154,10 @@ def job_catalog() -> Dict[str, Callable[..., JobProfile]]:
 
 def make_job(kind: str, input_gb: float, num_reducers: Optional[int] = None,
              queue: str = "default", job_id: str = "",
-             id_stream: Optional[JobIdStream] = None,
              **profile_overrides) -> JobSpec:
     """Uniform factory: a JobSpec for ``kind`` with ``input_gb`` of data.
 
-    ``id_stream`` scopes the auto-assigned id to the caller's executor
-    instead of the process-wide fallback stream.
+    Without ``job_id`` the cluster that runs the spec names it.
     """
     _import_all_profiles()
     factory = _REGISTRY.get(kind)
@@ -182,8 +165,6 @@ def make_job(kind: str, input_gb: float, num_reducers: Optional[int] = None,
         raise ValueError(f"unknown job kind {kind!r}; known: {sorted(_REGISTRY)}")
     profile = factory(**profile_overrides)
     input_bytes = input_gb * 1024 * MB
-    if not job_id and id_stream is not None:
-        job_id = id_stream.allocate(kind)
     return JobSpec(profile=profile, input_bytes=input_bytes,
                    num_reducers=num_reducers, queue=queue, job_id=job_id)
 

@@ -23,7 +23,7 @@ from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.placement import PlacementPolicy
-from repro.jobs.base import JobSpec
+from repro.jobs.base import JobIdStream, JobSpec
 from repro.jobs.plan import WorkloadPlan
 from repro.mapreduce import constants
 from repro.mapreduce.driver import JobDriver, PlanExecutor
@@ -108,6 +108,7 @@ class HadoopCluster:
         else:
             self.node_speed = {host: 1.0 for host in self.workers}
         self._drivers: List[JobDriver] = []
+        self._job_ids = JobIdStream()
         self._started = False
         self.probes: Optional[ClusterProbes] = None
 
@@ -157,7 +158,13 @@ class HadoopCluster:
                                        job_id=spec.job_id, replication=replication)
 
     def submit_job(self, spec: JobSpec, client_host: Optional[Host] = None) -> JobDriver:
-        """Preload input and start a driver for ``spec``.  Returns the driver."""
+        """Preload input and start a driver for ``spec``.  Returns the driver.
+
+        A spec without an id is named here, from this cluster's
+        :class:`~repro.jobs.base.JobIdStream`.
+        """
+        if not spec.job_id:
+            spec.set_id(self._job_ids.allocate(spec.kind))
         self.preload_input(spec)
         driver = JobDriver(self, spec, client_host=client_host)
         self._drivers.append(driver)

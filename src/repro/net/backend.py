@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from contextlib import contextmanager
 from typing import (
     Any,
     Callable,
@@ -114,17 +113,8 @@ class TransportBackend(ABC):
       byte-identical captures — but paid for once per wave instead of
       once per flow.  Hot producers (shuffle waves, pipeline hops)
       emit through it.
-    * :meth:`batch` coalesces a synchronous burst of starts (an HDFS
-      pipeline's hops) into one admission decision where the backend
-      has one to make; backends without shared state treat it as a
-      no-op.
-    * :meth:`cancel_flow` abandons an in-flight flow without firing its
-      ``done`` signal (future substrates; nothing in the current
-      behaviour layers cancels).
     * Completion listeners (:meth:`add_listener`) observe every
-      finished flow — the capture stage's tap — and drained listeners
-      (:meth:`add_drained_listener`) fire whenever a completion leaves
-      the backend with no active flows.
+      finished flow — the capture stage's tap.
     * :meth:`utilisation` reports per-link mean utilisation since t=0;
       cumulative engine counters live on the simulator's telemetry
       registry (``net.*``).
@@ -146,7 +136,6 @@ class TransportBackend(ABC):
         self.link_bytes: Dict[Tuple[object, object], float] = defaultdict(float)
         self._capacities: Dict[Tuple[object, object], float] = {}
         self._listeners: List[Callable[[Flow], None]] = []
-        self._drained_listeners: List[Callable[[], None]] = []
         # Every backend announces itself on the run's registry so
         # telemetry artefacts (report --telemetry, campaign snapshots)
         # can distinguish fluid from analytic runs.
@@ -184,34 +173,14 @@ class TransportBackend(ABC):
                                 parent_span=request.parent_span)
                 for request in requests]
 
-    @contextmanager
-    def batch(self):
-        """Coalesce flows started inside the block (default: no-op)."""
-        yield self
-
-    def cancel_flow(self, flow: Flow) -> bool:
-        """Abandon an active flow; its ``done`` signal never fires.
-
-        Returns True when the flow was active and is now cancelled.
-        """
-        if flow.flow_id not in self.active:
-            return False
-        del self.active[flow.flow_id]
-        flow.rate = 0.0
-        return True
-
     # -- listeners -------------------------------------------------------------
 
     def add_listener(self, callback: Callable[[Flow], None]) -> None:
         """Register a callback invoked with every completed flow."""
         self._listeners.append(callback)
 
-    def add_drained_listener(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired when the active flow set empties."""
-        self._drained_listeners.append(callback)
-
     def _finish(self, flow: Flow) -> None:
-        """Shared completion tail: listeners + drained notification."""
+        """Shared completion tail: the done signal, then listeners."""
         done = flow._done
         if done is not None:
             done.fire(flow)
@@ -221,36 +190,6 @@ class TransportBackend(ABC):
             self._c_done_skipped.value += 1
         for listener in self._listeners:
             listener(flow)
-        if not self.active:
-            for listener in self._drained_listeners:
-                listener()
-
-    def _finish_wave(self, flows: Sequence[Flow]) -> None:
-        """Bulk completion tail: one Python loop for a whole wave.
-
-        Equivalent to calling :meth:`_finish` per flow *when the flows
-        were already removed from* ``active`` *up front* (the fluid
-        harvest's bulk path): per-flow semantics only ever fire the
-        drained notification at a completion that leaves ``active``
-        empty, which during a harvest loop can happen at the last
-        finished flow alone — pending harvestees still occupy the
-        active set at every earlier step.  ``pending`` reconstructs
-        exactly that.
-        """
-        listeners = self._listeners
-        pending = len(flows)
-        for flow in flows:
-            pending -= 1
-            done = flow._done
-            if done is not None:
-                done.fire(flow)
-            else:
-                self._c_done_skipped.value += 1
-            for listener in listeners:
-                listener(flow)
-            if not pending and not self.active:
-                for listener in self._drained_listeners:
-                    listener()
 
     # -- observation -----------------------------------------------------------
 
@@ -310,7 +249,6 @@ class AnalyticBackend(TransportBackend):
         self._link_active: Dict[Tuple[object, object], int] = defaultdict(int)
         self._wave: List[Flow] = []
         self._wave_event = None
-        self._batch_depth = 0
         registry = sim.telemetry.registry
         self._tracer = sim.telemetry.tracer
         self._c_flows_started = registry.counter("net.flows_started")
@@ -404,25 +342,13 @@ class AnalyticBackend(TransportBackend):
                 sim.schedule(setup, self._admit_group, group)
         return flows
 
-    @contextmanager
-    def batch(self):
-        """Defer wave admission until the burst finishes (no time passes)."""
-        self._batch_depth += 1
-        try:
-            yield self
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0 and self._wave and self._wave_event is None:
-                self._wave_event = self.sim.schedule(
-                    0.0, self._admit_wave, priority=_WAVE_PRIORITY)
-
     def _admit(self, flow: Flow) -> None:
         flow.last_update = self.sim.now
         self.active[flow.flow_id] = flow
         for link in flow.links:
             self._link_active[link] += 1
         self._wave.append(flow)
-        if self._batch_depth == 0 and self._wave_event is None:
+        if self._wave_event is None:
             self._wave_event = self.sim.schedule(
                 0.0, self._admit_wave, priority=_WAVE_PRIORITY)
 
@@ -452,8 +378,6 @@ class AnalyticBackend(TransportBackend):
         link_active = self._link_active
         capacities = self._capacities
         for flow in wave:
-            if flow.flow_id not in self.active:
-                continue  # cancelled between admission and flush
             rate = min(capacities[link] / link_active[link]
                        for link in flow.links)
             if flow.max_rate is not None:
@@ -462,17 +386,8 @@ class AnalyticBackend(TransportBackend):
             self.sim.schedule(flow.size / rate, self._complete, flow,
                               priority=-1)
 
-    def cancel_flow(self, flow: Flow) -> bool:
-        if not super().cancel_flow(flow):
-            return False
-        for link in flow.links:
-            self._link_active[link] -= 1
-        return True
-
     def _complete(self, flow: Flow) -> None:
         if not flow.local and flow.size > 0:
-            if flow.flow_id not in self.active:
-                return  # cancelled while in flight
             del self.active[flow.flow_id]
             for link in flow.links:
                 self._link_active[link] -= 1
@@ -597,8 +512,7 @@ class RecordBackend(TransportBackend):
             self._complete(flow)
 
     def _complete(self, flow: Flow) -> None:
-        if self.active.pop(flow.flow_id, None) is None:
-            return  # cancelled
+        del self.active[flow.flow_id]
         flow.remaining = 0.0
         flow.end_time = self.sim.now
         self.completed_count += 1

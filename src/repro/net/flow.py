@@ -36,9 +36,7 @@ class Flow:
     control-plane RPCs, re-replication) never read the attribute, so
     they pay no Signal cost at all.  Reading ``done`` after the flow
     completed yields an already-fired signal (late waiters resume
-    immediately, exactly as with an eager signal); reading it on a
-    cancelled flow yields a signal that never fires, preserving the
-    cancellation contract.
+    immediately, exactly as with an eager signal).
     """
 
     __slots__ = ("flow_id", "src", "dst", "size", "metadata", "max_rate", "sim",

@@ -27,11 +27,6 @@ network with ``batch_updates=False`` restores the legacy
 recompute-per-change behaviour (the trace-equivalence tests compare the
 two modes flow-by-flow).
 
-Synchronous producers that start several flows back to back (the HDFS
-replication pipeline) can additionally wrap the burst in
-``with net.batch(): ...`` which defers even the flush scheduling until
-the block exits.
-
 Host-local transfers (``src == dst``) never touch links; they complete
 at the flow's rate cap (typically the disk rate) and are flagged
 ``local`` so the capture stage can exclude them, exactly as a NIC-level
@@ -65,7 +60,6 @@ included.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import Host, Topology
@@ -142,8 +136,6 @@ class FlowNetwork(TransportBackend):
             self._allocator = FairShareAllocator()
         self._completion_event: Optional[Event] = None
         self._flush_event: Optional[Event] = None
-        self._batch_depth = 0
-        self._batch_dirty = False
         self._last_progress = -1.0
         # Perf counters live on the simulator's telemetry registry.  The
         # allocator keeps plain running totals; each recompute adds its
@@ -332,28 +324,6 @@ class FlowNetwork(TransportBackend):
         self._allocator.set_capacity(link, capacity)
         self._link_acc.append(0.0)
 
-    @contextmanager
-    def batch(self):
-        """Coalesce rate updates for flows started inside the block.
-
-        Intended for producers that start several flows synchronously
-        (no ``yield`` in between), e.g. the hops of an HDFS replication
-        pipeline.  No simulated time may pass inside the block.  With
-        ``batch_updates=False`` this is a no-op, preserving the legacy
-        recompute-per-change semantics exactly.
-        """
-        if not self.batch_updates:
-            yield self
-            return
-        self._batch_depth += 1
-        try:
-            yield self
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0 and self._batch_dirty:
-                self._batch_dirty = False
-                self._schedule_flush()
-
     def _activate(self, flow: Flow) -> None:
         flow.last_update = self.sim.now
         self.active[flow.flow_id] = flow
@@ -411,27 +381,6 @@ class FlowNetwork(TransportBackend):
         self._note_completed(flow)
         self._finish(flow)
 
-    def cancel_flow(self, flow: Flow) -> bool:
-        """Abandon an in-flight flow; its ``done`` signal never fires.
-
-        The flow leaves the allocator immediately, so the freed share
-        is redistributed at the next (coalesced) rate recomputation.
-        """
-        if flow.flow_id not in self.active:
-            return False
-        # Competitors' progress under the pre-cancellation rates is
-        # banked before the allocator changes shape; any flow that
-        # finished is harvested by the flush requested below.
-        self._advance_progress()
-        del self.active[flow.flow_id]
-        if self._vec is not None:
-            self._vec.remove(flow)
-        else:
-            self._allocator.remove_flow(flow.flow_id)
-        flow.rate = 0.0
-        self._request_update()
-        return True
-
     def _note_completed(self, flow: Flow) -> None:
         self._c_flows_completed.value += 1
         self._c_bytes_completed.value += flow.size
@@ -451,11 +400,6 @@ class FlowNetwork(TransportBackend):
         self._c_updates.value += 1
         if not self.batch_updates:
             self._update_rates()
-            return
-        if self._batch_depth > 0:
-            if self._batch_dirty:
-                self._c_batched.value += 1
-            self._batch_dirty = True
             return
         self._schedule_flush()
 
@@ -616,12 +560,9 @@ class FlowNetwork(TransportBackend):
             self._finish(flow)
             return
         # Bulk path: the whole completion wave leaves the allocator in
-        # one grouped call and fires done-signals/listeners from one
-        # loop.  ``_finish_wave`` reproduces the per-flow drained
-        # semantics (pending harvestees still counted as occupying the
-        # backend), and the vectorized removal folds delivered bytes in
-        # the same per-flow order as sequential removes, so nothing
-        # observable moves.
+        # one grouped call.  The vectorized removal folds delivered
+        # bytes in the same per-flow order as sequential removes, so
+        # nothing observable moves.
         self._c_bulk_harvests.value += 1
         for flow in finished:
             del active[flow.flow_id]
@@ -637,4 +578,5 @@ class FlowNetwork(TransportBackend):
             flow.end_time = now
             self.total_bytes += flow.size
             self._note_completed(flow)
-        self._finish_wave(finished)
+        for flow in finished:
+            self._finish(flow)

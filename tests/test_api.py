@@ -39,6 +39,22 @@ def test_run_capture_passes_job_kwargs():
     assert trace.meta.num_reduces == 3
 
 
+def test_run_capture_repeats_byte_for_byte(tmp_path):
+    """A capture depends only on its arguments, not on earlier runs."""
+    captures = []
+    for attempt in range(2):
+        path = tmp_path / f"run{attempt}.jsonl"
+        run_capture("terasort", input_gb=0.25, nodes=8, seed=3).to_jsonl(path)
+        captures.append(path.read_bytes())
+    assert captures[0] == captures[1]
+
+
+def test_run_capture_explicit_job_id_wins():
+    trace = run_capture("grep", input_gb=0.125, nodes=4, seed=1,
+                        config=CONFIG, job_id="mine")
+    assert trace.meta.job_id == "mine"
+
+
 def test_campaign_covers_sizes_and_repeats():
     traces = run_capture_campaign("grep", [0.125, 0.25], nodes=4,
                                   seed=5, repeats=2, config=CONFIG)

@@ -80,3 +80,19 @@ def test_capture_with_scheduler_flag(tmp_path):
                  "--scheduler", "fair", "-o", str(path)]) == 0
     trace = JobTrace.from_jsonl(path)
     assert trace.meta.hadoop["scheduler"] == "fair"
+
+
+@pytest.mark.parametrize("workload", [
+    ["--job", "terasort", "--input-gb", "0.25", "--nodes", "8"],
+    ["--plan", "pig-aggregation", "--plan-param", "input_gb=0.25",
+     "--nodes", "4"],
+], ids=["job", "plan"])
+def test_capture_writes_the_same_bytes_with_and_without_store(
+        tmp_path, capsys, workload):
+    bare, stored = tmp_path / "bare.jsonl", tmp_path / "stored.jsonl"
+    args = ["capture", *workload, "--seed", "3"]
+    assert main([*args, "-o", str(bare)]) == 0
+    assert main([*args, "--store", str(tmp_path / "store"),
+                 "-o", str(stored)]) == 0
+    assert ", simulated)" in capsys.readouterr().out
+    assert bare.read_bytes() == stored.read_bytes()

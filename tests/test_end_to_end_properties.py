@@ -15,9 +15,10 @@ from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.ports import ephemeral_port
 from repro.cluster.units import MB
 from repro.hdfs.placement import DefaultPlacementPolicy, RandomPlacementPolicy
-from repro.jobs import make_job
+from repro.jobs import make_job, make_plan
 from repro.mapreduce import counters as ctr
 from repro.mapreduce.cluster import HadoopCluster
+from repro.net.fairshare import allocation_is_feasible, bottlenecked_flows
 
 JOB_KINDS = ["terasort", "wordcount", "grep", "teragen", "dfsio-read"]
 
@@ -284,3 +285,92 @@ def test_remote_shuffle_flows_are_maps_times_reduces_minus_local_fetches(
                           and flow.metadata.get("service") == "shuffle-fetch")
     assert local == carried_locally
     assert len(shuffle) == round0.num_maps * round0.num_reduces - local
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+@pytest.mark.parametrize("kind", ["terasort", "wordcount"])
+def test_every_recompute_of_a_capture_is_feasible_and_max_min(
+        monkeypatch, engine, kind):
+    """Each allocation a real capture uses respects capacities, and
+    every flow in it is bottlenecked (a saturated link or its cap)."""
+    cluster = HadoopCluster(
+        ClusterSpec(num_nodes=6, hosts_per_rack=3, engine=engine,
+                    oversubscription=2.0),
+        HadoopConfig(block_size=32 * MB, num_reducers=3, replication=2),
+        seed=3)
+    net = cluster.net
+    allocator = net._allocator
+    checked = []
+
+    def check(rates):
+        active = net.active
+        assert set(rates) == set(active)
+        flow_links = {fid: flow.links for fid, flow in active.items()}
+        capacities = {link: net.topology.capacity(*link)
+                      for links in flow_links.values() for link in links}
+        caps = {fid: flow.max_rate for fid, flow in active.items()
+                if flow.max_rate is not None}
+        assert allocation_is_feasible(rates, flow_links, capacities)
+        verdicts = bottlenecked_flows(rates, flow_links, capacities, caps)
+        assert set(verdicts) == set(rates)
+        assert all(verdicts.values()), \
+            [fid for fid, ok in verdicts.items() if not ok]
+        checked.append(len(rates))
+
+    # The allocator classes use __slots__, so observe on the class.
+    if engine == "scalar":
+        compute = type(allocator).rates
+
+        def observed_rates(self):
+            rates = compute(self)
+            if self is allocator:
+                check(rates)
+            return rates
+
+        monkeypatch.setattr(type(allocator), "rates", observed_rates)
+    else:
+        recompute = type(allocator).recompute
+
+        def observed_recompute(self):
+            recompute(self)
+            if self is allocator:
+                check({fid: float(self.rate_array[self.slot_of(fid)])
+                       for fid in net.active})
+
+        monkeypatch.setattr(type(allocator), "recompute", observed_recompute)
+    results, _ = cluster.run([make_job(kind, input_gb=0.25)])
+    assert not results[0].failed
+    assert len(checked) == allocator.recomputes > 50
+    assert max(checked) > 1
+
+
+#: The registered plans at a small size, by name.
+PLAN_PARAMS = {"tpcx-hs": {"scale": 0.0625},
+               "pig-aggregation": {"input_gb": 0.125}}
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES,
+                         ids=lambda pair: "/".join(pair))
+@pytest.mark.parametrize("plan_name", sorted(PLAN_PARAMS))
+def test_plan_stage_input_is_upstream_output_times_carryover(substrate,
+                                                             plan_name):
+    """A dependent stage reads exactly what its upstreams wrote, scaled
+    by each edge's carryover: data moves between stages through HDFS
+    files, never by a side channel."""
+    backend, engine = substrate
+    plan = make_plan(plan_name, **PLAN_PARAMS[plan_name])
+    cluster = HadoopCluster(
+        ClusterSpec(num_nodes=4, hosts_per_rack=2, backend=backend,
+                    engine=engine),
+        HadoopConfig(block_size=32 * MB, num_reducers=2), seed=5)
+    result, _ = cluster.run_plan(plan)
+    dependent = [stage for stage in plan.topological_order()
+                 if not stage.is_root]
+    assert dependent
+    for stage in dependent:
+        record = result.stage(stage.name)
+        assert record.status == "completed", stage.name
+        upstream = sum(result.stage(edge.source).job.output_bytes
+                       * edge.carryover for edge in stage.inputs)
+        assert upstream > 0
+        assert record.job.input_bytes == upstream, stage.name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import Table
+from repro.analysis.tables import Table, render_table
 from repro.experiments import figures
 from repro.experiments.campaigns import CampaignConfig, capture, capture_campaign, clear_cache
 
@@ -76,6 +76,13 @@ def test_e10_small_validation():
     shuffle_rows = [row for row in table.rows if row[1] == "shuffle"]
     assert shuffle_rows
     assert shuffle_rows[0][4] < 0.5  # count error on the shuffle
+
+
+def test_a1_renders_the_same_tables_twice_in_one_process():
+    """Ablation rows and reruns share one job id: the cluster names it."""
+    first = [render_table(table) for table in figures.a1_locality(input_gb=0.25)]
+    second = [render_table(table) for table in figures.a1_locality(input_gb=0.25)]
+    assert first == second
 
 
 def test_all_experiments_registry_is_complete():

@@ -488,17 +488,14 @@ def _reset_counter_streams():
     streams, so the *second* simulation in one process would differ in
     ids (and the ports derived from them) for reasons that have nothing
     to do with the engine under test.  Flow ids no longer need
-    rewinding: each backend owns its own stream.  Job ids come from the
-    per-kind :class:`repro.jobs.base.JobIdStream` fallback, rewound via
-    its public reset helper.
+    rewinding: each backend owns its own stream, and job ids belong to
+    the cluster that runs the job.
     """
     import itertools
 
     import repro.hdfs.blocks as blocks
-    import repro.jobs.base as jobs_base
     import repro.yarn.containers as containers
 
-    jobs_base.reset_default_ids()
     containers._container_ids = itertools.count(1)
     blocks._block_ids = itertools.count(1)
 

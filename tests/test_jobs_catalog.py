@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cluster.config import ClusterSpec
 from repro.cluster.units import MB
 from repro.jobs import JobProfile, JobSpec, job_catalog, make_job
 from repro.jobs.base import register_profile
+from repro.mapreduce.cluster import HadoopCluster
 
 EXPECTED_KINDS = {"terasort", "sort", "wordcount", "grep", "pagerank",
                   "kmeans", "join", "teragen", "dfsio-write", "dfsio-read",
@@ -28,15 +30,20 @@ def test_make_job_builds_spec_with_defaults():
     spec = make_job("terasort", input_gb=2.0)
     assert spec.kind == "terasort"
     assert spec.input_bytes == 2.0 * 1024 * MB
-    assert spec.job_id.startswith("job_terasort_")
-    assert spec.input_path.endswith("/input")
-    assert spec.output_path.endswith("/output")
+    # Unnamed until the cluster that runs it names it; paths follow.
+    assert (spec.job_id, spec.input_path, spec.output_path) == ("", "", "")
+    spec.set_id("job_terasort_0001")
+    assert spec.input_path == "/data/job_terasort_0001/input"
+    assert spec.output_path == "/data/job_terasort_0001/output"
+    named = make_job("terasort", input_gb=2.0, job_id="ts")
+    assert named.input_path == "/data/ts/input"
 
 
 def test_make_job_unique_ids():
-    a = make_job("grep", input_gb=1.0)
-    b = make_job("grep", input_gb=1.0)
-    assert a.job_id != b.job_id
+    cluster = HadoopCluster(ClusterSpec(num_nodes=2, hosts_per_rack=2))
+    a = cluster.submit_job(make_job("grep", input_gb=0.0625)).spec
+    b = cluster.submit_job(make_job("grep", input_gb=0.0625)).spec
+    assert (a.job_id, b.job_id) == ("job_grep_0001", "job_grep_0002")
 
 
 def test_make_job_profile_overrides():

@@ -103,27 +103,6 @@ def test_analytic_local_flow_is_instant():
     assert flow.end_time == pytest.approx(0.0, abs=1e-9)
 
 
-def test_analytic_cancel_drops_the_flow():
-    sim, topo, net = make("analytic")
-    completed = []
-    net.add_listener(completed.append)
-    flow = net.start_flow(topo.hosts[0], topo.hosts[1], 1.0 * GBPS)
-    sim.schedule(0.5, net.cancel_flow, flow)
-    sim.run()
-    assert not flow.finished
-    assert completed == []
-    assert net.active == {}
-
-
-def test_analytic_drained_listener_fires():
-    sim, topo, net = make("analytic")
-    drained = []
-    net.add_drained_listener(lambda: drained.append(sim.now))
-    net.start_flow(topo.hosts[0], topo.hosts[1], 1.0 * GBPS)
-    sim.run()
-    assert drained == [pytest.approx(1.0, rel=1e-6)]
-
-
 def test_analytic_counters_and_utilisation():
     sim, topo, net = make("analytic")
     net.start_flow(topo.hosts[0], topo.hosts[1], 1.0 * GBPS)

@@ -183,12 +183,11 @@ def test_many_flows_conservation_of_bytes():
     assert not net.active
 
 
-def test_batch_context_coalesces_same_instant_starts():
+def test_same_instant_starts_coalesce_into_one_flush():
     sim, topo, net = make_network(num_hosts=4)
     size = 1.0 * GBPS
-    with net.batch():
-        a = net.start_flow(topo.hosts[0], topo.hosts[1], size)
-        b = net.start_flow(topo.hosts[0], topo.hosts[2], size)
+    a = net.start_flow(topo.hosts[0], topo.hosts[1], size)
+    b = net.start_flow(topo.hosts[0], topo.hosts[2], size)
     sim.run()
     # Physics unchanged by batching...
     assert a.end_time == pytest.approx(2.0, rel=1e-6)

@@ -19,8 +19,12 @@ CALLER_DIRS = ("src", "benchmarks", "bench_e2e", "scripts")
 
 # Modules reached only through a package registry, by name string:
 # importing the package registers them, and callers never name the
-# module or its symbols.
+# module or its symbols.  ``repro.api`` is the package's public entry
+# point, reached through the lazy exports in ``repro/__init__.py``
+# (``from repro import run_capture``); check.sh runs it in its
+# null-path smoke and through the examples.
 REGISTRY_ONLY = {
+    "repro.api",                       # repro._API_EXPORTS
     "repro.jobs.dfsio",                # @register_profile("dfsio-...")
     "repro.yarn.schedulers.capacity",  # make_scheduler("capacity")
     "repro.yarn.schedulers.drf",

@@ -114,7 +114,7 @@ def test_seeded_terasort_matches_dict_keyed_reference(monkeypatch, tmp_path):
     assert counts == ref_counts
 
 
-# -- randomized start / cancel / complete churn -----------------------------------------
+# -- randomized start / complete churn -------------------------------------------------
 
 
 def _churn(network_cls, seed):
@@ -145,21 +145,10 @@ def _churn(network_cls, seed):
         flows.extend(net.start_flows([request()
                                       for _ in range(rng.randint(2, 12))]))
 
-    def start_burst():
-        with net.batch():
-            for _ in range(rng.randint(2, 5)):
-                start_one()
-
-    def cancel_some():
-        live = [flow for flow in flows if flow.flow_id in net.active]
-        for flow in rng.sample(live, min(len(live), rng.randint(1, 3))):
-            net.cancel_flow(flow)
-
     def read_link_bytes():
         reads.append((sim.now, list(net.link_bytes.items())))
 
-    actions = [start_one, start_wave, start_burst, cancel_some,
-               read_link_bytes]
+    actions = [start_one, start_wave, read_link_bytes]
     at = 0.0
     for _ in range(rng.randint(40, 70)):
         # Repeated instants exercise same-timestamp coalescing.

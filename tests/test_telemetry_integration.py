@@ -24,7 +24,7 @@ def trace_bytes(trace):
 def observed_run():
     telemetry = Telemetry.enabled_in_memory(probe_interval=0.5)
     trace = run_capture("terasort", input_gb=0.25, nodes=4, seed=7,
-                        job_id="job_tel", telemetry=telemetry)
+                        telemetry=telemetry)
     return telemetry, trace
 
 
@@ -100,10 +100,8 @@ def test_registry_covers_every_layer(observed_run):
 
 
 def test_enabled_telemetry_keeps_capture_bytes_identical():
-    baseline = run_capture("terasort", input_gb=0.25, nodes=4, seed=7,
-                           job_id="job_tel")
+    baseline = run_capture("terasort", input_gb=0.25, nodes=4, seed=7)
     observed = run_capture("terasort", input_gb=0.25, nodes=4, seed=7,
-                           job_id="job_tel",
                            telemetry=Telemetry.enabled_in_memory(
                                probe_interval=0.5))
     assert trace_bytes(baseline) == trace_bytes(observed)

@@ -31,7 +31,6 @@ from repro.jobs import (
     make_plan,
     plan_catalog,
 )
-from repro.jobs.base import default_id_stream, reset_default_ids
 from repro.mapreduce.cluster import HadoopCluster
 
 SMALL_GB = 0.0625  # 64 MiB -> 2 blocks at 32 MiB
@@ -322,7 +321,7 @@ def test_plan_runs_are_deterministic(tmp_path):
     assert captures[0] == captures[1]
 
 
-# -- job id allocation (the de-globalized stream) -----------------------------------
+# -- job id allocation (owned by the cluster) ---------------------------------------
 
 
 def test_id_stream_counts_per_kind():
@@ -330,34 +329,42 @@ def test_id_stream_counts_per_kind():
     assert stream.allocate("terasort") == "job_terasort_0001"
     assert stream.allocate("grep") == "job_grep_0001"
     assert stream.allocate("terasort") == "job_terasort_0002"
-    stream.reset()
-    assert stream.allocate("terasort") == "job_terasort_0001"
+    assert JobIdStream().allocate("terasort") == "job_terasort_0001"
+
+
+def _submitted_ids(cluster, kinds):
+    """Submit one id-less spec per kind; the ids the cluster gave them."""
+    return [cluster.submit_job(make_job(kind, input_gb=SMALL_GB)).spec.job_id
+            for kind in kinds]
 
 
 def test_id_allocation_is_identical_serial_vs_interleaved():
-    """The id of "the k-th job of a kind" never depends on other streams.
+    """The id of "the k-th job of a kind" depends only on its cluster.
 
-    This is the hazard the old module-global counter had: building
-    specs for two executors in an interleaved order changed every id.
+    A process-global counter made it depend on every spec any code had
+    built before: interleaving submissions to two clusters changed
+    every id.
     """
-    serial = JobIdStream()
-    serial_ids = [make_job("terasort", input_gb=0.1, id_stream=serial).job_id
-                  for _ in range(3)]
-    a, b = JobIdStream(), JobIdStream()
+    serial = _submitted_ids(small_cluster(), ["terasort"] * 3)
+    a, b = small_cluster(), small_cluster()
     interleaved_a, interleaved_b = [], []
     for _ in range(3):
-        interleaved_a.append(
-            make_job("terasort", input_gb=0.1, id_stream=a).job_id)
-        interleaved_b.append(
-            make_job("terasort", input_gb=0.1, id_stream=b).job_id)
-    assert interleaved_a == serial_ids
-    assert interleaved_b == serial_ids
+        interleaved_a += _submitted_ids(a, ["terasort"])
+        interleaved_b += _submitted_ids(b, ["terasort"])
+    assert interleaved_a == serial
+    assert interleaved_b == serial
 
 
-def test_bare_specs_fall_back_to_the_process_stream():
-    reset_default_ids()
-    first = make_job("wordcount", input_gb=0.1)
-    assert first.job_id == "job_wordcount_0001"
-    assert default_id_stream().allocate("wordcount") == "job_wordcount_0002"
-    reset_default_ids()
-    assert make_job("wordcount", input_gb=0.1).job_id == "job_wordcount_0001"
+def test_cluster_names_id_less_specs_per_kind_in_submission_order():
+    cluster = small_cluster()
+    specs = [make_job("terasort", input_gb=SMALL_GB),
+             make_job("grep", input_gb=SMALL_GB),
+             make_job("terasort", input_gb=SMALL_GB)]
+    assert [spec.job_id for spec in specs] == ["", "", ""]
+    results, traces = cluster.run(specs, arrival_times=[0.0, 0.5, 1.0])
+    named = ["job_terasort_0001", "job_grep_0001", "job_terasort_0002"]
+    assert [result.job_id for result in results] == named
+    assert [trace.meta.job_id for trace in traces] == named
+    assert specs[2].input_path == "/data/job_terasort_0002/input"
+    fresh, _ = small_cluster().run([make_job("terasort", input_gb=SMALL_GB)])
+    assert fresh[0].job_id == "job_terasort_0001"
