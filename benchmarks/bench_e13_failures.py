@@ -23,8 +23,11 @@ def test_e13_failures(benchmark):
     # The DN crash re-replicates every lost block (32 MiB each here).
     assert dn_crash[4] > 0
     assert dn_crash[3] == dn_crash[4] * 32
-    # A machine crash also expires containers, and costs more time.
+    # A machine crash also expires containers (the victim is the
+    # busiest non-AM worker at the fault), and costs more time.
+    assert node_crash[5] > 0
     assert node_crash[5] >= dn_crash[5]
+    assert node_crash[1:] != dn_crash[1:]
     assert node_crash[1] >= healthy[1]
     # Every scenario completes.
     assert not any(row[6] for row in table.rows)

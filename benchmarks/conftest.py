@@ -22,6 +22,7 @@ Run with::
 """
 
 import os
+import shutil
 import tempfile
 
 import pytest
@@ -36,12 +37,22 @@ def registry_values(registry, *prefixes):
     return {metric["name"]: metric["value"] for metric in registry.snapshot()
             if metric["name"].startswith(prefixes)}
 
+_SESSION_STORE_DIRS = []
+
+
 def pytest_configure(config):
     """Install the session-wide capture store before any benchmark runs."""
     root = os.environ.get(STORE_ENV_VAR, "").strip()
     if not root:
         root = tempfile.mkdtemp(prefix="keddah-capture-store-")
+        _SESSION_STORE_DIRS.append(root)
     set_store(CaptureStore(root))
+
+
+def pytest_unconfigure(config):
+    """Remove the session store this run created (never a persistent one)."""
+    while _SESSION_STORE_DIRS:
+        shutil.rmtree(_SESSION_STORE_DIRS.pop(), ignore_errors=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -78,9 +78,12 @@ python -m pytest tests/test_flow_batching.py -q
 # 6b. Model-selection identity gate: the KS distance that ranks every
 #    candidate fit must equal scipy's kstest statistic bit for bit on
 #    seeded captures, ties, single samples and NaN CDFs, and
-#    fit_candidates must rank families in kstest order.
+#    fit_candidates must rank families in kstest order.  The Weibull
+#    fit must stay the exact MLE: never a lower likelihood than
+#    scipy's Nelder-Mead fit on those captures, a zero score at the
+#    returned shape, and finite parameters on extreme samples.
 echo "== model-selection identity suite =="
-python -m pytest tests/test_ks_distance_reference.py -q
+python -m pytest tests/test_ks_distance_reference.py tests/test_weibull_mle.py -q
 
 # 7. Live-observability gate: the serve daemon and the aggregate merge
 #    layer — including the mid-run /metrics liveness test and the
@@ -160,6 +163,15 @@ for example in examples/*.py; do
         exit 1
     fi
 done
+
+# 13. Recorded-results gate: the 25 shape benchmarks (A1-A5, E1-E20)
+#    must hold their qualitative claims, and EXPERIMENTS.md's recorded
+#    output must equal a fresh run byte for byte (--check diffs and
+#    exits non-zero; it rewrites nothing).
+echo "== shape benchmarks and recorded output =="
+python -m pytest -q -m benchmark_suite benchmarks/bench_a*.py \
+    benchmarks/bench_e*.py
+python scripts/regenerate_experiments_md.py --check
 
 echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
 echo "check.sh: all gates passed"

@@ -444,20 +444,33 @@ def e13_failures(job: str = "terasort", input_gb: float = 0.5,
         headers=["scenario", "JCT s", "hdfs_write MiB", "re-replication MiB",
                  "re-replicated blocks", "containers lost", "failed"])
 
+    fault_time = 4.0
     scenarios = [("healthy", None), ("datanode crash", DATANODE),
                  ("whole node crash", NODE)]
+    victim = None
     for label, fault_kind in scenarios:
         cluster = HadoopCluster(campaign.cluster_spec(),
                                 campaign.hadoop_config(), seed=seed)
         injector = None
-        if fault_kind is not None:
-            # Kill a worker that is not the AM host (AM restart is not
-            # modelled); with the campaign seed the AM lands on h001.
-            victim = cluster.workers[5]
+        running: Dict[str, int] = {}
+        if fault_kind is None:
+            # The healthy run is the faulty runs' prefix up to the
+            # fault: record what each worker runs at the fault instant.
+            cluster.sim.schedule_at(fault_time, lambda: running.update(
+                (node.host.name, node.running_count)
+                for node in cluster.nodemanagers))
+        else:
             injector = FaultInjector(
-                cluster, [FaultEvent(4.0, fault_kind, victim.name)])
+                cluster, [FaultEvent(fault_time, fault_kind, victim)])
         results, traces = cluster.run([make_job(job, input_gb=input_gb)])
         result, trace = results[0], traces[0]
+        if fault_kind is None:
+            # Kill the busiest worker that is not the AM host (AM
+            # restart is not modelled); ties go to the first worker.
+            am_hosts = {round_.am_host for round_ in result.rounds}
+            victim = max((host.name for host in cluster.workers
+                          if host.name not in am_hosts),
+                         key=lambda name: running.get(name, 0))
         rerep = sum(r.size for r in cluster.collector.records
                     if r.service == "re-replication")
         table.add_row(label, round(result.completion_time, 2),

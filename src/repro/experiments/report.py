@@ -3,13 +3,18 @@
 ``generate_report`` runs any subset of the E/A experiments and renders
 one self-contained markdown document (the machinery behind the
 recorded-output section of ``EXPERIMENTS.md`` and the CLI's
-``keddah experiment ... --markdown``).
+``keddah experiment ... --markdown``).  The full report (no ids) ends
+with the recorded workload-plan captures: each is a ``keddah capture
+--plan`` command and the output the CLI prints for it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.experiments import figures
@@ -43,9 +48,48 @@ _DESCRIPTIONS: Dict[str, str] = {
 }
 
 
+#: (section title, ``keddah capture`` arguments, output file name).
+PLAN_CAPTURES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
+    ("TPCx-HS chain (scale 1, 4 nodes, seed 42)",
+     ("--plan", "tpcx-hs", "--scale", "1", "--nodes", "4", "--reducers", "2",
+      "--seed", "42"), "hs.jsonl"),
+    ("Pig aggregation chain (1 GiB, 8 nodes, seed 42)",
+     ("--plan", "pig-aggregation", "--plan-param", "input_gb=1.0",
+      "--nodes", "8", "--seed", "42"), "pig.jsonl"),
+)
+
+
+def plan_capture_section(title: str, args: Sequence[str],
+                         output: str) -> List[str]:
+    """Run ``keddah capture ARGS -o OUTPUT``; its markdown section.
+
+    The trace and a fresh capture store go to a scratch directory, so
+    the capture is always simulated whatever ``$KEDDAH_CAPTURE_STORE``
+    holds; the recorded command and output name the bare ``OUTPUT``.
+    """
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / output)
+        store = str(Path(scratch) / "store")
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            status = main(["capture", *args, "--store", store, "-o", path])
+        if status != 0:
+            raise RuntimeError(f"keddah capture {' '.join(args)} exited "
+                               f"{status}: {printed.getvalue()}")
+    command = " ".join(["$ keddah capture", *args, "-o", output])
+    return [f"## Workload plans — {title}", "", "```", command,
+            printed.getvalue().replace(path, output).rstrip("\n"), "```", ""]
+
+
 def generate_report(ids: Optional[Sequence[str]] = None,
                     title: str = "Keddah evaluation report") -> str:
-    """Run experiments and return the markdown document."""
+    """Run experiments and return the markdown document.
+
+    Without ``ids`` every experiment runs, followed by the
+    :data:`PLAN_CAPTURES` sections.
+    """
     selected = sorted(figures.ALL_EXPERIMENTS) if ids is None else list(ids)
     unknown = [i for i in selected if i not in figures.ALL_EXPERIMENTS]
     if unknown:
@@ -61,6 +105,9 @@ def generate_report(ids: Optional[Sequence[str]] = None,
             sections.append("")
         sections.append("```")
         sections.append("")
+    if ids is None:
+        for plan_title, args, output in PLAN_CAPTURES:
+            sections.extend(plan_capture_section(plan_title, args, output))
     return "\n".join(sections)
 
 

@@ -6,6 +6,19 @@ lognormal, Weibull, gamma, Pareto, normal and uniform.  Positive-support
 families are fitted with location pinned at zero, the standard choice
 for sizes and inter-arrival gaps.
 
+Every family but one is fitted by scipy's ``fit``.  Weibull is fitted
+by its exact MLE: with location pinned at zero the likelihood profiles
+to one equation in the shape ``c``,
+
+    sum(x**c * ln x) / sum(x**c) - 1/c - mean(ln x) = 0,
+
+whose left side increases from -inf to a positive limit whenever the
+data has spread, so it has exactly one root.  :func:`_fit_weibull`
+brackets that root and solves it with ``brentq``; the scale then has
+the closed form ``mean(x**c) ** (1/c)``.  scipy's generic Weibull fit
+runs Nelder–Mead over the full likelihood, which costs hundreds of
+likelihood evaluations per fit and can stop short of the maximum.
+
 Two non-parametric fallbacks complete the set:
 
 * :class:`DegenerateDistribution` — a point mass, for metrics the
@@ -23,11 +36,17 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, stats
 
 _POSITIVE_EPS = 1e-9
 
-# name -> (scipy distribution, fit kwargs)
+# Bracket expansion for the Weibull shape: halving or doubling from 1,
+# 2**-200 .. 2**200 covers every root float data can produce.
+_WEIBULL_BRACKET_STEPS = 200
+
+# name -> (scipy distribution, fit kwargs).  fit_family hands Weibull
+# to _fit_weibull instead of scipy's fit; its kwargs only record the
+# pinned location.
 CANDIDATE_FAMILIES: Dict[str, Tuple[Any, Dict[str, Any]]] = {
     "exponential": (stats.expon, {"floc": 0}),
     "lognormal": (stats.lognorm, {"floc": 0}),
@@ -161,8 +180,50 @@ def fit_family(family: str, samples: Sequence[float]) -> FittedDistribution:
         raise ValueError("cannot fit a distribution to no samples")
     if family in _POSITIVE_FAMILIES:
         data = np.maximum(data, _POSITIVE_EPS)
-    params = dist.fit(data, **fit_kwargs)
+    if family == "weibull":
+        params = _fit_weibull(data)
+    else:
+        params = dist.fit(data, **fit_kwargs)
     return FittedDistribution(family, params)
+
+
+def _fit_weibull(data: np.ndarray) -> Tuple[float, float, float]:
+    """Weibull MLE with location 0: ``(shape, 0.0, scale)``.
+
+    Solves the profile-likelihood score equation (module docstring) on
+    log-data shifted by its maximum, so every ``x**c`` becomes
+    ``exp(c * z)`` with ``z <= 0`` and cannot overflow.  Raises
+    ``ValueError`` for data with no spread, which has no finite MLE.
+    """
+    logs = np.log(data)
+    top = float(logs.max())
+    z = logs - top
+    if float(z.min()) == 0.0:
+        raise ValueError("Weibull MLE needs data with spread")
+    mean_z = float(z.mean())
+
+    def score(c: float) -> float:
+        w = np.exp(c * z)
+        return float(np.dot(w, z) / w.sum()) - 1.0 / c - mean_z
+
+    # The score rises with c: double (or halve) the bracket from c=1
+    # until it straddles the root.
+    lo = hi = 1.0
+    upward = score(1.0) < 0.0
+    for _ in range(_WEIBULL_BRACKET_STEPS):
+        if upward:
+            lo, hi = hi, hi * 2.0
+            if score(hi) >= 0.0:
+                break
+        else:
+            lo, hi = lo / 2.0, lo
+            if score(lo) <= 0.0:
+                break
+    else:
+        raise ValueError("Weibull shape bracket did not close")
+    shape = optimize.brentq(score, lo, hi)
+    scale = np.exp(top + np.log(np.mean(np.exp(shape * z))) / shape)
+    return float(shape), 0.0, float(scale)
 
 
 def distribution_from_dict(data: Dict[str, Any]):

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.experiments.report import generate_report, write_report
+from repro.experiments.report import (
+    generate_report,
+    plan_capture_section,
+    write_report,
+)
 
 
 def test_generate_report_single_experiment():
@@ -24,3 +28,16 @@ def test_write_report_to_disk(tmp_path):
     text = path.read_text()
     assert text.startswith("# Smoke report")
     assert "A3" in text
+
+
+def test_plan_capture_section_records_cli_command_and_output():
+    args = ("--plan", "tpcx-hs", "--scale", "0.25", "--nodes", "4",
+            "--reducers", "2", "--seed", "42")
+    lines = plan_capture_section("TPCx-HS smoke", args, "hs.jsonl")
+    assert lines[:4] == [
+        "## Workload plans — TPCx-HS smoke", "", "```",
+        "$ keddah capture " + " ".join(args) + " -o hs.jsonl"]
+    output = lines[4]
+    assert "== Plan tpcx-hs — per-stage breakdown ==" in output
+    assert output.splitlines()[-1].endswith("simulated) -> hs.jsonl")
+    assert lines[5:] == ["```", ""]
