@@ -1,13 +1,15 @@
 """E5 — best-fit distribution table per (job, component, metric).
 
 Shape claims: the table covers every job in the mix, KS distances are
-reported for every row, and the HDFS-read size rows are recognised as
-(near-)degenerate block-sized populations, i.e. their best parametric
-fit has tiny spread or the KS column flags the mismatch.
+reported for every row, and every HDFS-read size row whose population
+has no spread (each flow one whole block) reads ``degenerate`` with
+KS 0 and the block size as its value, while rows with spread keep a
+ranked parametric family.
 """
 
 from benchmarks.conftest import run_experiment
 from repro.experiments import figures
+from repro.experiments.campaigns import DEFAULT_SEED, capture
 
 
 def test_e05_fit_table(benchmark):
@@ -27,3 +29,18 @@ def test_e05_fit_table(benchmark):
                          if row[1] == "shuffle" and row[2] == "size"]
     assert len(shuffle_size_rows) >= 4
     assert min(row[5] for row in shuffle_size_rows) < 0.2
+
+    # Zero-spread read sizes are a point mass, not a ranked family.
+    zero_spread = 0
+    for row in table.rows:
+        if row[1] != "hdfs_read" or row[2] != "size":
+            continue
+        _, trace = capture(row[0], 1.0, seed=DEFAULT_SEED)
+        sizes = trace.flow_sizes("hdfs_read")
+        if min(sizes) == max(sizes):
+            zero_spread += 1
+            assert (row[3], row[4], row[5]) == \
+                ("degenerate", f"{sizes[0]:.3g}", 0.0), row
+        else:
+            assert row[3] != "degenerate", row
+    assert zero_spread >= 2

@@ -81,9 +81,14 @@ python -m pytest tests/test_flow_batching.py -q
 #    fit_candidates must rank families in kstest order.  The Weibull
 #    fit must stay the exact MLE: never a lower likelihood than
 #    scipy's Nelder-Mead fit on those captures, a zero score at the
-#    returned shape, and finite parameters on extreme samples.
+#    returned shape, and finite parameters on extreme samples.  The
+#    lognormal mixture's EM, which runs every restart at once on
+#    (R, n, k) arrays, must serialise equal with == to the sequential
+#    per-restart reference on those captures and on randomized tiny,
+#    near-constant and tied samples.
 echo "== model-selection identity suite =="
-python -m pytest tests/test_ks_distance_reference.py tests/test_weibull_mle.py -q
+python -m pytest tests/test_ks_distance_reference.py tests/test_weibull_mle.py \
+    tests/test_mixture_em_reference.py -q
 
 # 7. Live-observability gate: the serve daemon and the aggregate merge
 #    layer — including the mid-run /metrics liveness test and the

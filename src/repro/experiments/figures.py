@@ -31,7 +31,7 @@ from repro.generation.replay import replay_trace
 from repro.hdfs.placement import RandomPlacementPolicy
 from repro.jobs import make_job
 from repro.mapreduce.cluster import HadoopCluster
-from repro.modeling.fitting import fit_candidates
+from repro.modeling.fitting import best_report
 from repro.modeling.model import fit_job_model
 
 DATA_COMPONENTS = [c.value for c in TrafficComponent.data_components()]
@@ -107,7 +107,7 @@ def e03_flow_size_cdf(job: str = "terasort", input_gb: float = 1.0,
         sizes = trace.flow_sizes(component)
         if not sizes:
             continue
-        fitted = fit_candidates(sizes)[0]
+        fitted = best_report(sizes)
         table = cdf_table(
             f"E3: {job} {component} flow sizes (bytes), "
             f"fit={fitted.distribution!r} KS={fitted.ks:.3f}",
@@ -125,7 +125,7 @@ def e04_arrival_cdf(job: str = "terasort", input_gb: float = 1.0,
         gaps = trace.interarrivals(component)
         if len(gaps) < 3:
             continue
-        fitted = fit_candidates(gaps)[0]
+        fitted = best_report(gaps)
         table = cdf_table(
             f"E4: {job} {component} flow inter-arrivals (s), "
             f"fit={fitted.distribution!r} KS={fitted.ks:.3f}",
@@ -154,7 +154,7 @@ def e05_fit_table(jobs: Optional[List[str]] = None, input_gb: float = 1.0,
             for metric, samples in metrics.items():
                 if len(samples) < 3:
                     continue
-                best = fit_candidates(samples)[0]
+                best = best_report(samples)
                 params = ", ".join(f"{p:.3g}" for p in best.distribution.params)
                 table.add_row(job, component, metric, best.family, params,
                               round(best.ks, 4), len(samples))

@@ -326,7 +326,8 @@ def stage_capture_plans(context: StageContext) -> None:
 @register_stage("classify")
 def stage_classify(context: StageContext) -> None:
     """Per-point traffic component breakdown from the shared store."""
-    store = CaptureStore(context.input("store"))
+    store = CaptureStore(context.input("store"),
+                         registry=context.telemetry.registry)
     rows = []
     for payload in context.config["points"]:
         point = _payload_point(payload)
@@ -346,7 +347,8 @@ def stage_classify(context: StageContext) -> None:
 @register_stage("fit")
 def stage_fit(context: StageContext) -> None:
     """One fitted JobTrafficModel per job, from the training sizes."""
-    store = CaptureStore(context.input("store"))
+    store = CaptureStore(context.input("store"),
+                         registry=context.telemetry.registry)
     campaign = dict(context.config["campaign"])
     seed = int(context.config["seed"])
     sizes = [float(size) for size in context.config["sizes_gb"]]
@@ -369,7 +371,8 @@ def stage_fit(context: StageContext) -> None:
 @register_stage("replay")
 def stage_replay(context: StageContext) -> None:
     """Replay every captured trace through the generation layer."""
-    store = CaptureStore(context.input("store"))
+    store = CaptureStore(context.input("store"),
+                         registry=context.telemetry.registry)
     rows = []
     for payload in context.config["points"]:
         point = _payload_point(payload)
@@ -388,7 +391,8 @@ def stage_replay(context: StageContext) -> None:
 @register_stage("validate")
 def stage_validate(context: StageContext) -> None:
     """Score model-generated traces against the held-out target size."""
-    store = CaptureStore(context.input("store"))
+    store = CaptureStore(context.input("store"),
+                         registry=context.telemetry.registry)
     models_dir = context.input("models")
     campaign = dict(context.config["campaign"])
     seed = int(context.config["seed"])
@@ -424,7 +428,8 @@ def stage_figure(context: StageContext) -> None:
 
     experiment = context.config["experiment"]
     params = dict(context.config.get("params", {}))
-    capture_fn = store_capture_fn(CaptureStore(context.input("store")))
+    capture_fn = store_capture_fn(CaptureStore(
+        context.input("store"), registry=context.telemetry.registry))
     if experiment == "e12":
         params["nodes"] = tuple(params.get("nodes", (4, 8, 16, 32)))
         tables = figures.e12_cluster_scaling(capture_fn=capture_fn, **params)

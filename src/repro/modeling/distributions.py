@@ -104,6 +104,10 @@ class DegenerateDistribution:
     def __init__(self, value: float):
         self.value = float(value)
 
+    @property
+    def params(self) -> Tuple[float]:
+        return (self.value,)
+
     def cdf(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) >= self.value).astype(float)
 

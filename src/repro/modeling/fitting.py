@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,9 +37,9 @@ DEFAULT_EMPIRICAL_THRESHOLD = 0.25
 
 @dataclass
 class FitReport:
-    """One candidate family's score card."""
+    """One fitted distribution's score card."""
 
-    distribution: FittedDistribution
+    distribution: Union[FittedDistribution, DegenerateDistribution]
     ks: float  # one-sample KS distance to the fitted data
 
     @property
@@ -73,6 +73,23 @@ def fit_candidates(samples: Sequence[float],
     return reports
 
 
+def best_report(samples: Sequence[float],
+                families: Optional[Sequence[str]] = None) -> FitReport:
+    """Rules 1 and 2 of the module docstring as one score card.
+
+    Zero-spread data gets a point mass with KS distance 0: no family is
+    ranked on it, because ``ks_distance``'s continuous-CDF formula
+    reads a point mass as far from every fit.
+    """
+    data = np.asarray(list(samples), dtype=float)
+    if data.size == 0:
+        raise ValueError("cannot fit to an empty sample")
+    if data.size == 1 or float(np.ptp(data)) == 0.0:
+        return FitReport(distribution=DegenerateDistribution(float(data[0])),
+                         ks=0.0)
+    return fit_candidates(data, families)[0]
+
+
 def fit_best(samples: Sequence[float],
              families: Optional[Sequence[str]] = None,
              empirical_threshold: float = DEFAULT_EMPIRICAL_THRESHOLD,
@@ -87,11 +104,7 @@ def fit_best(samples: Sequence[float],
     single-family KS distance.
     """
     data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot fit to an empty sample")
-    if data.size == 1 or float(np.ptp(data)) == 0.0:
-        return DegenerateDistribution(float(data[0]))
-    best = fit_candidates(data, families)[0]
+    best = best_report(data, families)
     if best.ks <= empirical_threshold:
         return best.distribution
     if try_mixture:
@@ -101,4 +114,3 @@ def fit_best(samples: Sequence[float],
         if mixture is not None:
             return mixture
     return EmpiricalDistribution.from_samples(data)
-

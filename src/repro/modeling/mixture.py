@@ -12,7 +12,21 @@ Gaussian mixture in log space) fitted with vanilla EM:
 
 * E-step: responsibilities from current parameters,
 * M-step: weighted mean/variance per component,
-* k-means++-style initialisation on log data, fixed seed, restarts.
+* quantile-spread initial means on log data, jittered per restart
+  from a fixed seed, best of ``restarts`` by log-likelihood.
+
+The restarts run side by side: one EM advances all of them on
+``(R, n, k)`` arrays (restart, sample, component), so each iteration
+costs one set of numpy calls instead of ``R``.  A restart that
+converges keeps that iteration's parameters while the others go on.
+The layout is ``(R, n, k)`` because each restart's slab then has the
+memory layout of a single restart's ``(n, k)`` array, and numpy sums
+it in the same order: sample by sample for each component's M-step
+sums, pairwise over the restart's own row of ``n`` log-normalisers for
+its log-likelihood.  The fit is therefore bit-identical to running the
+restarts one after another (the sequential reference in
+``tests/test_mixture_em_reference.py``).  An ``(n, R, k)`` layout
+changes the summation order and the last bit of some fits.
 
 The mixture plugs into the same serialisation protocol as the other
 distribution kinds (``kind = "mixture"``).
@@ -20,7 +34,7 @@ distribution kinds (``kind = "mixture"``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 from scipy import stats
@@ -113,54 +127,76 @@ class LognormalMixture:
             raise ValueError("n_components must be >= 1")
         log_data = np.log(data)
         rng = np.random.default_rng(seed)
+        weights, mus, sigmas, loglikes = cls._em(
+            log_data, n_components, max_iter, tol, rng, restarts)
         best = None
         best_loglike = -np.inf
-        for _ in range(restarts):
-            fitted, loglike = cls._em(log_data, n_components, max_iter, tol, rng)
+        for restart, loglike in enumerate(loglikes.tolist()):
             if loglike > best_loglike:
-                best, best_loglike = fitted, loglike
+                best, best_loglike = restart, loglike
         assert best is not None
-        return best
+        return cls(weights[best], mus[best], sigmas[best])
 
-    @classmethod
-    def _em(cls, log_data: np.ndarray, k: int, max_iter: int, tol: float,
-            rng: np.random.Generator):
+    @staticmethod
+    def _em(log_data: np.ndarray, k: int, max_iter: int, tol: float,
+            rng: np.random.Generator, restarts: int):
+        """Advance every restart's EM at once on ``(R, n, k)`` arrays.
+
+        Returns each restart's ``(R, k)`` weights, mus and sigmas and
+        its ``(R,)`` log-likelihood, frozen at the iteration where that
+        restart converged (or at ``max_iter``).
+        """
         n = log_data.size
         # Quantile-spread means with a deliberately narrow initial
         # sigma: a wide sigma makes responsibilities uniform and the
-        # components collapse onto one broad mode.
+        # components collapse onto one broad mode.  Each restart
+        # jitters the means with its own k draws, in restart order.
         quantiles = (np.arange(k) + 0.5) / k
-        mus = np.quantile(log_data, quantiles)
-        mus = mus + rng.normal(scale=0.05 * (log_data.std() + _MIN_SIGMA), size=k)
-        sigmas = np.full(k, max(log_data.std() / max(k, 1), _MIN_SIGMA))
-        weights = np.full(k, 1.0 / k)
-        previous = -np.inf
-        for _ in range(max_iter):
-            # E-step: responsibilities (n x k), computed in log space.
-            log_resp = (np.log(np.maximum(weights, _EPS))
-                        - np.log(np.maximum(sigmas, _EPS))
-                        - 0.5 * ((log_data[:, None] - mus[None, :])
-                                 / sigmas[None, :]) ** 2)
-            log_norm = _logsumexp_rows(log_resp)
-            loglike = float(np.sum(log_norm))
-            resp = np.exp(log_resp - log_norm[:, None])
+        spread = log_data.std()
+        mus = np.quantile(log_data, quantiles) + rng.normal(
+            scale=0.05 * (spread + _MIN_SIGMA), size=(restarts, k))
+        sigmas = np.full((restarts, k), max(spread / max(k, 1), _MIN_SIGMA))
+        weights = np.full((restarts, k), 1.0 / k)
+        points = log_data[None, :, None]
+        final = [np.empty((restarts, k)) for _ in range(3)] + \
+            [np.full(restarts, -np.inf)]
+        running = np.ones(restarts, dtype=bool)
+        previous = np.full(restarts, -np.inf)
+        for iteration in range(max_iter):
+            # E-step: responsibilities (R x n x k), computed in log space.
+            log_resp = (np.log(np.maximum(weights, _EPS))[:, None, :]
+                        - np.log(np.maximum(sigmas, _EPS))[:, None, :]
+                        - 0.5 * ((points - mus[:, None, :])
+                                 / sigmas[:, None, :]) ** 2)
+            log_norm = _logsumexp_last(log_resp)
+            loglike = np.sum(log_norm, axis=1)
+            resp = np.exp(log_resp - log_norm[:, :, None])
             # M-step.
-            mass = resp.sum(axis=0)
+            mass = resp.sum(axis=1)
             mass = np.maximum(mass, _EPS)
             weights = mass / n
-            mus = (resp * log_data[:, None]).sum(axis=0) / mass
-            variances = (resp * (log_data[:, None] - mus[None, :]) ** 2
-                         ).sum(axis=0) / mass
+            mus = (resp * points).sum(axis=1) / mass
+            variances = (resp * (points - mus[:, None, :]) ** 2
+                         ).sum(axis=1) / mass
             sigmas = np.sqrt(np.maximum(variances, _MIN_SIGMA ** 2))
-            if abs(loglike - previous) < tol * (1 + abs(previous)):
-                break
+            done = running & ((np.abs(loglike - previous)
+                               < tol * (1 + np.abs(previous)))
+                              | (iteration == max_iter - 1))
+            if done.any():
+                # The restarts still running go on; later work on the
+                # rows of finished ones is never read.
+                for out, state in zip(final, (weights, mus, sigmas, loglike)):
+                    out[done] = state[done]
+                running &= ~done
+                if not running.any():
+                    break
             previous = loglike
-        return cls(weights, mus, sigmas), loglike
+        return final
 
 
-def _logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
-    peak = matrix.max(axis=1)
-    return peak + np.log(np.sum(np.exp(matrix - peak[:, None]), axis=1))
+def _logsumexp_last(array: np.ndarray) -> np.ndarray:
+    peak = array.max(axis=-1)
+    return peak + np.log(np.sum(np.exp(array - peak[..., None]), axis=-1))
 
 
 def fit_mixture_if_better(samples: Sequence[float], baseline_ks: float,
@@ -177,10 +213,7 @@ def fit_mixture_if_better(samples: Sequence[float], baseline_ks: float,
     data = [value for value in samples if value > 0]
     if len(data) < 2 * n_components:
         return None
-    try:
-        mixture = LognormalMixture.fit(data, n_components=n_components, seed=seed)
-    except Exception:
-        return None
+    mixture = LognormalMixture.fit(data, n_components=n_components, seed=seed)
     ks = ks_distance(data, mixture.cdf)
     if ks < 0.5 * baseline_ks:
         return mixture

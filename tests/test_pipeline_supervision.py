@@ -1,5 +1,6 @@
 """The built-in pipeline on the supervised executor: what a node keeps
-when it runs in a worker, and what the run's worker count may not touch."""
+when it runs in a worker, what its telemetry counts, and what the run's
+worker count may not touch."""
 
 import json
 
@@ -48,3 +49,20 @@ def test_worker_count_does_not_rekey_the_capture_sweep(tmp_path):
     actions = {entry["node"]: entry["action"] for entry in wider.plan()}
     assert actions["capture"] == CACHED
     assert set(actions.values()) == {CACHED}
+
+
+def test_downstream_nodes_count_their_store_reads(tmp_path):
+    # Every node that reads the shared capture store counts the reads
+    # on its own registry, so its telemetry shows them.
+    spec = SPEC.with_overrides(experiments=("e18",), e18_job="grep",
+                               e18_target_gb=0.125)
+    root = tmp_path / "pl"
+    result = DAGRunner(build_pipeline(spec), root, node_telemetry=True).run()
+    readers = ("classify", "fit", "replay", "validate", "e18")
+    for name in readers:
+        assert result.states()[name] == DONE
+        metrics = root / result.outcomes[name].dir / "telemetry" / \
+            "metrics.json"
+        for counter in ("store.hits", "store.bytes_read"):
+            (value,) = _metric(metrics, counter)
+            assert value > 0, (name, counter)
