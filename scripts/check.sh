@@ -91,13 +91,16 @@ echo "== model-selection identity suite =="
 python -m pytest tests/test_ks_distance_reference.py tests/test_weibull_mle.py \
     tests/test_mixture_em_reference.py -q
 
-# 7. Live-observability gate: the serve daemon and the aggregate merge
-#    layer — including the mid-run /metrics liveness test and the
-#    byte-identity-with-server-attached test.  Redundant with tier-1
-#    on a full run, explicit so scoped runs still exercise the daemon
-#    end to end.
-echo "== live-observability suite =="
-python -m pytest tests/test_obs_server.py tests/test_obs_aggregate.py -q
+# 7. Telemetry aggregation and loading gate: worker registries must
+#    fold into the parent exactly once (counters sum, gauges keep a
+#    per-worker series, re-delivery is a no-op), and telemetry
+#    directories must load back through one tolerant loader: plain
+#    dirs, pipeline roots under node labels, partial writes degrading
+#    to empty artefacts, and the report/trace/top commands that read
+#    them.  Redundant with tier-1 on a full run, explicit so scoped
+#    runs still exercise it.
+echo "== telemetry aggregation and loading suite =="
+python -m pytest tests/test_obs_aggregate.py tests/test_cli_telemetry.py -q
 
 # 8. Pipeline crash-resume gate: SIGKILL a pipeline mid-fit, resume,
 #    and require zero re-execution of completed nodes plus

@@ -4,11 +4,14 @@
 # engine's speed across PRs.  Tier-1 test runs (`python -m pytest -x -q`)
 # skip these.
 #
-# Two artefacts:
+# Eight artefacts:
 #   BENCH_substrate.json — pytest-benchmark timings of the fluid engine
 #   BENCH_campaign.json  — campaign runner: cold serial vs cold parallel
 #                          vs warm capture store, with hit/miss counters
 #                          (written by benchmarks/bench_campaign.py)
+#   BENCH_telemetry.json — telemetry null-path and enabled-run overhead
+#                          on a terasort capture
+#                          (benchmarks/bench_telemetry_overhead.py)
 #   BENCH_campaign_faults.json — crash-injection stress: supervised pool
 #                          vs SIGKILLed workers, recovery overhead and
 #                          byte-identity (benchmarks/bench_campaign_faults.py)
@@ -20,10 +23,6 @@
 #                          overhead in microseconds, speedup, byte-identity
 #                          flags and a >=4096-host scale run
 #                          (benchmarks/bench_flow_batching.py)
-#   BENCH_serve.json     — live observability daemon: campaign wall time
-#                          bare vs served-and-scraped, byte-identity of
-#                          the captures, events published
-#                          (benchmarks/bench_serve_overhead.py)
 #   BENCH_pipeline.json  — crash-safe pipeline DAG: cold flat campaign vs
 #                          cold DAG vs warm all-cached DAG, warm-skip
 #                          speedup (benchmarks/bench_pipeline.py)
@@ -74,11 +73,6 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
     benchmarks/bench_flow_batching.py \
-    -m benchmark_suite \
-    -q -s "$@"
-
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
-    benchmarks/bench_serve_overhead.py \
     -m benchmark_suite \
     -q -s "$@"
 

@@ -14,17 +14,14 @@ Subcommands mirror the pipeline stages::
     keddah export   trace.jsonl --format ns3 -o replay.cc
     keddah report   trace.jsonl --telemetry telemetry/
     keddah trace    telemetry/spans.jsonl --kinds job,stage,task
-    keddah serve    --telemetry telemetry/ --port 9109
-    keddah top      http://127.0.0.1:9109
+    keddah top      telemetry/
 
 Every command reads/writes the JSONL trace and JSON model formats, so
 stages can be mixed with externally produced data.  ``capture`` and
 ``campaign`` accept ``--telemetry DIR`` to observe the run (metrics,
-probes, spans) without changing the captured bytes; ``report`` and
-``trace`` read those artefacts back.  ``campaign --serve-port N``
-attaches the live observability daemon for the duration of the run;
-``serve`` exposes a telemetry directory standalone; ``top`` renders a
-one-shot cluster view from either.
+probes, spans) without changing the captured bytes; ``report``,
+``trace`` and ``top`` read those artefacts back (``top`` renders a
+one-shot cluster view of a telemetry directory or a pipeline root).
 """
 
 from __future__ import annotations
@@ -147,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(worker span streams stay per-process)")
     campaign.add_argument("-o", "--output", default=None,
                           help="optional directory for per-point trace files")
-    campaign.add_argument("--serve-port", type=int, default=None, metavar="N",
-                          help="attach the live observability daemon on this "
-                               "port (0 = ephemeral) for the duration of the "
-                               "run: /metrics, /events progress stream, ...")
-    campaign.add_argument("--serve-host", default="127.0.0.1",
-                          help="bind address for --serve-port")
 
     pipeline = sub.add_parser(
         "pipeline",
@@ -209,30 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--telemetry", action="store_true",
                           help="write per-node telemetry subdirs "
                                "(keddah top DIR aggregates them)")
-    pipeline.add_argument("--serve-port", type=int, default=None, metavar="N",
-                          help="attach the live observability daemon for "
-                               "the run; node transitions stream on /events")
-    pipeline.add_argument("--serve-host", default="127.0.0.1")
-
-    serve = sub.add_parser(
-        "serve", help="serve a telemetry directory over HTTP "
-                      "(Prometheus /metrics, JSON endpoints, SSE /events)")
-    serve.add_argument("--telemetry", required=True, metavar="DIR",
-                       help="telemetry directory to serve (reloaded as the "
-                            "artefacts change, tolerant of mid-write state)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="port to bind (0 = ephemeral, printed on start)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--for-seconds", type=float, default=None, metavar="S",
-                       help="serve for this long then exit (tests/demos); "
-                            "default: until interrupted")
 
     top = sub.add_parser(
-        "top", help="one-shot cluster view: metrics + probes from a running "
-                    "serve daemon (URL) or a telemetry directory")
+        "top", help="one-shot cluster view: metrics + probes from a "
+                    "telemetry directory or a pipeline root")
     top.add_argument("source",
-                     help="http(s)://host:port of a serve daemon, or a "
-                          "telemetry directory path")
+                     help="telemetry directory, or a pipeline root whose "
+                          "per-node telemetry is shown under node labels")
 
     plans = sub.add_parser(
         "plans", help="list or describe the registered workload plans")
@@ -563,33 +537,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     previous_store = get_store()
     set_store(store)
     telemetry = _telemetry_from_args(args)
-    server = None
-    broker = None
-    if args.serve_port is not None:
-        from repro.obs import EventBroker, Telemetry
-        from repro.obs.server import serve_telemetry
-
-        if telemetry is None:
-            # Registry-only live view: counters still work on a
-            # disabled telemetry, captures stay byte-identical.
-            telemetry = Telemetry.disabled()
-        broker = EventBroker()
-        server = serve_telemetry(telemetry, port=args.serve_port,
-                                 host=args.serve_host, broker=broker)
-        print(f"live observability at {server.url} "
-              f"(/metrics /snapshot /probes /spans /events)")
     runner = make_runner(workers, telemetry=telemetry, retry_policy=policy,
-                         quarantine=quarantine, strict=False,
-                         events=broker)
+                         quarantine=quarantine, strict=False)
     started = time.perf_counter()
-    try:
-        outcomes = runner.run(points)
-    finally:
-        elapsed = time.perf_counter() - started
-        if server is not None:
-            print(f"serve daemon: {server.requests_served} request(s), "
-                  f"{server.broker.published} event(s) published")
-            server.stop()
+    outcomes = runner.run(points)
+    elapsed = time.perf_counter() - started
 
     table = Table(title=f"campaign: {len(args.jobs)} job(s) x {len(sizes)} "
                         f"size(s), {workers} worker(s)",
@@ -743,20 +695,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
         telemetry = Telemetry.enabled_in_memory()
 
-    broker = None
-    server = None
-    if args.serve_port is not None and args.action in ("run", "resume"):
-        from repro.obs import EventBroker, Telemetry
-        from repro.obs.server import serve_telemetry
-
-        if telemetry is None:
-            telemetry = Telemetry.disabled()
-        broker = EventBroker()
-        server = serve_telemetry(telemetry, port=args.serve_port,
-                                 host=args.serve_host, broker=broker)
-        print(f"live observability at {server.url} "
-              f"(node transitions stream on /events)")
-
     if args.retries < 1:
         print(f"--retries must be >= 1, got {args.retries}")
         return 2
@@ -767,7 +705,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         quarantine=Quarantine(root / "quarantine.jsonl"),
         on_failure=args.on_failure,
         telemetry=telemetry,
-        events=broker,
         node_telemetry=args.telemetry)
 
     if args.action == "plan":
@@ -784,8 +721,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                            f"(stale-upstream nodes re-key once their "
                            f"upstream re-runs)")
         print(render_table(table))
-        if server is not None:
-            server.stop()
         return 0
 
     if args.action == "run":
@@ -799,12 +734,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except PipelineFailed as exc:
         result = exc.result
         failed = exc
-    finally:
-        elapsed = time.perf_counter() - started
-        if server is not None:
-            print(f"serve daemon: {server.requests_served} request(s), "
-                  f"{server.broker.published} event(s) published")
-            server.stop()
+    elapsed = time.perf_counter() - started
 
     table = Table(title=f"pipeline {dag.name}: {len(dag)} node(s) "
                         f"under {root}",
@@ -1134,66 +1064,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.obs.server import ENDPOINTS, serve_directory
-
-    if not Path(args.telemetry).is_dir():
-        print(f"no telemetry directory at {args.telemetry} "
-              f"(run capture/campaign --telemetry DIR first)")
-        return 2
-    server = serve_directory(args.telemetry, port=args.port, host=args.host)
-    print(f"serving telemetry dir {args.telemetry} at {server.url}")
-    print(f"endpoints: {' '.join(ENDPOINTS)}")
-    try:
-        if args.for_seconds is not None:
-            time.sleep(args.for_seconds)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    print(f"served {server.requests_served} request(s)")
-    return 0
-
-
 def cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.export import metrics_table, probes_table
-    from repro.obs.probes import ProbeLog
+    from repro.obs.export import load_telemetry_dir, metrics_table, probes_table
 
-    if args.source.startswith(("http://", "https://")):
-        import json as _json
-        from urllib.request import urlopen
-
-        base = args.source.rstrip("/")
-
-        def _fetch(endpoint):
-            with urlopen(f"{base}{endpoint}", timeout=10) as response:
-                return _json.loads(response.read().decode("utf-8"))
-
-        try:
-            health = _fetch("/healthz")
-            metrics = _fetch("/snapshot")
-            probes = ProbeLog.from_dict(_fetch("/probes"))
-        except OSError as exc:
-            print(f"cannot reach serve daemon at {base}: {exc}")
-            return 2
-        source = health.get("source", {})
-        print(f"{base}: {source.get('kind', '?')} source, "
-              f"up {health.get('uptime_s', 0):.0f}s, "
-              f"{health.get('requests_served', 0)} request(s) served")
-    else:
-        from repro.obs.server import DirSource
-
-        if not Path(args.source).is_dir():
-            print(f"{args.source}: not a URL or telemetry directory")
-            return 2
-        source = DirSource(args.source)
-        metrics = source.metrics_snapshot()
-        probes = source.probes()
+    if not Path(args.source).is_dir():
+        print(f"{args.source}: not a telemetry directory")
+        return 2
+    metrics, probes, _ = load_telemetry_dir(args.source)
     print(render_table(metrics_table(
         metrics, title=f"cluster metrics ({args.source})")))
     if probes.series:
@@ -1237,7 +1114,6 @@ _COMMANDS = {
     "replay": cmd_replay,
     "export": cmd_export,
     "report": cmd_report,
-    "serve": cmd_serve,
     "top": cmd_top,
     "trace": cmd_trace,
     "experiment": cmd_experiment,

@@ -253,24 +253,3 @@ def capture_plan(plan: str, params: Optional[Dict[str, Any]] = None,
     campaign = campaign or CampaignConfig()
     point = PlanPoint.from_campaign(plan, seed, campaign, params)
     return make_runner().run_point(point)
-
-
-def capture_plan_campaign(plan: str,
-                          param_sets: Optional[List[Dict[str, Any]]] = None,
-                          seed: int = DEFAULT_SEED,
-                          campaign: Optional[CampaignConfig] = None,
-                          workers: int = 1) -> List[JobTrace]:
-    """Traces of one plan across a parameter sweep (cached per point).
-
-    The plan analogue of :func:`capture_campaign`: each parameter set
-    (e.g. ``{"scale": 2}`` for tpcx-hs) becomes one campaign point
-    with a seed derived per index, fanned out across ``workers``.
-    """
-    from repro.experiments.runner import PlanPoint, derive_seed
-
-    param_sets = param_sets if param_sets is not None else [{}]
-    campaign = campaign or CampaignConfig()
-    points = [PlanPoint.from_campaign(plan, derive_seed(seed, index),
-                                      campaign, params)
-              for index, params in enumerate(param_sets)]
-    return [trace for _, trace in make_runner(workers).run(points)]

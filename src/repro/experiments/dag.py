@@ -49,7 +49,6 @@ import hashlib
 import json
 import os
 import signal
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -70,7 +69,6 @@ DAG_FORMAT_VERSION = 1
 # -- node lifecycle states ----------------------------------------------------------
 
 PENDING = "pending"        #: not yet scheduled this run
-RUNNING = "running"        #: published just before the node's first attempt
 DONE = "done"              #: executed this run; outputs.json published
 CACHED = "cached"          #: valid outputs.json found; stage not re-run
 QUARANTINED = "quarantined"  #: attempt budget exhausted; recorded in sidecar
@@ -506,7 +504,6 @@ class DAGRunner:
                  quarantine: Optional[Quarantine] = None,
                  on_failure: str = FAIL_FAST,
                  telemetry: Optional[Telemetry] = None,
-                 events: Optional[Any] = None,
                  node_telemetry: bool = False):
         if on_failure not in PROPAGATION_MODES:
             raise ValueError(f"on_failure must be one of {PROPAGATION_MODES},"
@@ -518,7 +515,6 @@ class DAGRunner:
         self.quarantine = quarantine
         self.on_failure = on_failure
         self.telemetry = telemetry or Telemetry.disabled()
-        self.events = events
         self.node_telemetry = node_telemetry
         self._registry = self.telemetry.registry
         self.executor = SupervisedExecutor(retry_policy or RetryPolicy(),
@@ -528,10 +524,6 @@ class DAGRunner:
 
     def _count(self, name: str, amount: float = 1) -> None:
         self._registry.counter(f"pipeline.{name}").inc(amount)
-
-    def _publish(self, kind: str, **payload: Any) -> None:
-        if self.events is not None:
-            self.events.publish(kind, pipeline=self.dag.name, **payload)
 
     # -- planning --------------------------------------------------------------------
 
@@ -621,11 +613,9 @@ class DAGRunner:
         result = PipelineResult(self.root, self.dag.name)
         digests: Dict[str, Dict[str, str]] = {}
         blocked: Dict[str, str] = {}      # node -> failed upstream
-        started = time.monotonic()
         aborted = False
         self._count("runs")
         self._registry.gauge("pipeline.nodes_total").set(len(order))
-        self._publish("pipeline", status="started", nodes=len(order))
 
         for name in order:
             node = self.dag.node(name)
@@ -671,13 +661,7 @@ class DAGRunner:
                     aborted = True
             self._finish_node(result, outcome)
 
-        failures = result.in_state(QUARANTINED)
-        self._publish("pipeline",
-                      status="failed" if failures else "completed",
-                      ok=result.ok,
-                      wall_s=round(time.monotonic() - started, 3),
-                      states=result.states())
-        if failures and self.on_failure != SKIP_DESCENDANTS:
+        if result.in_state(QUARANTINED) and self.on_failure != SKIP_DESCENDANTS:
             raise PipelineFailed(result)
         return result
 
@@ -688,10 +672,6 @@ class DAGRunner:
                      QUARANTINED: "quarantined", BLOCKED: "blocked",
                      SKIPPED: "skipped"}.get(outcome.state, outcome.state))
         self._registry.gauge("pipeline.nodes_settled").inc()
-        self._publish("node", node=outcome.name, stage=outcome.stage,
-                      status=outcome.state, signature=outcome.signature[:12],
-                      attempts=outcome.attempts,
-                      reason=outcome.reason or None)
 
     # -- single-node execution -------------------------------------------------------
 
@@ -700,8 +680,6 @@ class DAGRunner:
         """Run one node as a single executor task and commit it."""
         inputs = self._resolve_inputs(node, result)
         self._write_descriptor(node, signature, node_dir, inputs)
-        self._publish("node", node=node.name, stage=node.stage,
-                      status=RUNNING, signature=signature[:12])
         self._maybe_crash(node)
         telemetry = (Telemetry.enabled_in_memory() if self.node_telemetry
                      else Telemetry.disabled())

@@ -48,7 +48,6 @@ from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.jobs import make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.mapreduce.result import JobResult
-from repro.obs.aggregate import EventBroker
 from repro.obs.telemetry import Telemetry
 from repro.experiments.store import (TRACE_FORMAT_VERSION, CaptureStore,
                                      key_hash)
@@ -227,7 +226,7 @@ class PlanPoint(_ContentKeyed):
 
         return make_plan(self.plan, **_thaw(self.params))
 
-    # Supervision-facing fields (quarantine records, progress events).
+    # Supervision-facing fields (quarantine records).
 
     @property
     def job(self) -> str:
@@ -325,24 +324,19 @@ class CampaignRunner:
                  telemetry: Optional[Telemetry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  quarantine: Optional[Quarantine] = None,
-                 strict: bool = True, pool_failure_limit: int = 3,
-                 events: Optional[EventBroker] = None):
+                 strict: bool = True, pool_failure_limit: int = 3):
         self.store = store
         self._memo_get = memo_get or (lambda key: None)
         self._memo_put = memo_put or (lambda key, value: None)
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.quarantine = quarantine
         self.strict = strict
-        # Optional live progress stream (campaign/point events) for the
-        # serve daemon's /events endpoint.
-        self.events = events
         self.failures: List[PointFailure] = []
-        self._total_points = 0
         registry = self.telemetry.registry
         self._counters = {name: registry.counter(f"campaign.{name}")
                           for name in _RUNNER_STAT_FIELDS}
-        # Worker registries fold into this registry too (the serve
-        # daemon reads it, so it is the live cluster-wide view).
+        # Worker registries fold into this registry too, so it is the
+        # campaign-wide view that --telemetry writes out.
         self.executor = SupervisedExecutor(
             retry_policy if retry_policy is not None else RetryPolicy(),
             registry, "campaign", workers=workers,
@@ -350,25 +344,6 @@ class CampaignRunner:
 
     def _count(self, name: str, amount: int = 1) -> None:
         self._counters[name].value += amount
-
-    def _publish(self, kind: str, **payload: Any) -> None:
-        """Emit a live progress event when a broker is attached."""
-        if self.events is not None:
-            self.events.publish(kind, **payload)
-
-    def _resolved(self, point: CapturePoint, origin: str) -> None:
-        """Count one completed point and stream a progress event.
-
-        Called at resolution time — inside the serial loop / the pool's
-        fan-in — so a live observer sees ``campaign.points_completed``
-        advance *during* the run, not after it.
-        """
-        self._count("points_completed")
-        self._publish("point", status="completed", origin=origin,
-                      job=point.job, input_gb=point.input_gb,
-                      seed=point.seed,
-                      completed=int(self._counters["points_completed"].value),
-                      total=self._total_points)
 
     # -- single point -------------------------------------------------------------
 
@@ -391,8 +366,6 @@ class CampaignRunner:
         pending_points: Dict[str, CapturePoint] = {}
         self.failures = []
         self._count("points", len(points))
-        self._total_points = len(points)
-        self._publish("campaign", status="started", points=len(points))
 
         for index, point in enumerate(points):
             key = point.key()
@@ -403,7 +376,7 @@ class CampaignRunner:
             if hit is not None:
                 self._count("memo_hits")
                 results[index] = hit
-                self._resolved(point, "memo")
+                self._count("points_completed")
                 continue
             if self.store is not None:
                 stored = self.store.get(point.key_dict())
@@ -411,7 +384,7 @@ class CampaignRunner:
                     self._count("store_hits")
                     self._memo_put(key, stored)
                     results[index] = stored
-                    self._resolved(point, "store")
+                    self._count("points_completed")
                     continue
             pending[key] = [index]
             pending_points[key] = point
@@ -427,9 +400,7 @@ class CampaignRunner:
             self._memo_put(ledger.key, value)
             for index in indices:
                 results[index] = value
-            self._resolved(point, "simulated")
-            if len(indices) > 1:
-                self._count("points_completed", len(indices) - 1)
+            self._count("points_completed", len(indices))
 
         if pending:
             self._count("simulated", len(pending_points))
@@ -445,14 +416,6 @@ class CampaignRunner:
                 self.failures.append(failure)
                 if self.quarantine is not None:
                     self.quarantine.record(failure)
-                self._publish("point", status="quarantined",
-                              job=failure.job, input_gb=failure.input_gb,
-                              seed=failure.seed, attempts=failure.attempts)
-        self._publish("campaign", status="completed",
-                      points=len(points),
-                      completed=int(
-                          self._counters["points_completed"].value),
-                      quarantined=len(self.failures))
         if self.failures and self.strict:
             raise CampaignPointsFailed(list(self.failures), results)
         return results  # type: ignore[return-value]

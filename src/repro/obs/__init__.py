@@ -15,18 +15,12 @@ Everything is disabled by default: an un-configured run keeps its
 counters (they replaced the old ad-hoc perf dicts) but emits no spans,
 schedules no probes and allocates no sinks.
 
-The live-observability daemon (:class:`repro.obs.server.
-ObservabilityServer` — ``keddah serve``) is deliberately *not*
-re-exported here: importing it pulls in ``http.server``, which the
-simulation hot path never needs.
+A run is observed after the fact: :mod:`repro.obs.export` writes the
+registry, probes and spans to a telemetry directory, and ``keddah
+report --telemetry``, ``keddah top`` and ``keddah trace`` read it back.
 """
 
-from repro.obs.aggregate import (
-    AggregateRegistry,
-    EventBroker,
-    Subscription,
-    delta_envelope,
-)
+from repro.obs.aggregate import AggregateRegistry, delta_envelope
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -60,8 +54,6 @@ __all__ = [
     "DEFAULT_PROBE_INTERVAL",
     "ClusterProbes",
     "Counter",
-    "EventBroker",
-    "Subscription",
     "delta_envelope",
     "FileSink",
     "Gauge",

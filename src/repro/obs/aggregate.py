@@ -1,10 +1,9 @@
-"""Mergeable registries and live event fan-out for ``keddah serve``.
+"""Mergeable registries: how worker telemetry reaches the parent.
 
-Executor workers ship their registries back to the parent; a live view
-needs the merge to be idempotent (a re-delivered registry must not
+Executor workers ship their registries back to the parent, and the
+merge has to be idempotent (a re-delivered registry must not
 double-count) and gauges from two workers must not overwrite each
-other blindly.  This module is the aggregation layer the serve daemon
-stands on:
+other blindly:
 
 * :func:`delta_envelope` — one worker registry wrapped as an
   identified delta;
@@ -12,23 +11,15 @@ stands on:
   and histogram buckets **add**, gauges are **last-write-wins under a
   ``worker`` label** (each source keeps its own gauge series), and every
   delta carries a ``(source, delta_id)`` identity so re-delivery — a
-  retried future — is idempotent;
-* :class:`EventBroker` — a tiny in-process pub/sub hub with a bounded
-  replay buffer.  The campaign runner publishes per-point progress and
-  the server's ``/events`` endpoint streams it to any number of
-  subscribers.
+  retried future — is idempotent.
 
-Everything here is thread-safe by construction: the serve daemon's
-handler threads read while the campaign thread writes.
+Merges hold the aggregate's lock, so a delta is applied whole even
+when an embedding host reads or merges from more than one thread.
 """
 
 from __future__ import annotations
 
-import itertools
-import queue
 import threading
-import time as _time
-from collections import deque
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -135,84 +126,3 @@ class AggregateRegistry:
                     "deltas_applied": self.deltas_applied,
                     "duplicates_dropped": self.duplicates_dropped}
 
-
-# -- event fan-out -------------------------------------------------------------------
-
-
-class Subscription:
-    """One subscriber's bounded event queue (close to stop receiving)."""
-
-    def __init__(self, broker: "EventBroker", capacity: int):
-        self._broker = broker
-        self._queue: "queue.Queue[Dict[str, Any]]" = queue.Queue(capacity)
-        self.dropped = 0
-        self.closed = False
-
-    def _offer(self, event: Dict[str, Any]) -> None:
-        try:
-            self._queue.put_nowait(event)
-        except queue.Full:
-            self.dropped += 1  # slow consumer: shed, never block the publisher
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """Next event, or None on timeout / after close drained."""
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def close(self) -> None:
-        self.closed = True
-        self._broker._drop(self)
-
-
-class EventBroker:
-    """In-process pub/sub with a bounded replay history.
-
-    Publishers (:class:`~repro.experiments.runner.CampaignRunner`
-    progress) call :meth:`publish`; the serve daemon's ``/events`` handler calls
-    :meth:`subscribe` per connection.  History lets a late subscriber
-    see recent events (``replay``) without the broker ever growing
-    unboundedly.
-    """
-
-    def __init__(self, history: int = 256, subscriber_capacity: int = 1024):
-        self._lock = threading.Lock()
-        self._ids = itertools.count(1)
-        self._subscribers: List[Subscription] = []
-        self._capacity = subscriber_capacity
-        self.history: "deque[Dict[str, Any]]" = deque(maxlen=history)
-        self.published = 0
-
-    def publish(self, kind: str, **payload: Any) -> Dict[str, Any]:
-        event = {"seq": next(self._ids), "kind": kind,
-                 "wall": _time.time()}
-        event.update(payload)
-        with self._lock:
-            self.history.append(event)
-            self.published += 1
-            subscribers = list(self._subscribers)
-        for subscription in subscribers:
-            subscription._offer(event)
-        return event
-
-    def subscribe(self, replay: int = 0) -> Subscription:
-        """A new subscription, pre-loaded with the last ``replay`` events."""
-        subscription = Subscription(self, self._capacity)
-        with self._lock:
-            backlog = list(self.history)[-replay:] if replay else []
-            self._subscribers.append(subscription)
-        for event in backlog:
-            subscription._offer(event)
-        return subscription
-
-    def _drop(self, subscription: Subscription) -> None:
-        with self._lock:
-            try:
-                self._subscribers.remove(subscription)
-            except ValueError:
-                pass
-
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)

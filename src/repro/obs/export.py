@@ -143,20 +143,54 @@ def load_telemetry_dir(directory: str | Path, strict: bool = False
 
     Missing artefacts load as empty — a campaign telemetry directory
     has metrics but no span stream, and that is fine.  By default the
-    loader also *degrades* on damage: the serve daemon reads
-    directories mid-write, so a truncated ``spans.jsonl`` or a
-    half-written ``probes.json`` produces a :class:`UserWarning` and an
-    empty artefact instead of an exception.  Pass ``strict=True`` to
-    re-raise instead (offline analysis of a dir that should be whole).
+    loader also *degrades* on damage: a directory read while a run is
+    still writing it can hold a truncated ``spans.jsonl`` or a
+    half-written ``probes.json``, which load as a :class:`UserWarning`
+    and an empty artefact instead of an exception.  Pass
+    ``strict=True`` to re-raise instead (offline analysis of a dir that
+    should be whole).
+
+    A *pipeline* root (``keddah pipeline --dir DIR``: it has a
+    ``nodes/`` of per-stage dirs, or a ``pipeline.json`` spec) loads as
+    one view: the run-level ``telemetry/`` as it is, and every
+    ``nodes/<name>@<sig>/telemetry/`` with a ``node=<name>`` label on
+    its metrics and a ``<name>/`` prefix on its probe series.
     """
     root = Path(directory)
+    if not ((root / "nodes").is_dir() or (root / "pipeline.json").is_file()):
+        return _load_one_dir(root, strict)
+    parts: List[Tuple[Optional[str], Path]] = [(None, root / "telemetry")]
+    nodes_dir = root / "nodes"
+    if nodes_dir.is_dir():
+        parts.extend((node_dir.name.split("@", 1)[0], node_dir / "telemetry")
+                     for node_dir in sorted(nodes_dir.iterdir()))
+    metrics: List[Dict[str, Any]] = []
+    probes = ProbeLog()
+    spans: List[Span] = []
+    for label, part in parts:
+        if not part.is_dir():
+            continue
+        part_metrics, part_probes, part_spans = _load_one_dir(part, strict)
+        if label is None:
+            metrics.extend(part_metrics)
+        else:
+            metrics.extend(dict(entry, labels=dict(entry.get("labels") or {},
+                                                   node=label))
+                           for entry in part_metrics)
+        for name, series in part_probes.series.items():
+            probes.series[name if label is None else f"{label}/{name}"] = series
+        spans.extend(part_spans)
+    return metrics, probes, spans
 
+
+def _load_one_dir(root: Path, strict: bool
+                  ) -> Tuple[List[Dict[str, Any]], ProbeLog, List[Span]]:
     def _degrade(name: str, exc: Exception):
         if strict:
             raise exc
         warnings.warn(f"telemetry dir {root}: unreadable {name} "
                       f"({type(exc).__name__}: {exc}); loading it as empty",
-                      stacklevel=2)
+                      stacklevel=3)
 
     metrics: List[Dict[str, Any]] = []
     metrics_path = root / METRICS_JSON

@@ -31,68 +31,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ProbeSeries:
     """One sampled time series: parallel (time, value) lists.
 
-    ``max_samples`` bounds memory for long-running serves: when the
-    kept lists would exceed it, every other kept sample is dropped and
-    the keep stride doubles (1, 2, 4, ...), so the series always holds
-    at most ``max_samples`` evenly thinned points regardless of run
-    length — and which samples survive depends only on their arrival
-    index, never on timing.  The summary statistics stay **exact**:
-    ``mean``/``peak``/``peak_time`` are maintained incrementally over
-    every appended sample, including the thinned-out ones.
+    ``mean``, ``peak`` and ``peak_time`` are maintained incrementally
+    as samples arrive, so reading them never rescans the series.
     """
 
-    __slots__ = ("name", "times", "values", "max_samples", "_stride",
-                 "_seen", "_sum", "_peak", "_peak_time")
+    __slots__ = ("name", "times", "values", "_sum", "_peak", "_peak_time")
 
-    def __init__(self, name: str, max_samples: Optional[int] = None):
-        if max_samples is not None and max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
+    def __init__(self, name: str):
         self.name = name
         self.times: List[float] = []
         self.values: List[float] = []
-        self.max_samples = max_samples
-        self._stride = 1
-        self._seen = 0
         self._sum = 0.0
         self._peak: Optional[float] = None
         self._peak_time = 0.0
 
     def append(self, t: float, value: float) -> None:
         value = float(value)
-        index = self._seen
-        self._seen += 1
         self._sum += value
         if self._peak is None or value > self._peak:
             self._peak = value
             self._peak_time = t
-        if index % self._stride:
-            return
         self.times.append(t)
         self.values.append(value)
-        if self.max_samples is not None and len(self.times) > self.max_samples:
-            # Stride-doubling downsample: keep every other kept sample.
-            # Kept indices stay exactly {i : i % stride == 0}, so the
-            # retained set is a pure function of the arrival indices.
-            self.times = self.times[::2]
-            self.values = self.values[::2]
-            self._stride *= 2
 
     def __len__(self) -> int:
         return len(self.times)
 
     @property
-    def samples_seen(self) -> int:
-        """Total samples ever appended (>= len() once downsampling hits)."""
-        return self._seen
-
-    @property
-    def stride(self) -> int:
-        """Current keep stride (1 until ``max_samples`` forces thinning)."""
-        return self._stride
-
-    @property
     def mean(self) -> float:
-        return self._sum / self._seen if self._seen else 0.0
+        return self._sum / len(self.values) if self.values else 0.0
 
     @property
     def peak(self) -> float:
@@ -103,57 +70,32 @@ class ProbeSeries:
         return self._peak_time if self._peak is not None else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name, "t": list(self.times),
-                                "v": list(self.values)}
-        if self.max_samples is not None:
-            # Exact aggregates survive the round-trip even though some
-            # raw samples were thinned away.  (Unbounded series keep
-            # the historical two-list format byte-for-byte.)
-            data["agg"] = {"seen": self._seen, "sum": self._sum,
-                           "peak": self.peak, "peak_time": self._peak_time,
-                           "stride": self._stride,
-                           "max_samples": self.max_samples}
-        return data
+        return {"name": self.name, "t": list(self.times),
+                "v": list(self.values)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ProbeSeries":
-        agg = data.get("agg")
-        series = cls(data["name"],
-                     max_samples=agg.get("max_samples") if agg else None)
+        series = cls(data["name"])
         series.times = [float(t) for t in data["t"]]
         series.values = [float(v) for v in data["v"]]
-        if agg:
-            series._seen = int(agg["seen"])
-            series._sum = float(agg["sum"])
-            series._peak = float(agg["peak"]) if series._seen else None
-            series._peak_time = float(agg["peak_time"])
-            series._stride = int(agg.get("stride", 1))
-        else:
-            series._seen = len(series.values)
-            series._sum = sum(series.values)
-            if series.values:
-                series._peak = max(series.values)
-                series._peak_time = series.times[
-                    series.values.index(series._peak)]
+        series._sum = sum(series.values)
+        if series.values:
+            series._peak = max(series.values)
+            series._peak_time = series.times[
+                series.values.index(series._peak)]
         return series
 
 
 class ProbeLog:
-    """Named collection of probe series (what ``Telemetry`` carries).
+    """Named collection of probe series (what ``Telemetry`` carries)."""
 
-    ``max_samples`` (optional) is inherited by every series the log
-    creates — the memory bound for a days-long serve daemon.
-    """
-
-    def __init__(self, max_samples: Optional[int] = None):
+    def __init__(self):
         self.series: Dict[str, ProbeSeries] = {}
-        self.max_samples = max_samples
 
     def get(self, name: str) -> ProbeSeries:
         series = self.series.get(name)
         if series is None:
-            series = self.series[name] = ProbeSeries(
-                name, max_samples=self.max_samples)
+            series = self.series[name] = ProbeSeries(name)
         return series
 
     def sample(self, name: str, t: float, value: float) -> None:

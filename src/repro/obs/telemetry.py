@@ -56,7 +56,6 @@ class TelemetryConfig:
     enabled: bool = False
     probe_interval: float = DEFAULT_PROBE_INTERVAL
     sink: str = "null"
-    probe_max_samples: Optional[int] = None
 
     def build_sink(self) -> TraceSink:
         if not self.enabled or self.sink == "null":
@@ -69,8 +68,7 @@ class TelemetryConfig:
 
     def build(self) -> "Telemetry":
         return Telemetry(enabled=self.enabled, sink=self.build_sink(),
-                         probe_interval=self.probe_interval,
-                         probe_max_samples=self.probe_max_samples)
+                         probe_interval=self.probe_interval)
 
 
 class Telemetry:
@@ -79,8 +77,7 @@ class Telemetry:
     def __init__(self, enabled: bool = False,
                  sink: Optional[TraceSink] = None,
                  probe_interval: float = DEFAULT_PROBE_INTERVAL,
-                 registry: Optional[MetricsRegistry] = None,
-                 probe_max_samples: Optional[int] = None):
+                 registry: Optional[MetricsRegistry] = None):
         self.enabled = enabled
         self.registry = registry if registry is not None else MetricsRegistry()
         if sink is None:
@@ -88,8 +85,7 @@ class Telemetry:
         self.sink = sink
         self.tracer = Tracer(sink=sink, enabled=enabled)
         self.probe_interval = probe_interval if enabled else 0.0
-        self.probe_max_samples = probe_max_samples
-        self.probes = ProbeLog(max_samples=probe_max_samples)
+        self.probes = ProbeLog()
 
     # -- constructors ------------------------------------------------------------
 
@@ -101,12 +97,10 @@ class Telemetry:
     @classmethod
     def enabled_in_memory(cls,
                           probe_interval: float = DEFAULT_PROBE_INTERVAL,
-                          probe_max_samples: Optional[int] = None,
                           ) -> "Telemetry":
         """Telemetry capturing spans in memory (tests, reports)."""
         return cls(enabled=True, sink=MemorySink(),
-                   probe_interval=probe_interval,
-                   probe_max_samples=probe_max_samples)
+                   probe_interval=probe_interval)
 
     # -- worker recipe -------------------------------------------------------------
 
@@ -115,8 +109,7 @@ class Telemetry:
         return TelemetryConfig(enabled=self.enabled,
                                probe_interval=self.probe_interval or
                                DEFAULT_PROBE_INTERVAL,
-                               sink=sink,
-                               probe_max_samples=self.probe_max_samples)
+                               sink=sink)
 
     # -- convenience ---------------------------------------------------------------
 

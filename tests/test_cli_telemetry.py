@@ -1,10 +1,13 @@
-"""CLI tests for the telemetry surfaces: --telemetry, trace, report."""
+"""CLI tests for the telemetry surfaces: --telemetry, trace, report, top."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.cli import main
+from repro.obs import MetricsRegistry, Telemetry
+from repro.obs.export import load_telemetry_dir, prometheus_text, write_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,82 @@ def test_report_reads_telemetry_dir(telemetry_run, capsys):
     assert "probe series" in out
     assert "span summary" in out
     assert "net.flows_completed" in out
+
+
+def test_cli_top_renders_telemetry_dir(telemetry_run, capsys):
+    _, tel_dir = telemetry_run
+    assert main(["top", str(tel_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "cluster metrics" in out
+    assert "sim.events_fired" in out
+    assert "net.active_flows" in out
+
+
+def test_cli_top_rejects_bogus_source(capsys):
+    assert main(["top", "/no/such/place"]) == 2
+    assert main(["top", "http://127.0.0.1:9"]) == 2
+
+
+# -- the telemetry-dir loader --------------------------------------------------------
+
+
+def test_load_telemetry_dir_degrades_on_partial_writes(telemetry_run,
+                                                       tmp_path):
+    _, tel_dir = telemetry_run
+    torn = shutil.copytree(tel_dir, tmp_path / "tel")
+    # A torn probes.json and a truncated spans.jsonl, mid-stream.
+    (torn / "probes.json").write_text('{"net.active_flows": {"na')
+    spans_path = torn / "spans.jsonl"
+    spans_path.write_bytes(spans_path.read_bytes()[:-20])
+    with pytest.warns(UserWarning, match="probes.json"):
+        metrics, probes, spans = load_telemetry_dir(torn)
+    assert probes.series == {}
+    assert metrics  # metrics.json survived
+    assert spans  # parseable prefix survived the truncated tail
+
+
+def test_load_telemetry_dir_strict_still_raises(tmp_path):
+    (tmp_path / "metrics.json").write_text("[not json")
+    with pytest.warns(UserWarning, match="metrics.json"):
+        metrics, _, _ = load_telemetry_dir(tmp_path)
+    assert metrics == []
+    with pytest.raises(ValueError):
+        load_telemetry_dir(tmp_path, strict=True)
+
+
+def _fake_pipeline_dir(tmp_path):
+    """A pipeline root: run-level telemetry plus two node telemetry dirs."""
+    (tmp_path / "pipeline.json").write_text("{}", encoding="utf-8")
+    run_level = Telemetry.enabled_in_memory()
+    run_level.registry.counter("pipeline.runs").inc()
+    write_telemetry(run_level, tmp_path / "telemetry")
+    for node, signature in (("capture", "aa" * 6), ("fit", "bb" * 6)):
+        telemetry = Telemetry.enabled_in_memory()
+        telemetry.registry.counter("stage.work").inc(3)
+        telemetry.probes.sample("stage.load", 1.0, 0.5)
+        write_telemetry(telemetry,
+                        tmp_path / "nodes" / f"{node}@{signature}"
+                        / "telemetry")
+    return tmp_path
+
+
+def test_load_telemetry_dir_aggregates_pipeline_layout_under_node_labels(
+        tmp_path):
+    metrics, probes, _ = load_telemetry_dir(_fake_pipeline_dir(tmp_path))
+    by_label = {entry.get("labels", {}).get("node")
+                for entry in metrics if entry["name"] == "stage.work"}
+    assert by_label == {"capture", "fit"}
+    unlabelled = [entry for entry in metrics
+                  if entry["name"] == "pipeline.runs"]
+    assert unlabelled and "node" not in unlabelled[0].get("labels", {})
+
+    registry = MetricsRegistry()
+    registry.merge(metrics)
+    text = prometheus_text(registry)
+    assert 'stage_work{node="capture"} 3.0' in text
+    assert 'stage_work{node="fit"} 3.0' in text
+
+    assert set(probes.series) == {"capture/stage.load", "fit/stage.load"}
 
 
 def _fresh_memo():

@@ -1,15 +1,10 @@
-"""The aggregate merge target and the event broker."""
+"""The aggregate merge target for worker registry deltas."""
 
 import threading
 
 import pytest
 
-from repro.obs import (
-    AggregateRegistry,
-    EventBroker,
-    MetricsRegistry,
-    delta_envelope,
-)
+from repro.obs import AggregateRegistry, MetricsRegistry, delta_envelope
 from repro.obs.aggregate import WORKER_LABEL
 
 
@@ -107,39 +102,3 @@ def test_concurrent_apply_is_safe():
     assert aggregate.registry.value("sim.events_fired") == 200.0
     assert aggregate.stats()["deltas_applied"] == 200
 
-
-# -- EventBroker ---------------------------------------------------------------------
-
-
-def test_broker_delivers_and_stamps_sequence():
-    broker = EventBroker()
-    subscription = broker.subscribe()
-    broker.publish("point", job="terasort")
-    broker.publish("alert", rule="hot")
-    first = subscription.get(timeout=1.0)
-    second = subscription.get(timeout=1.0)
-    assert (first["kind"], first["job"]) == ("point", "terasort")
-    assert second["seq"] == first["seq"] + 1
-    subscription.close()
-    assert broker.subscriber_count() == 0
-
-
-def test_broker_replay_for_late_subscribers():
-    broker = EventBroker(history=4)
-    for index in range(10):
-        broker.publish("point", index=index)
-    late = broker.subscribe(replay=3)
-    replayed = [late.get(timeout=0.1)["index"] for _ in range(3)]
-    assert replayed == [7, 8, 9]
-    assert late.get(timeout=0.01) is None  # history bounded at 4
-    late.close()
-
-
-def test_slow_subscriber_sheds_instead_of_blocking():
-    broker = EventBroker(subscriber_capacity=2)
-    subscription = broker.subscribe()
-    for index in range(5):
-        broker.publish("point", index=index)
-    assert subscription.dropped == 3
-    assert subscription.get(timeout=0.1)["index"] == 0
-    subscription.close()

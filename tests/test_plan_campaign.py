@@ -24,11 +24,10 @@ from repro.experiments.campaigns import (
     CampaignConfig,
     cache_stats,
     capture_plan,
-    capture_plan_campaign,
     clear_cache,
     set_store,
 )
-from repro.experiments.runner import CapturePoint, PlanPoint, derive_seed
+from repro.experiments.runner import CapturePoint, PlanPoint
 from repro.experiments.store import (
     TRACE_FORMAT_VERSION,
     CaptureStore,
@@ -191,16 +190,6 @@ def test_plan_and_job_entries_coexist_in_one_store(tmp_path):
     assert store.registry.value("store.hits") == 2
     assert is_plan_trace(plan_trace)
     assert not is_plan_trace(job_trace)
-
-
-def test_plan_campaign_derives_seeds_per_point():
-    traces = capture_plan_campaign(
-        "tpcx-hs", [{"scale": TINY}, {"scale": 2 * TINY}],
-        seed=5, campaign=SMALL)
-    assert [t.meta.seed for t in traces] == [derive_seed(5, 0),
-                                             derive_seed(5, 1)]
-    assert [plan_meta(t)["params"]["scale"] for t in traces] == [
-        TINY, 2 * TINY]
 
 
 # -- CLI ----------------------------------------------------------------------------

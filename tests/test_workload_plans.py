@@ -187,6 +187,8 @@ def test_independent_roots_are_admitted_concurrently(pig_run):
     extract = result.stage("extract").job
     aggregate = result.stage("aggregate").job
     assert extract.submit_time == aggregate.submit_time == 0.0
+    assert result.completion_time < sum(stage.job.completion_time
+                                        for stage in result.stages)
 
 
 def test_fan_in_stage_reads_both_upstream_outputs(pig_run):
