@@ -68,7 +68,6 @@ DAG_FORMAT_VERSION = 1
 
 # -- node lifecycle states ----------------------------------------------------------
 
-PENDING = "pending"        #: not yet scheduled this run
 DONE = "done"              #: executed this run; outputs.json published
 CACHED = "cached"          #: valid outputs.json found; stage not re-run
 QUARANTINED = "quarantined"  #: attempt budget exhausted; recorded in sidecar

@@ -173,8 +173,14 @@ def decode_entry(text: str) -> Tuple[Any, JobTrace]:
         raise ValueError(f"unknown entry result_type {result_type!r}")
     meta_line = json.loads(lines[1])
     meta = CaptureMeta.from_dict(meta_line["meta"])
-    flows = [FlowRecord.from_dict(json.loads(line))
-             for line in lines[2:] if line.strip()]
+    # One parse for all flow lines, cheaper than one per line.  A line
+    # holding two objects would still parse, so the object count must
+    # match the line count.
+    flow_lines = [line for line in lines[2:] if line.strip()]
+    decoded = json.loads("[" + ",".join(flow_lines) + "]")
+    if len(decoded) != len(flow_lines):
+        raise ValueError("entry flow lines do not hold one flow each")
+    flows = [FlowRecord.from_dict(flow) for flow in decoded]
     trace = JobTrace(meta=meta, flows=flows)
     if trace.meta.job_id != result.job_id:
         raise ValueError("entry result/trace job ids disagree")

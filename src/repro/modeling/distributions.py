@@ -29,6 +29,14 @@ Two non-parametric fallbacks complete the set:
 
 Everything serialises to plain dicts so fitted models round-trip
 through JSON.
+
+scipy is loaded only when a parametric family is fitted or evaluated:
+:data:`CANDIDATE_FAMILIES` names each family's ``scipy.stats``
+attribute, :func:`_scipy_dist` resolves it on first use, and
+:func:`_fit_weibull` imports ``brentq`` where it calls it.  Capture,
+replay and every spawn-pool worker import this module without paying
+about a second to load ``scipy.stats`` they never use;
+``tests/test_import_graph.py`` keeps it that way.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, stats
 
 _POSITIVE_EPS = 1e-9
 
@@ -44,20 +51,27 @@ _POSITIVE_EPS = 1e-9
 # 2**-200 .. 2**200 covers every root float data can produce.
 _WEIBULL_BRACKET_STEPS = 200
 
-# name -> (scipy distribution, fit kwargs).  fit_family hands Weibull
-# to _fit_weibull instead of scipy's fit; its kwargs only record the
-# pinned location.
-CANDIDATE_FAMILIES: Dict[str, Tuple[Any, Dict[str, Any]]] = {
-    "exponential": (stats.expon, {"floc": 0}),
-    "lognormal": (stats.lognorm, {"floc": 0}),
-    "weibull": (stats.weibull_min, {"floc": 0}),
-    "gamma": (stats.gamma, {"floc": 0}),
-    "pareto": (stats.pareto, {"floc": 0}),
-    "normal": (stats.norm, {}),
-    "uniform": (stats.uniform, {}),
+# name -> (scipy.stats attribute, fit kwargs).  fit_family hands
+# Weibull to _fit_weibull instead of scipy's fit; its kwargs only
+# record the pinned location.
+CANDIDATE_FAMILIES: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "exponential": ("expon", {"floc": 0}),
+    "lognormal": ("lognorm", {"floc": 0}),
+    "weibull": ("weibull_min", {"floc": 0}),
+    "gamma": ("gamma", {"floc": 0}),
+    "pareto": ("pareto", {"floc": 0}),
+    "normal": ("norm", {}),
+    "uniform": ("uniform", {}),
 }
 
 _POSITIVE_FAMILIES = {"exponential", "lognormal", "weibull", "gamma", "pareto"}
+
+
+def _scipy_dist(family: str):
+    """The ``scipy.stats`` distribution object behind ``family``."""
+    from scipy import stats
+
+    return getattr(stats, CANDIDATE_FAMILIES[family][0])
 
 
 class FittedDistribution:
@@ -68,7 +82,7 @@ class FittedDistribution:
             raise ValueError(f"unknown family {family!r}")
         self.family = family
         self.params = tuple(float(p) for p in params)
-        self._dist = CANDIDATE_FAMILIES[family][0]
+        self._dist = _scipy_dist(family)
 
     @property
     def kind(self) -> str:
@@ -178,7 +192,7 @@ def fit_family(family: str, samples: Sequence[float]) -> FittedDistribution:
     non-positive samples to a tiny epsilon first (zero-duration gaps are
     common when pipeline hops start simultaneously).
     """
-    dist, fit_kwargs = CANDIDATE_FAMILIES[family]
+    fit_kwargs = CANDIDATE_FAMILIES[family][1]
     data = np.asarray(list(samples), dtype=float)
     if data.size == 0:
         raise ValueError("cannot fit a distribution to no samples")
@@ -187,7 +201,7 @@ def fit_family(family: str, samples: Sequence[float]) -> FittedDistribution:
     if family == "weibull":
         params = _fit_weibull(data)
     else:
-        params = dist.fit(data, **fit_kwargs)
+        params = _scipy_dist(family).fit(data, **fit_kwargs)
     return FittedDistribution(family, params)
 
 
@@ -225,7 +239,9 @@ def _fit_weibull(data: np.ndarray) -> Tuple[float, float, float]:
                 break
     else:
         raise ValueError("Weibull shape bracket did not close")
-    shape = optimize.brentq(score, lo, hi)
+    from scipy.optimize import brentq
+
+    shape = brentq(score, lo, hi)
     scale = np.exp(top + np.log(np.mean(np.exp(shape * z))) / shape)
     return float(shape), 0.0, float(scale)
 

@@ -6,6 +6,11 @@ and a fitted CDF, so :func:`ks_distance` computes exactly that, the way
 p-value scipy would also pay for.  Validation (two-sample, synthetic vs
 captured — the paper's reproduction-fidelity check) reads a p-value,
 so :func:`ks_two_sample` wraps :mod:`scipy.stats` in a result object.
+
+:func:`ks_two_sample` imports ``scipy.stats`` inside the call, so only
+processes that validate a reproduction load it; importing this module
+(which :mod:`repro.analysis` does for every command) stays cheap.
+``tests/test_import_graph.py`` guards that.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,8 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     second = np.asarray(list(b), dtype=float)
     if first.size == 0 or second.size == 0:
         raise ValueError("KS test needs non-empty samples on both sides")
+    from scipy import stats
+
     statistic, pvalue = stats.ks_2samp(first, second)
     return KsResult(statistic=float(statistic), pvalue=float(pvalue),
                     n=first.size, m=second.size)

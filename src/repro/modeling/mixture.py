@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Any, Dict, Sequence
 
 import numpy as np
-from scipy import stats
 
 _MIN_SIGMA = 1e-3
 _EPS = 1e-12
@@ -73,6 +72,8 @@ class LognormalMixture:
     # -- distribution protocol ----------------------------------------------------
 
     def cdf(self, x) -> np.ndarray:
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         result = np.zeros_like(x, dtype=float)
         positive = x > 0

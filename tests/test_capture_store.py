@@ -119,6 +119,18 @@ def test_garbage_entry_is_a_miss_not_an_error(populated):
     assert store.registry.value("store.corrupt") == 1
 
 
+def test_line_holding_two_flows_is_corrupt(populated):
+    store, point, _ = populated
+    path = store.entry_path(point.key())
+    lines = path.read_text().splitlines()
+    assert len(lines) >= 4  # header, meta, at least two flows
+    merged = lines[:2] + [lines[2] + ", " + lines[3]] + lines[4:]
+    path.write_text("\n".join(merged) + "\n")
+    assert store.get(point.key_dict()) is None
+    assert store.registry.value("store.corrupt") == 1
+    assert store.verify().corrupt == 1
+
+
 def test_stale_format_version_falls_back_to_resimulation(populated):
     store, point, _ = populated
     path = store.entry_path(point.key())
