@@ -91,16 +91,16 @@ echo "== model-selection identity suite =="
 python -m pytest tests/test_ks_distance_reference.py tests/test_weibull_mle.py \
     tests/test_mixture_em_reference.py -q
 
-# 7. Telemetry aggregation and loading gate: worker registries must
-#    fold into the parent exactly once (counters sum, gauges keep a
-#    per-worker series, re-delivery is a no-op), and telemetry
-#    directories must load back through one tolerant loader: plain
-#    dirs, pipeline roots under node labels, partial writes degrading
-#    to empty artefacts, and the report/trace/top commands that read
-#    them.  Redundant with tier-1 on a full run, explicit so scoped
-#    runs still exercise it.
-echo "== telemetry aggregation and loading suite =="
-python -m pytest tests/test_obs_aggregate.py tests/test_cli_telemetry.py -q
+# 7. Telemetry merge and loading gate: worker registry snapshots must
+#    fold into the parent registry (counters and histograms sum,
+#    gauges keep a per-worker series, callback gauges are never
+#    overwritten), and telemetry directories must load back through
+#    one tolerant loader: plain dirs, pipeline roots under node labels,
+#    partial writes degrading to empty artefacts, and the
+#    report/trace/top commands that read them.  Redundant with tier-1
+#    on a full run, explicit so scoped runs still exercise it.
+echo "== telemetry merge and loading suite =="
+python -m pytest tests/test_obs_metrics.py tests/test_cli_telemetry.py -q
 
 # 8. Pipeline crash-resume gate: SIGKILL a pipeline mid-fit, resume,
 #    and require zero re-execution of completed nodes plus
@@ -117,11 +117,14 @@ echo "== campaign crash-resume gate =="
 python -m pytest tests/test_campaign_crash_resume.py -q
 
 # 9b. Supervised-executor suite: campaign points and pipeline nodes
-#    run on one executor (experiments/supervision.py) — retries,
+#    run on one executor (experiments/supervision.py) under one
+#    RetryPolicy (attempt budget, deadline, base delay) — retries,
 #    deadline kills, pool collapse and degradation to in-process runs,
-#    quarantine, failure propagation, a deadline-run node keeping its
-#    telemetry, and a worker count that never re-keys the capture
-#    sweep.  Explicit so scoped runs still exercise all of it.
+#    quarantine, fail-fast and continue propagation, capture nodes
+#    retried only by the pipeline's own attempt budget, a deadline-run
+#    node keeping its telemetry, and a worker count that never re-keys
+#    the capture sweep.  Explicit so scoped runs still exercise all of
+#    it.
 echo "== supervised-executor suite =="
 python -m pytest tests/test_supervision.py tests/test_campaign_runner.py \
     tests/test_pipeline_dag.py tests/test_pipeline_supervision.py -q

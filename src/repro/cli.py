@@ -186,17 +186,20 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--workers", type=int, default=None,
                           help="worker processes inside the capture stage")
     pipeline.add_argument("--on-failure", default="fail-fast",
-                          choices=["fail-fast", "continue",
-                                   "skip-descendants"],
+                          choices=["fail-fast", "continue"],
                           help="failure propagation: stop at the first "
                                "quarantined node / finish independent "
-                               "branches then fail / finish independent "
-                               "branches and return the partial result")
+                               "branches, then fail")
     pipeline.add_argument("--retries", type=int, default=3,
-                          help="attempt budget per node")
+                          help="attempt budget per node; a capture node's "
+                               "points get no retries of their own, and a "
+                               "node retry re-simulates only the points "
+                               "its store lacks")
     pipeline.add_argument("--deadline", type=float, default=None, metavar="S",
-                          help="per-node wall-clock deadline; a hung stage "
-                               "is killed by the watchdog and retried")
+                          help="per-node wall-clock deadline (a whole "
+                               "capture node, not each of its points); a "
+                               "hung stage is killed by the watchdog and "
+                               "retried")
     pipeline.add_argument("--telemetry", action="store_true",
                           help="write per-node telemetry subdirs "
                                "(keddah top DIR aggregates them)")
@@ -361,7 +364,6 @@ def _write_telemetry_dir(telemetry, directory: str) -> None:
     from repro.obs.export import write_telemetry
 
     paths = write_telemetry(telemetry, directory)
-    telemetry.close()
     print(f"telemetry ({len(paths)} artefacts) -> {directory}")
 
 
@@ -494,7 +496,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         default_workers,
         derive_seed,
     )
-    from repro.experiments.supervision import Quarantine, RetryPolicy
+    from repro.experiments.supervision import (
+        CampaignPointsFailed,
+        Quarantine,
+        RetryPolicy,
+    )
 
     try:
         sizes = [float(part) for part in args.sizes_gb.split(",") if part.strip()]
@@ -529,7 +535,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     quarantine_path = args.quarantine
     if quarantine_path is None and store is not None:
         quarantine_path = store.root / "quarantine.jsonl"
-    quarantine = Quarantine(quarantine_path)
+    quarantine = (Quarantine(quarantine_path)
+                  if quarantine_path is not None else None)
     policy = RetryPolicy(max_attempts=args.retries, deadline_s=args.deadline)
     # Route through the campaign cache hierarchy (memo + store), so
     # cache_stats() below reports what this run actually hit.  The
@@ -538,9 +545,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     set_store(store)
     telemetry = _telemetry_from_args(args)
     runner = make_runner(workers, telemetry=telemetry, retry_policy=policy,
-                         quarantine=quarantine, strict=False)
+                         quarantine=quarantine)
     started = time.perf_counter()
-    outcomes = runner.run(points)
+    try:
+        outcomes = runner.run(points)
+    except CampaignPointsFailed as exc:
+        outcomes = exc.results
     elapsed = time.perf_counter() - started
 
     table = Table(title=f"campaign: {len(args.jobs)} job(s) x {len(sizes)} "
@@ -598,7 +608,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 last.classification if last else "?",
                 (f"{last.exception_type}: {last.message} "
                  f"[tb {last.traceback_sha256[:10]}]") if last else "?")
-        if quarantine.path is not None:
+        if quarantine is not None:
             failed.notes.append(f"fingerprints -> {quarantine.path}")
         if store is not None:
             failed.notes.append(

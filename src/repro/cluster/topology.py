@@ -165,14 +165,6 @@ class Topology:
         """Capacity of the edge between two adjacent nodes, bytes/s."""
         return self.graph.edges[u, v]["capacity"]
 
-    def bisection_links(self) -> List[Tuple[object, object]]:
-        """Edges crossing between switch tiers (useful for utilisation stats)."""
-        crossing = []
-        for u, v in self.graph.edges:
-            if isinstance(u, Switch) and isinstance(v, Switch):
-                crossing.append((u, v))
-        return crossing
-
 
 def build_topology(kind: str, num_hosts: int, hosts_per_rack: int = 8,
                    host_gbps: float = 1.0, uplink_gbps: Optional[float] = None,

@@ -30,6 +30,13 @@ completed nodes.
 :mod:`repro.experiments.pipelines` wires the built-in
 capture→classify→fit→replay→validate→report DAG over one shared
 capture set, with E12/E18 ported on as sibling branches.
+
+:mod:`repro.experiments.supervision` is the one executor both runners
+use: one :class:`RetryPolicy` (attempt budget, deadline, base delay),
+one spawn pool with a deadline watchdog, and a quarantine sidecar.  A
+pipeline's capture nodes give each point a single attempt, so the
+pipeline's own policy is the only retry budget; a node retry
+re-simulates only the points its node-local store lacks.
 """
 
 from repro.experiments.campaigns import (

@@ -190,8 +190,7 @@ def make_runner(workers: int = 1, telemetry=None, **supervision):
     """A CampaignRunner wired to the process memo and active store.
 
     ``supervision`` passes through the runner's fault-tolerance knobs
-    (``retry_policy``, ``quarantine``, ``strict``,
-    ``pool_failure_limit`` — see
+    (``retry_policy``, ``quarantine`` — see
     :class:`repro.experiments.runner.CampaignRunner`).
     """
     from repro.experiments.runner import CampaignRunner

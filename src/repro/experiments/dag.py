@@ -36,9 +36,9 @@ on the executor's spawn pool), and a
 :class:`~repro.experiments.supervision.Quarantine` sidecar.
 Propagation is configurable — ``fail-fast`` stops scheduling at the
 first quarantined node, ``continue`` finishes every independent branch
-before raising, ``skip-descendants`` finishes independent branches and
-returns a partial result without raising.
-In *every* mode the descendants of a failed node are explicitly marked
+first; either way the run then raises :class:`PipelineFailed`, which
+carries the partial result.
+In both modes the descendants of a failed node are explicitly marked
 ``BLOCKED`` (never silently skipped), mirroring the runner's explicit
 partial-result manifest.
 """
@@ -78,8 +78,7 @@ SKIPPED = "skipped"        #: unstarted when a fail-fast run aborted
 
 FAIL_FAST = "fail-fast"
 CONTINUE = "continue"
-SKIP_DESCENDANTS = "skip-descendants"
-PROPAGATION_MODES = (FAIL_FAST, CONTINUE, SKIP_DESCENDANTS)
+PROPAGATION_MODES = (FAIL_FAST, CONTINUE)
 
 #: Env var naming node(s) in which to SIGKILL *this process* right
 #: after the node's ``node.json`` is written — the crash-injection hook
@@ -467,9 +466,9 @@ class PipelineResult:
 
 
 class PipelineFailed(RuntimeError):
-    """Raised when the run finished with quarantined/blocked nodes
-    (under ``fail-fast`` and ``continue`` propagation).  Carries the
-    full :class:`PipelineResult` so callers keep the partial work.
+    """Raised when the run finished with quarantined/blocked nodes.
+    Carries the full :class:`PipelineResult` so callers keep the
+    partial work.
     """
 
     def __init__(self, result: PipelineResult):
@@ -614,7 +613,6 @@ class DAGRunner:
         blocked: Dict[str, str] = {}      # node -> failed upstream
         aborted = False
         self._count("runs")
-        self._registry.gauge("pipeline.nodes_total").set(len(order))
 
         for name in order:
             node = self.dag.node(name)
@@ -660,7 +658,7 @@ class DAGRunner:
                     aborted = True
             self._finish_node(result, outcome)
 
-        if result.in_state(QUARANTINED) and self.on_failure != SKIP_DESCENDANTS:
+        if result.in_state(QUARANTINED):
             raise PipelineFailed(result)
         return result
 
@@ -670,7 +668,6 @@ class DAGRunner:
         self._count({DONE: "executed", CACHED: "cache_hits",
                      QUARANTINED: "quarantined", BLOCKED: "blocked",
                      SKIPPED: "skipped"}.get(outcome.state, outcome.state))
-        self._registry.gauge("pipeline.nodes_settled").inc()
 
     # -- single-node execution -------------------------------------------------------
 

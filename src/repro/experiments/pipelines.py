@@ -24,7 +24,7 @@ registered DAG stage operating on *shared artifacts*:
 
 A :class:`PipelineSpec` captures the whole workload declaratively; it
 is persisted as ``pipeline.json`` at the pipeline root so ``keddah
-pipeline resume|status`` can rebuild the identical DAG with zero
+pipeline resume|plan`` can rebuild the identical DAG with zero
 re-specification (and therefore identical node signatures).
 """
 
@@ -50,6 +50,7 @@ from repro.experiments.dag import (
 )
 from repro.experiments.runner import CampaignRunner, CapturePoint, derive_seed
 from repro.experiments.store import CaptureStore, canonical_json
+from repro.experiments.supervision import RetryPolicy
 from repro.generation.generator import generate_trace
 from repro.generation.replay import replay_trace
 from repro.modeling.model import JobTrafficModel, fit_job_model
@@ -268,6 +269,19 @@ def store_capture_fn(store: CaptureStore):
 # -- stages -------------------------------------------------------------------------
 
 
+#: A capture node's points get one attempt each: the node's own retry
+#: policy is the pipeline's only attempt budget, and a node retry
+#: re-simulates just the points its node-local store still lacks.
+_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+
+
+def _capture_runner(store: CaptureStore,
+                    context: StageContext) -> CampaignRunner:
+    return CampaignRunner(store=store, workers=context.workers,
+                          telemetry=context.telemetry,
+                          retry_policy=_ONE_ATTEMPT)
+
+
 @register_stage("capture")
 def stage_capture(context: StageContext) -> None:
     """Simulate every declared point into a node-local CaptureStore."""
@@ -275,9 +289,7 @@ def stage_capture(context: StageContext) -> None:
               for payload in context.config["points"]]
     store = CaptureStore(context.out("store"),
                          registry=context.telemetry.registry)
-    runner = CampaignRunner(store=store,
-                            workers=context.workers,
-                            telemetry=context.telemetry)
+    runner = _capture_runner(store, context)
     runner.run(points)
     manifest = {"points": sorted(
         ({"key": point.key(), "job": point.job,
@@ -305,9 +317,7 @@ def stage_capture_plans(context: StageContext) -> None:
               for index, name in enumerate(context.config["plans"])]
     store = CaptureStore(context.out("store"),
                          registry=context.telemetry.registry)
-    runner = CampaignRunner(store=store,
-                            workers=context.workers,
-                            telemetry=context.telemetry)
+    runner = _capture_runner(store, context)
     outcomes = runner.run(points)
     rows = []
     for point, (result, trace) in zip(points, outcomes):

@@ -29,8 +29,10 @@ Simulation runs on the
 :class:`~repro.experiments.supervision.SupervisedExecutor`, the same
 executor pipeline nodes run on: transient failures are retried with
 deterministic backoff, a deadline kills hung workers, and points that
-exhaust their budget are quarantined while the campaign *completes*
-with a partial result set.  Its actions count on the registry as
+exhaust their budget are quarantined while the campaign *completes*:
+:meth:`CampaignRunner.run` then raises
+:class:`~repro.experiments.supervision.CampaignPointsFailed`, which
+carries the partial result set.  Its actions count on the registry as
 ``campaign.retries``, ``campaign.deadline_kills``,
 ``campaign.pool_failures`` and ``campaign.degraded_serial``, next to
 the runner's own ``campaign.*`` resolution counters.
@@ -309,28 +311,24 @@ class CampaignRunner:
         routes even ``workers == 1`` runs through a one-worker pool.
     ``quarantine``
         optional sidecar recording points that exhausted their budget.
-    ``strict``
-        when True (default), :meth:`run` raises
-        :class:`~repro.experiments.supervision.CampaignPointsFailed`
-        *after* resolving everything else; when False it returns the
-        partial result list with ``None`` at quarantined indices.
-    ``pool_failure_limit``
-        consecutive pool collapses tolerated before degrading the rest
-        of the campaign to serial in-process execution.
+
+    A run with quarantined points raises
+    :class:`~repro.experiments.supervision.CampaignPointsFailed` *after*
+    resolving everything else; it carries the partial result list
+    (``None`` at quarantined indices), and :attr:`failures` keeps the
+    quarantined points.
     """
 
     def __init__(self, store: Optional[CaptureStore] = None, workers: int = 1,
                  memo_get=None, memo_put=None,
                  telemetry: Optional[Telemetry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 quarantine: Optional[Quarantine] = None,
-                 strict: bool = True, pool_failure_limit: int = 3):
+                 quarantine: Optional[Quarantine] = None):
         self.store = store
         self._memo_get = memo_get or (lambda key: None)
         self._memo_put = memo_put or (lambda key, value: None)
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.quarantine = quarantine
-        self.strict = strict
         self.failures: List[PointFailure] = []
         registry = self.telemetry.registry
         self._counters = {name: registry.counter(f"campaign.{name}")
@@ -339,8 +337,7 @@ class CampaignRunner:
         # campaign-wide view that --telemetry writes out.
         self.executor = SupervisedExecutor(
             retry_policy if retry_policy is not None else RetryPolicy(),
-            registry, "campaign", workers=workers,
-            pool_failure_limit=pool_failure_limit)
+            registry, "campaign", workers=workers)
 
     def _count(self, name: str, amount: int = 1) -> None:
         self._counters[name].value += amount
@@ -358,8 +355,9 @@ class CampaignRunner:
 
         Duplicate points (same key) are simulated at most once per
         call; later occurrences reuse the first resolution.  Points
-        that fail past their attempt budget are quarantined; see
-        ``strict`` for how they surface.
+        that fail past their attempt budget are quarantined, and the
+        run then raises
+        :class:`~repro.experiments.supervision.CampaignPointsFailed`.
         """
         results: List[Optional[Tuple[JobResult, JobTrace]]] = [None] * len(points)
         pending: Dict[str, List[int]] = {}
@@ -416,7 +414,7 @@ class CampaignRunner:
                 self.failures.append(failure)
                 if self.quarantine is not None:
                     self.quarantine.record(failure)
-        if self.failures and self.strict:
+        if self.failures:
             raise CampaignPointsFailed(list(self.failures), results)
         return results  # type: ignore[return-value]
 

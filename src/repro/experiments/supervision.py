@@ -17,9 +17,10 @@ one executor both the
   *deadline* expiries sit in between (a hang may be load-dependent, so
   they retry like transients).
 * **retry policy** (:class:`RetryPolicy`) — attempt budget, per-task
-  wall-clock deadline, and exponential backoff whose jitter is derived
-  deterministically from the task key, so two runs of the same
-  campaign sleep identically (no ``random`` in the control path).
+  wall-clock deadline, and a base delay for exponential backoff whose
+  jitter is derived deterministically from the task key, so two runs
+  of the same campaign sleep identically (no ``random`` in the control
+  path).  The growth factor, cap and jitter are module constants.
 * **failure fingerprints** (:class:`FailureFingerprint`) — exception
   type + message + a hash of the normalised traceback, so repeated
   failures of the same point are recognisably "the same crash".
@@ -28,8 +29,10 @@ one executor both the
 * **the executor** (:class:`SupervisedExecutor`) — runs keyed tasks
   in-process or on one spawn pool, charges every failed attempt to its
   ledger, kills workers that miss the deadline, reschedules the
-  collateral victims of a broken pool free of charge and falls back to
-  in-process execution after repeated pool collapses.
+  collateral victims of a broken pool free of charge, falls back to
+  in-process execution after :data:`POOL_FAILURE_LIMIT` consecutive
+  pool collapses, and folds each worker's registry snapshot into the
+  caller's registry under the worker's label.
 * **quarantine** (:class:`Quarantine`) — a ``quarantine.jsonl`` sidecar
   recording each poisoned task's fingerprints; the run completes with
   an explicit partial-result manifest instead of dying.
@@ -58,7 +61,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.store import fsync_dir, write_atomic
-from repro.obs.aggregate import AggregateRegistry, delta_envelope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 
@@ -88,6 +90,13 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, DeadlineExpired):
         return DEADLINE
     if isinstance(exc, _TRANSIENT_TYPES):
+        return TRANSIENT
+    if isinstance(exc, CampaignPointsFailed) and any(
+            failure.fingerprints
+            and failure.fingerprints[-1].classification != DETERMINISTIC
+            for failure in exc.failures):
+        # A campaign run as one task (a pipeline capture node) lost a
+        # point to a retryable failure: retrying the task may finish it.
         return TRANSIENT
     return DETERMINISTIC
 
@@ -152,23 +161,29 @@ class FailureFingerprint:
                 f"[{self.classification}, tb {self.traceback_sha256[:10]}]")
 
 
+#: Backoff shape: each retry waits ``BACKOFF`` times longer than the
+#: last, stretched by up to ``JITTER`` of itself and capped at
+#: ``MAX_DELAY`` seconds.
+BACKOFF = 2.0
+MAX_DELAY = 5.0
+JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Attempt budget, deadline and deterministic backoff for one campaign.
 
-    ``delay`` grows exponentially per attempt and is jittered by a hash
-    of ``(key, attempt)`` — deterministic, so a re-run of the same
-    campaign schedules retries identically (the same property the
-    simulator's seeded RNG gives simulated randomness).
+    ``delay`` grows exponentially per attempt from ``base_delay`` and
+    is jittered by a hash of ``(key, attempt)`` — deterministic, so a
+    re-run of the same campaign schedules retries identically (the same
+    property the simulator's seeded RNG gives simulated randomness).
+    ``base_delay=0`` retries without sleeping.  Deterministic failures
+    are never retried: re-running a pure function re-raises.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    backoff: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.5
     deadline_s: Optional[float] = None
-    retry_deterministic: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -178,20 +193,17 @@ class RetryPolicy:
 
     def should_retry(self, classification: str, attempts: int) -> bool:
         """May a point that has already burned ``attempts`` try again?"""
-        if attempts >= self.max_attempts:
-            return False
-        if classification == DETERMINISTIC:
-            return self.retry_deterministic
-        return True
+        return (attempts < self.max_attempts
+                and classification != DETERMINISTIC)
 
     def delay(self, key: str, attempts: int) -> float:
         """Backoff before attempt ``attempts + 1`` of point ``key``."""
         if self.base_delay <= 0:
             return 0.0
-        raw = self.base_delay * (self.backoff ** max(0, attempts - 1))
+        raw = self.base_delay * (BACKOFF ** max(0, attempts - 1))
         digest = hashlib.sha256(f"{key}:{attempts}".encode()).digest()
         unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return min(self.max_delay, raw * (1.0 + self.jitter * unit))
+        return min(MAX_DELAY, raw * (1.0 + JITTER * unit))
 
 
 @dataclass
@@ -236,6 +248,11 @@ def terminate_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+#: Consecutive organic pool collapses (a worker died underneath, not
+#: a watchdog kill) after which the executor runs the rest in-process.
+POOL_FAILURE_LIMIT = 3
+
+
 #: How the watchdog polls in-flight tasks when a deadline is set
 #: (seconds).  Coarse enough to be free, fine enough that a kill lands
 #: within a small fraction of any realistic deadline.
@@ -272,7 +289,7 @@ def _drain_starts(starts: Any, started: Dict[str, float],
 
 def _run_observed(call: Callable[[Any, Telemetry], Any], item: Any,
                   config: TelemetryConfig, key: str,
-                  ) -> Tuple[Any, Dict[str, Any], float]:
+                  ) -> Tuple[Any, List[Dict[str, Any]], str, float]:
     """Spawn-worker entry point: run one task, ship its registry back.
 
     The task's deadline clock runs from here, not from its submission:
@@ -282,12 +299,10 @@ def _run_observed(call: Callable[[Any, Telemetry], Any], item: Any,
     caught even when it finished between two watchdog ticks.
 
     The worker builds its own telemetry from the picklable ``config``
-    (span sinks stay per-process — workers default to the null sink).
-    That telemetry is fresh per task, so its whole registry *is* the
-    increment: it returns as one delta envelope identified by the task
-    key, which the parent's :class:`~repro.obs.aggregate.
-    AggregateRegistry` folds in exactly once — counters sum, gauges
-    land under this worker's label.
+    (its spans go to the null sink).  That telemetry is fresh per task,
+    so its registry snapshot *is* the task's increment; the parent
+    merges it once, when the task succeeds — counters sum, gauges land
+    under this worker's label.
     """
     began = time.monotonic()
     if _start_queue is not None:
@@ -295,9 +310,8 @@ def _run_observed(call: Callable[[Any, Telemetry], Any], item: Any,
     telemetry = config.build()
     value = call(item, telemetry)
     ran = time.monotonic() - began
-    return value, delta_envelope(telemetry.registry,
-                                 source=f"worker-{os.getpid()}",
-                                 delta_id=key), ran
+    return (value, telemetry.registry.snapshot(), f"worker-{os.getpid()}",
+            ran)
 
 
 class SupervisedExecutor:
@@ -320,15 +334,15 @@ class SupervisedExecutor:
     attempt; so is one whose result shows it overran between ticks.
     A worker that dies underneath (SIGKILL, OOM) breaks the whole pool
     and fails every in-flight task; those collateral victims are
-    rescheduled free of charge, and after ``pool_failure_limit``
-    consecutive such collapses the rest run in-process.
+    rescheduled free of charge, and after :data:`POOL_FAILURE_LIMIT`
+    consecutive such collapses the rest run in-process.  A pool task's
+    registry snapshot is merged into ``registry`` when it succeeds.
     """
 
     def __init__(self, policy: RetryPolicy, registry: MetricsRegistry,
-                 prefix: str, workers: int = 1, pool_failure_limit: int = 3):
+                 prefix: str, workers: int = 1):
         self.policy = policy
         self.workers = max(1, int(workers))
-        self.pool_failure_limit = max(1, int(pool_failure_limit))
         self._registry = registry
         self._prefix = prefix
 
@@ -405,7 +419,6 @@ class SupervisedExecutor:
         # Unresolved task -> when its next attempt may start (backoff).
         ready_at = {key: 0.0 for key in items}
         config = telemetry.config()
-        aggregate = AggregateRegistry(telemetry.registry)
         consecutive_breaks = 0
         pool: Optional[ProcessPoolExecutor] = None
         # Workers post task starts here when a deadline is set.  Each
@@ -422,7 +435,7 @@ class SupervisedExecutor:
 
         try:
             while ready_at:
-                if consecutive_breaks >= self.pool_failure_limit:
+                if consecutive_breaks >= POOL_FAILURE_LIMIT:
                     # Graceful degradation: the pool keeps collapsing,
                     # so finish in-process (no deadline — there is
                     # nothing left to kill safely).
@@ -459,7 +472,7 @@ class SupervisedExecutor:
                     for future in done:
                         key = futures[future]
                         try:
-                            value, envelope, ran = future.result()
+                            value, snapshot, source, ran = future.result()
                         except BrokenExecutor:
                             # The pool collapsed under this task: the
                             # watchdog killed it, or a worker died.  Only
@@ -483,7 +496,7 @@ class SupervisedExecutor:
                                 f"task {key[:12]} ran {ran:.3f}s, past its "
                                 f"{deadline}s deadline"))
                             continue
-                        aggregate.apply(envelope)
+                        telemetry.registry.merge(snapshot, worker=source)
                         del ready_at[key]
                         on_done(ledgers[key], value)
                     if watching:
@@ -562,10 +575,10 @@ class PointFailure:
 
 
 class CampaignPointsFailed(RuntimeError):
-    """Raised by strict runs after the campaign *completed*: some points
-    exhausted their attempt budget and were quarantined.  Carries the
-    partial results (``None`` at failed indices) and the failures, so
-    callers can still use everything that did resolve.
+    """Raised after the campaign *completed* when some points exhausted
+    their attempt budget and were quarantined.  Carries the partial
+    results (``None`` at failed indices) and the failures, so callers
+    can still use everything that did resolve.
     """
 
     def __init__(self, failures: List[PointFailure], results: List[Any]):
@@ -575,24 +588,27 @@ class CampaignPointsFailed(RuntimeError):
         super().__init__(
             f"{len(failures)} campaign point(s) quarantined:\n  {lines}")
 
+    def __reduce__(self):
+        # Picklable, so a capture node run in a spawn worker can raise it.
+        return type(self), (self.failures, self.results)
+
 
 class Quarantine:
     """Deduplicating ``quarantine.jsonl`` sidecar of poisoned points.
 
-    With ``path=None`` the quarantine is memory-only (failures are
-    still collected on the runner); with a path, every quarantined
-    point is one durable JSON line so post-mortems survive the process.
-    Opening an existing sidecar loads it first, and recording a failure
-    whose :meth:`PointFailure.crash_signature` matches a known line
-    bumps that line's ``occurrences`` (and attempt total) instead of
-    appending a duplicate — so a poison point crashed across ten
-    reruns is *one* line with ``occurrences: 10``.
+    Every quarantined point is one durable JSON line, so post-mortems
+    survive the process (the runners also keep this run's failures in
+    memory).  Opening an existing sidecar loads it first, and
+    recording a failure whose :meth:`PointFailure.crash_signature`
+    matches a known line bumps that line's ``occurrences`` (and attempt
+    total) instead of appending a duplicate — so a poison point crashed
+    across ten reruns is *one* line with ``occurrences: 10``.
     """
 
-    def __init__(self, path: Optional[str | Path] = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self.failures: List[PointFailure] = []
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self.failures = Quarantine.load(self.path)
 
     def record(self, failure: PointFailure) -> PointFailure:
@@ -605,22 +621,18 @@ class Quarantine:
                 self._rewrite()
                 return known
         self.failures.append(failure)
-        if self.path is not None:
-            created = not self.path.exists()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(failure.to_dict(), sort_keys=True)
-                             + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            if created:
-                fsync_dir(self.path.parent)
+        created = not self.path.exists()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(failure.to_dict(), sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        if created:
+            fsync_dir(self.path.parent)
         return failure
 
     def _rewrite(self) -> None:
         """Atomically re-publish the whole sidecar (after a merge)."""
-        if self.path is None:
-            return
         text = "".join(json.dumps(failure.to_dict(), sort_keys=True) + "\n"
                        for failure in self.failures)
         write_atomic(self.path, text)

@@ -50,8 +50,5 @@ class BlockLocation:
     def on_host(self, host: Host) -> bool:
         return host in self.replicas
 
-    def on_rack(self, rack: int) -> bool:
-        return any(replica.rack == rack for replica in self.replicas)
-
     def racks(self) -> List[int]:
         return sorted({replica.rack for replica in self.replicas})

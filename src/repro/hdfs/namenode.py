@@ -234,9 +234,6 @@ class NameNode:
 
     # -- statistics -----------------------------------------------------------
 
-    def total_blocks(self) -> int:
-        return len(self._locations)
-
     def blocks_on(self, host: Host) -> List[BlockLocation]:
         """All block locations holding a replica on ``host``."""
         return [location for location in self._locations.values()

@@ -38,12 +38,6 @@ class RoundResult:
     def completion_time(self) -> float:
         return self.finish_time - self.submit_time
 
-    @property
-    def locality_fraction(self) -> float:
-        """Fraction of split reads served node-locally."""
-        total = self.node_local_reads + self.rack_local_reads + self.remote_reads
-        return self.node_local_reads / total if total else 1.0
-
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 

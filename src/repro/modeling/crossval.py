@@ -9,7 +9,7 @@ the model on the remaining sizes and score the held-out prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.capture.records import JobTrace, TrafficComponent
 from repro.cluster.units import GB
@@ -56,11 +56,6 @@ class CrossValidationReport:
         finite = [s.volume_error for s in self.scores
                   if s.volume_error != float("inf")]
         return sum(finite) / len(finite) if finite else 0.0
-
-    def worst_volume_error(self) -> float:
-        finite = [s.volume_error for s in self.scores
-                  if s.volume_error != float("inf")]
-        return max(finite) if finite else 0.0
 
 
 def leave_one_out(traces: Sequence[JobTrace],

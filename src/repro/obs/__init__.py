@@ -18,9 +18,12 @@ schedules no probes and allocates no sinks.
 A run is observed after the fact: :mod:`repro.obs.export` writes the
 registry, probes and spans to a telemetry directory, and ``keddah
 report --telemetry``, ``keddah top`` and ``keddah trace`` read it back.
+A spawn worker's registry reaches its parent as a snapshot: the
+worker returns ``registry.snapshot()`` and the parent folds it in with
+``MetricsRegistry.merge(snapshot, worker=source)`` — counters and
+histograms sum, gauges keep one series per worker.
 """
 
-from repro.obs.aggregate import AggregateRegistry, delta_envelope
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -38,7 +41,6 @@ from repro.obs.trace import (
     NULL_SINK,
     NULL_SPAN,
     SPAN_KINDS,
-    FileSink,
     MemorySink,
     NullSink,
     Span,
@@ -49,13 +51,10 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "AggregateRegistry",
     "DEFAULT_BUCKETS",
     "DEFAULT_PROBE_INTERVAL",
     "ClusterProbes",
     "Counter",
-    "delta_envelope",
-    "FileSink",
     "Gauge",
     "Histogram",
     "MemorySink",

@@ -104,8 +104,9 @@ def prometheus_text(registry: MetricsRegistry,
 def write_telemetry(telemetry: Telemetry, directory: str | Path) -> List[Path]:
     """Write a telemetry directory; returns the paths written.
 
-    Spans are written only when the sink kept them in memory — a
-    :class:`FileSink` has already streamed its own JSONL file.
+    ``spans.jsonl`` is written only when the sink kept the spans in
+    memory; null-sink telemetry (disabled, or a spawn worker's) has
+    none to write.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,10 @@ Design points:
   the hot path pays nothing at all.
 * ``snapshot()`` produces a plain picklable list of dicts; ``merge()``
   folds such a snapshot back in (counters and histograms add, gauges
-  take the incoming value).  The campaign runner uses this pair to
-  aggregate per-worker registries back into the parent process.
+  take the incoming value).  The supervised executor uses this pair to
+  fold each spawn worker's registry into the parent, with
+  ``merge(snapshot, worker=source)`` keeping every worker's gauges on
+  their own ``worker=<source>`` series.
 * ``timeit(name)`` observes wall-clock seconds into a histogram — for
   host-side costs (store I/O, fit time), never simulated time.
 """
@@ -221,11 +223,16 @@ class MetricsRegistry:
         """Plain-data (picklable) dump; callback gauges are evaluated."""
         return [metric.to_dict() for metric in self.metrics()]
 
-    def merge(self, snapshot: Iterable[Dict[str, Any]]) -> None:
+    def merge(self, snapshot: Iterable[Dict[str, Any]],
+              worker: Optional[str] = None) -> None:
         """Fold a snapshot in: counters/histograms add, gauges overwrite.
 
-        Callback gauges are left alone — their value belongs to a live
-        component of *this* process, not to the snapshot's.
+        With ``worker`` set, the snapshot's gauges land on their own
+        ``worker=<worker>`` series, so two workers' gauges never
+        clobber each other; counters and histograms still sum onto the
+        unlabelled series.  Callback gauges are left alone — their
+        value belongs to a live component of *this* process, not to
+        the snapshot's.
         """
         for entry in snapshot:
             labels = entry.get("labels", {})
@@ -233,6 +240,8 @@ class MetricsRegistry:
             if kind == "counter":
                 self.counter(entry["name"], **labels).inc(entry["value"])
             elif kind == "gauge":
+                if worker is not None:
+                    labels = dict(labels, worker=worker)
                 gauge = self.gauge(entry["name"], **labels)
                 if gauge.fn is None:
                     gauge.set(entry["value"])

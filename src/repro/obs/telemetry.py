@@ -19,10 +19,11 @@ only *read* engine state, so capture traces are byte-identical either
 way (pinned by the determinism tests).
 
 :class:`TelemetryConfig` is the picklable recipe used to re-create an
-equivalent telemetry in executor worker processes; workers send their
-registries back as delta envelopes
-(:func:`~repro.obs.aggregate.delta_envelope`) that the parent folds
-into an :class:`~repro.obs.aggregate.AggregateRegistry`.
+equivalent telemetry in executor worker processes.  A worker's spans
+go to the null sink; its registry snapshot returns to the parent,
+which folds it in with
+:meth:`~repro.obs.metrics.MetricsRegistry.merge` under the worker's
+label.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import ProbeLog
-from repro.obs.trace import (
-    NULL_SINK,
-    FileSink,
-    MemorySink,
-    TraceSink,
-    Tracer,
-)
+from repro.obs.trace import NULL_SINK, MemorySink, TraceSink, Tracer
 
 #: Default probe cadence in simulated seconds.
 DEFAULT_PROBE_INTERVAL = 1.0
@@ -48,26 +43,15 @@ DEFAULT_PROBE_INTERVAL = 1.0
 class TelemetryConfig:
     """Picklable telemetry recipe (what executor workers receive).
 
-    ``sink`` names a sink kind rather than carrying one: ``"null"``,
-    ``"memory"`` or ``"file:<path>"``.  Workers default to ``"null"`` —
-    span streams stay per-process; only registries travel back.
+    The telemetry it builds traces into the null sink: spans stay in
+    the worker, and only the registry travels back.
     """
 
     enabled: bool = False
     probe_interval: float = DEFAULT_PROBE_INTERVAL
-    sink: str = "null"
-
-    def build_sink(self) -> TraceSink:
-        if not self.enabled or self.sink == "null":
-            return NULL_SINK
-        if self.sink == "memory":
-            return MemorySink()
-        if self.sink.startswith("file:"):
-            return FileSink(self.sink[len("file:"):])
-        raise ValueError(f"unknown sink spec {self.sink!r}")
 
     def build(self) -> "Telemetry":
-        return Telemetry(enabled=self.enabled, sink=self.build_sink(),
+        return Telemetry(enabled=self.enabled, sink=NULL_SINK,
                          probe_interval=self.probe_interval)
 
 
@@ -104,12 +88,11 @@ class Telemetry:
 
     # -- worker recipe -------------------------------------------------------------
 
-    def config(self, sink: str = "null") -> TelemetryConfig:
+    def config(self) -> TelemetryConfig:
         """The picklable recipe reproducing this telemetry's settings."""
         return TelemetryConfig(enabled=self.enabled,
                                probe_interval=self.probe_interval or
-                               DEFAULT_PROBE_INTERVAL,
-                               sink=sink)
+                               DEFAULT_PROBE_INTERVAL)
 
     # -- convenience ---------------------------------------------------------------
 
@@ -117,7 +100,3 @@ class Telemetry:
     def spans(self):
         """Closed spans when the sink keeps them in memory, else []."""
         return getattr(self.sink, "spans", [])
-
-    def close(self) -> None:
-        """Flush/close the sink (file sinks need this)."""
-        self.sink.close()

@@ -20,9 +20,10 @@ wall clock; every emit site passes ``sim.now`` explicitly, which keeps
 the tracer trivially usable from any component holding the simulator.
 
 Sinks are pluggable: :class:`NullSink` (drop everything — the default,
-so the disabled path allocates nothing), :class:`MemorySink` (tests,
-in-process reports) and :class:`FileSink` (JSONL, one span per line,
-closed spans only).  A span line is a plain dict::
+so the disabled path allocates nothing) and :class:`MemorySink`
+(tests, in-process reports).  :mod:`repro.obs.export` writes a
+memory sink's closed spans as JSONL, one span per line, and
+:func:`load_spans` reads them back.  A span line is a plain dict::
 
     {"span": 7, "parent": 3, "kind": "task", "name": "map[4]",
      "start": 12.25, "end": 13.875, "attrs": {"host": "h003"}}
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 SPAN_KINDS = ("job", "round", "stage", "task", "fetch", "hdfs_write",
               "flow", "event")
@@ -87,9 +88,6 @@ class TraceSink:
     def emit(self, span: Span) -> None:
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Flush and release resources (no-op by default)."""
-
 
 class NullSink(TraceSink):
     """Discards everything; the disabled-path sink."""
@@ -109,26 +107,6 @@ class MemorySink(TraceSink):
 
     def emit(self, span: Span) -> None:
         self.spans.append(span)
-
-
-class FileSink(TraceSink):
-    """Appends one JSON line per closed span to a file."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        self.emitted = 0
-
-    def emit(self, span: Span) -> None:
-        if self._handle is None:
-            raise ValueError(f"FileSink({self.path!r}) already closed")
-        self._handle.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 class Tracer:

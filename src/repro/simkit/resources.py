@@ -87,10 +87,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def pending_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().fire(item)

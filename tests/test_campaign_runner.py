@@ -207,7 +207,8 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
     the campaign completes, quarantines exactly the poison, and a rerun
     against the same store re-simulates zero completed points with
     traces byte-identical to an uninterrupted serial run."""
-    from repro.experiments.supervision import Quarantine, RetryPolicy
+    from repro.experiments.supervision import (CampaignPointsFailed,
+                                               Quarantine, RetryPolicy)
     from tests.test_supervision import (FlakyOncePoint, KillOncePoint,
                                         PoisonPoint)
 
@@ -231,8 +232,10 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
     runner = CampaignRunner(
         store=CaptureStore(store_root), workers=2,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
-        quarantine=Quarantine(quarantine_path), strict=False)
-    outcomes = runner.run(points)
+        quarantine=Quarantine(quarantine_path))
+    with pytest.raises(CampaignPointsFailed) as excinfo:
+        runner.run(points)
+    outcomes = excinfo.value.results
 
     assert [outcome is None for outcome in outcomes] == [False] * 4 + [True]
     assert [failure.key for failure in runner.failures] == [poison_key]
@@ -246,19 +249,22 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
     # without re-simulating; only the quarantined point is attempted again.
     resumed = CampaignRunner(
         store=CaptureStore(store_root), workers=1,
-        retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-        strict=False)
-    replayed = resumed.run(points)
+        retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0))
+    with pytest.raises(CampaignPointsFailed) as excinfo:
+        resumed.run(points)
+    replayed = excinfo.value.results
     assert resumed.manifest()["stats"]["store_hits"] == 4
     assert resumed.manifest()["stats"]["simulated"] == 1
     assert replayed[4] is None
 
     # Byte-identity against an uninterrupted serial run (the fault
     # sentinels exist now, so the flaky/killer points run clean).
-    serial = CampaignRunner(
-        store=None, workers=1,
-        retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
-        strict=False).run(points)
+    with pytest.raises(CampaignPointsFailed) as excinfo:
+        CampaignRunner(
+            store=None, workers=1,
+            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
+        ).run(points)
+    serial = excinfo.value.results
     for index in range(4):
         assert _trace_jsonl(replayed[index][1], tmp_path, f"r{index}.jsonl") \
             == _trace_jsonl(serial[index][1], tmp_path, f"u{index}.jsonl")

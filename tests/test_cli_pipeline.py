@@ -55,7 +55,7 @@ def test_plan_is_all_cached_after_a_run(pipeline_dir, capsys, tmp_path):
     assert not (fresh / "nodes").exists()
 
 
-def test_status_reports_journal_and_cache_state(pipeline_dir, capsys):
+def test_plan_reports_every_committed_node_as_cached(pipeline_dir, capsys):
     # The node manifests are the only record of a root's state: plan with
     # only --dir reads the saved spec and reports every node as cached.
     assert main(["pipeline", "plan", "--dir", str(pipeline_dir)]) == 0
@@ -114,7 +114,7 @@ def test_run_failure_returns_nonzero_and_keeps_partial_work(tmp_path,
     root = tmp_path / "pl"
     code = main(["pipeline", "run", "--dir", str(root), *TINY,
                  "--deadline", "0.000001", "--retries", "1",
-                 "--on-failure", "skip-descendants"])
+                 "--on-failure", "continue"])
     assert code == 1
     out = capsys.readouterr().out
     assert "quarantined" in out

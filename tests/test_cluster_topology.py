@@ -111,13 +111,6 @@ def test_host_lookup_by_name():
         topo.host("h099")
 
 
-def test_bisection_links_tree():
-    topo = build_topology("tree", num_hosts=8, hosts_per_rack=4)
-    crossing = topo.bisection_links()
-    assert len(crossing) == 2  # two ToR-core edges
-    assert all(isinstance(u, Switch) and isinstance(v, Switch) for u, v in crossing)
-
-
 def _assert_paths_match_networkx(topo):
     """Every ordered host pair takes the stable-hash pick among the first
     16 of networkx's all shortest paths, in networkx's order.  Returns

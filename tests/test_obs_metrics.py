@@ -108,6 +108,46 @@ def test_merge_overwrites_settable_but_not_callback_gauges():
     assert parent.value("live") == 3.0  # callback wins over snapshot
 
 
+def test_gauges_get_per_worker_series_instead_of_clobbering():
+    def worker(value):
+        registry = MetricsRegistry()
+        registry.gauge("net.active").set(value)
+        return registry.snapshot()
+
+    parent = MetricsRegistry()
+    parent.merge(worker(3.0), worker="w1")
+    parent.merge(worker(8.0), worker="w2")
+    assert parent.value("net.active", worker="w1") == 3.0
+    assert parent.value("net.active", worker="w2") == 8.0
+    assert parent.get("net.active") is None
+    # Last write wins *within* a worker.
+    parent.merge(worker(5.0), worker="w1")
+    assert parent.value("net.active", worker="w1") == 5.0
+
+
+def test_worker_merge_sums_counters_and_histograms_unlabelled():
+    worker = MetricsRegistry()
+    worker.counter("sim.events_fired").inc(10)
+    worker.histogram("dt", buckets=(1.0, 2.0)).observe(1.5)
+
+    parent = MetricsRegistry()
+    parent.merge(worker.snapshot(), worker="w1")
+    parent.merge(worker.snapshot(), worker="w2")
+    # The cluster-wide total lands on the plain, unlabelled series.
+    assert parent.value("sim.events_fired") == 20.0
+    assert parent.get("dt").counts == [0, 2, 0]
+    assert parent.get("sim.events_fired", worker="w1") is None
+
+
+def test_worker_merge_never_overwrites_a_callback_gauge():
+    worker = MetricsRegistry()
+    worker.gauge("net.active").set(3.0)
+    parent = MetricsRegistry()
+    parent.gauge("net.active", fn=lambda: 99.0, worker="w1")
+    parent.merge(worker.snapshot(), worker="w1")
+    assert parent.value("net.active", worker="w1") == 99.0
+
+
 def test_merge_rejects_bucket_mismatch():
     worker = MetricsRegistry()
     worker.histogram("dt", buckets=(1.0, 2.0)).observe(0.5)

@@ -5,11 +5,9 @@ import pytest
 from repro.obs.export import render_span_tree, span_summary_table
 from repro.obs.trace import (
     NULL_SPAN,
-    FileSink,
     MemorySink,
     Span,
     Tracer,
-    load_spans,
     span_children,
 )
 
@@ -54,23 +52,6 @@ def test_event_is_zero_duration():
     assert span.kind == "event"
     assert span.start == span.end == 3.0
     assert span.duration == 0.0
-
-
-def test_file_sink_roundtrip(tmp_path):
-    path = tmp_path / "spans.jsonl"
-    sink = FileSink(str(path))
-    tracer = Tracer(sink=sink, enabled=True)
-    parent = tracer.start("job", "j", 0.0)
-    tracer.emit("flow", "f", 1.0, 2.0, parent=parent, size=10)
-    tracer.end(parent, 4.0)
-    sink.close()
-
-    spans = load_spans(str(path))
-    assert [span.kind for span in spans] == ["flow", "job"]
-    assert spans[0].parent_id == spans[1].span_id
-    assert spans[0].attrs == {"size": 10}
-    with pytest.raises(ValueError):
-        sink.emit(Span(99, "flow", "late", 0.0))
 
 
 def test_span_children_sorted_by_start():

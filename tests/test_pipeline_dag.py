@@ -12,7 +12,6 @@ from repro.experiments.dag import (
     DONE,
     FAIL_FAST,
     QUARANTINED,
-    SKIP_DESCENDANTS,
     SKIPPED,
     DAGRunner,
     PipelineCycleError,
@@ -26,8 +25,8 @@ from repro.experiments.dag import (
 )
 from repro.experiments.supervision import Quarantine, RetryPolicy
 
-ONE_SHOT = RetryPolicy(max_attempts=1, base_delay=0.0, max_delay=0.0)
-FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
+ONE_SHOT = RetryPolicy(max_attempts=1, base_delay=0.0)
+FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.0)
 
 
 def _emit(text):
@@ -262,8 +261,9 @@ def test_tampered_output_bytes_fail_verification(tmp_path):
 
 def test_started_but_uncommitted_node_plans_as_interrupted(tmp_path):
     root = tmp_path / "pl"
-    DAGRunner(_chain(tmp_path, poison="b"), root, retry_policy=ONE_SHOT,
-              on_failure=SKIP_DESCENDANTS).run()
+    with pytest.raises(PipelineFailed):
+        DAGRunner(_chain(tmp_path, poison="b"), root, retry_policy=ONE_SHOT,
+                  on_failure=CONTINUE).run()
     # b wrote node.json before its attempt and never published
     # outputs.json; c never started.
     runner = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT)
@@ -295,14 +295,6 @@ def test_continue_finishes_independent_branches_then_raises(tmp_path):
     with pytest.raises(PipelineFailed) as err:
         runner.run()
     result = err.value.result
-    assert result.states() == {"a": DONE, "b": QUARANTINED, "c": BLOCKED,
-                               "z-indep": DONE}
-
-
-def test_skip_descendants_returns_partial_result_without_raising(tmp_path):
-    runner = DAGRunner(_chain(tmp_path, poison="b"), tmp_path / "pl",
-                       retry_policy=ONE_SHOT, on_failure=SKIP_DESCENDANTS)
-    result = runner.run()
     assert result.states() == {"a": DONE, "b": QUARANTINED, "c": BLOCKED,
                                "z-indep": DONE}
     manifest = result.manifest()
@@ -341,8 +333,9 @@ def test_quarantine_sidecar_dedupes_across_resume_cycles(tmp_path):
         runner = DAGRunner(_chain(tmp_path, poison="b"), root,
                            retry_policy=ONE_SHOT,
                            quarantine=Quarantine(root / "quarantine.jsonl"),
-                           on_failure=SKIP_DESCENDANTS)
-        runner.run()
+                           on_failure=CONTINUE)
+        with pytest.raises(PipelineFailed):
+            runner.run()
     failures = Quarantine.load(root / "quarantine.jsonl")
     assert len(failures) == 1
     assert failures[0].occurrences == 2
@@ -359,8 +352,9 @@ def test_deadline_kills_a_registry_stage(tmp_path):
                       out_paths={"marker": "marker.txt"}))
     runner = DAGRunner(
         dag, tmp_path / "pl",
-        retry_policy=RetryPolicy(max_attempts=1, deadline_s=1.5),
-        on_failure=SKIP_DESCENDANTS)
-    result = runner.run()
+        retry_policy=RetryPolicy(max_attempts=1, deadline_s=1.5))
+    with pytest.raises(PipelineFailed) as err:
+        runner.run()
+    result = err.value.result
     assert result.states() == {"napper": QUARANTINED}
     assert "deadline" in result.outcomes["napper"].reason.lower()

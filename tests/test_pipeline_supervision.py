@@ -4,12 +4,23 @@ worker count may not touch."""
 
 import json
 
-from repro.experiments.dag import CACHED, DONE, DAGRunner, PipelineDAG
+import pytest
+
+from repro.experiments.campaigns import CampaignConfig
+from repro.experiments.dag import (
+    CACHED,
+    DONE,
+    QUARANTINED,
+    DAGRunner,
+    PipelineDAG,
+    PipelineFailed,
+)
 from repro.experiments.pipelines import (
     PipelineSpec,
     build_pipeline,
     capture_point_payloads,
 )
+from repro.experiments.runner import CapturePoint
 from repro.experiments.supervision import RetryPolicy
 
 SPEC = PipelineSpec(jobs=("grep",), sizes_gb=(0.0625, 0.125),
@@ -22,13 +33,17 @@ def _metric(metrics_path, name):
             if entry["name"] == name and not entry.get("labels")]
 
 
+def _capture_only():
+    dag = PipelineDAG("capture-only")
+    dag.add(build_pipeline(SPEC).node("capture"))
+    return dag
+
+
 def test_deadline_run_capture_keeps_its_telemetry(tmp_path):
     # A deadline puts a registry stage on the executor's spawn pool; the
     # worker's registry must come back into the node's telemetry.
-    dag = PipelineDAG("capture-only")
-    dag.add(build_pipeline(SPEC).node("capture"))
     root = tmp_path / "pl"
-    result = DAGRunner(dag, root,
+    result = DAGRunner(_capture_only(), root,
                        retry_policy=RetryPolicy(max_attempts=1,
                                                 deadline_s=120.0),
                        node_telemetry=True).run()
@@ -66,3 +81,55 @@ def test_downstream_nodes_count_their_store_reads(tmp_path):
         for counter in ("store.hits", "store.bytes_read"):
             (value,) = _metric(metrics, counter)
             assert value > 0, (name, counter)
+
+
+def _flaky_second_point(monkeypatch):
+    """The sweep's second point raises a transient error the first time
+    it is simulated.  Returns the keys simulated, in order."""
+    simulated = []
+    payload = capture_point_payloads(SPEC)[1]
+    victim = CapturePoint.from_campaign(
+        payload["job"], payload["input_gb"], payload["seed"],
+        CampaignConfig(**payload["campaign"])).key()
+    simulate = CapturePoint.simulate
+
+    def flaky(point, telemetry=None):
+        key = point.key()
+        simulated.append(key)
+        if key == victim and simulated.count(key) == 1:
+            raise OSError("transient worker glitch")
+        return simulate(point, telemetry)
+
+    monkeypatch.setattr(CapturePoint, "simulate", flaky)
+    return simulated, victim
+
+
+def test_capture_node_retries_are_the_pipelines_retries(tmp_path,
+                                                       monkeypatch):
+    # The capture node's own runner gets one attempt per point, so with
+    # a one-attempt pipeline a transient point failure quarantines it.
+    _flaky_second_point(monkeypatch)
+    runner = DAGRunner(_capture_only(), tmp_path / "pl",
+                       retry_policy=RetryPolicy(max_attempts=1,
+                                                base_delay=0.0))
+    with pytest.raises(PipelineFailed) as err:
+        runner.run()
+    outcome = err.value.result.outcomes["capture"]
+    assert outcome.state == QUARANTINED
+    assert "transient" in outcome.reason
+
+
+def test_capture_node_retry_simulates_only_the_missing_point(tmp_path,
+                                                            monkeypatch):
+    simulated, victim = _flaky_second_point(monkeypatch)
+    result = DAGRunner(_capture_only(), tmp_path / "pl",
+                       retry_policy=RetryPolicy(max_attempts=2,
+                                                base_delay=0.0)).run()
+    outcome = result.outcomes["capture"]
+    assert outcome.state == DONE
+    assert outcome.attempts == 2
+    # The retry reuses the node-local store: every point the first
+    # attempt finished is read back, and only the victim runs again.
+    points = len(capture_point_payloads(SPEC))
+    assert len(simulated) == points + 1
+    assert simulated[points:] == [victim]

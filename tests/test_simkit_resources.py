@@ -131,4 +131,3 @@ def test_store_len_and_drain():
     assert len(store) == 2
     assert store.drain() == [1, 2]
     assert len(store) == 0
-    assert store.pending_getters == 0

@@ -2,6 +2,7 @@
 watchdog, and graceful pool degradation."""
 
 import os
+import pickle
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import supervision
 from repro.experiments.campaigns import CampaignConfig
-from repro.experiments.runner import CampaignRunner, CapturePoint, derive_seed
+from repro.experiments.runner import CampaignRunner, CapturePoint
 from repro.experiments.supervision import (
     DEADLINE,
     DETERMINISTIC,
@@ -32,7 +34,7 @@ from repro.obs.telemetry import Telemetry
 
 SMALL = CampaignConfig(nodes=4, hosts_per_rack=2)
 
-FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.01)
 
 
 
@@ -155,7 +157,6 @@ def test_retry_policy_budget_and_determinism_rules():
     assert policy.should_retry(DEADLINE, 2)
     assert not policy.should_retry(TRANSIENT, 3)  # budget exhausted
     assert not policy.should_retry(DETERMINISTIC, 1)  # pure function
-    assert RetryPolicy(retry_deterministic=True).should_retry(DETERMINISTIC, 1)
 
 
 def test_retry_policy_validation():
@@ -166,13 +167,12 @@ def test_retry_policy_validation():
 
 
 def test_backoff_is_deterministic_bounded_and_growing():
-    policy = RetryPolicy(base_delay=0.1, backoff=2.0, max_delay=1.0,
-                         jitter=0.5)
+    policy = RetryPolicy(base_delay=0.1)
     first = policy.delay("key-a", 1)
     assert first == policy.delay("key-a", 1)  # no random in the control path
-    assert 0.1 <= first <= 0.15
+    assert 0.1 <= first <= 0.1 * (1 + supervision.JITTER)
     assert policy.delay("key-a", 2) > first
-    assert policy.delay("key-a", 50) == 1.0  # capped
+    assert policy.delay("key-a", 50) == supervision.MAX_DELAY  # capped
     assert policy.delay("key-b", 1) != first  # jitter varies per key
     assert RetryPolicy(base_delay=0.0).delay("key-a", 1) == 0.0
 
@@ -226,12 +226,6 @@ def test_quarantine_sidecar_roundtrips_and_tolerates_torn_tail(tmp_path):
     assert [failure.key for failure in loaded] == ["k1", "k2"]
     assert loaded[0].fingerprints[0].exception_type == "ValueError"
     assert len(quarantine) == 2
-
-
-def test_quarantine_without_path_is_memory_only(tmp_path):
-    quarantine = Quarantine(None)
-    quarantine.record(_failure())
-    assert len(quarantine) == 1
     assert Quarantine.load(tmp_path / "missing.jsonl") == []
 
 
@@ -267,6 +261,26 @@ def test_quarantine_keeps_distinct_crash_signatures_apart(tmp_path):
     assert all(failure.occurrences == 1 for failure in loaded)
 
 
+def test_campaign_failure_is_retryable_when_a_point_was():
+    # A campaign run as one task (a pipeline capture node) fails with
+    # CampaignPointsFailed; retrying the task helps only when some
+    # point failed for a retryable reason.
+    poisoned = CampaignPointsFailed([_failure("k1")], [None])
+    assert classify_failure(poisoned) == DETERMINISTIC
+    flaky = _failure("k2")
+    flaky.fingerprints[0] = FailureFingerprint(
+        exception_type="OSError", message="glitch",
+        traceback_sha256="cd" * 32, classification=TRANSIENT)
+    mixed = CampaignPointsFailed([_failure("k1"), flaky], [None, None])
+    assert classify_failure(mixed) == TRANSIENT
+    # It crosses a process boundary intact (a capture node may run in
+    # a spawn worker).
+    clone = pickle.loads(pickle.dumps(mixed))
+    assert [failure.key for failure in clone.failures] == ["k1", "k2"]
+    assert clone.results == [None, None]
+    assert str(clone) == str(mixed)
+
+
 # -- supervised serial execution ----------------------------------------------------
 
 
@@ -286,9 +300,10 @@ def test_poison_point_quarantines_and_campaign_completes(tmp_path):
     healthy = _point(seed=22)
     poison = PoisonPoint.from_campaign("grep", 0.0625, 23, SMALL)
     runner = CampaignRunner(store=None, workers=1, retry_policy=FAST_RETRIES,
-                            quarantine=Quarantine(quarantine_path),
-                            strict=False)
-    outcomes = runner.run([healthy, poison])
+                            quarantine=Quarantine(quarantine_path))
+    with pytest.raises(CampaignPointsFailed) as excinfo:
+        runner.run([healthy, poison])
+    outcomes = excinfo.value.results
     assert outcomes[0] is not None
     assert outcomes[1] is None
     assert runner.manifest()["stats"]["quarantined"] == 1
@@ -305,8 +320,7 @@ def test_poison_point_quarantines_and_campaign_completes(tmp_path):
 def test_strict_run_raises_after_completing_everything_else():
     healthy = _point(seed=24)
     poison = PoisonPoint.from_campaign("grep", 0.0625, 25, SMALL)
-    runner = CampaignRunner(store=None, workers=1, retry_policy=FAST_RETRIES,
-                            strict=True)
+    runner = CampaignRunner(store=None, workers=1, retry_policy=FAST_RETRIES)
     with pytest.raises(CampaignPointsFailed) as excinfo:
         runner.run([healthy, poison])
     assert excinfo.value.results[0] is not None  # partial results carried
@@ -371,12 +385,12 @@ def test_task_overrunning_its_deadline_between_ticks_is_charged():
     assert ledger.fingerprints[-1].exception_type == "DeadlineExpired"
 
 
-def test_repeated_pool_collapse_degrades_to_serial(tmp_path):
+def test_repeated_pool_collapse_degrades_to_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(supervision, "POOL_FAILURE_LIMIT", 1)
     kill = KillOncePoint.from_campaign(
         "grep", 0.0625, 32, SMALL, {"sentinel": str(tmp_path / "kill.once")})
     healthy = _point(seed=33)
-    runner = CampaignRunner(store=None, workers=2, retry_policy=FAST_RETRIES,
-                            pool_failure_limit=1)
+    runner = CampaignRunner(store=None, workers=2, retry_policy=FAST_RETRIES)
     outcomes = runner.run([healthy, kill])
     assert all(outcome is not None for outcome in outcomes)
     assert runner.manifest()["stats"]["pool_failures"] >= 1

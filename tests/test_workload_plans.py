@@ -4,9 +4,9 @@ Covers the plan DAG structure (validation, topology, identity), the
 :class:`~repro.mapreduce.driver.PlanExecutor` runtime contracts —
 dependency-ordered stage windows, concurrent root admission, fan-in
 sizing, carryover selection, determinism — and the per-stage flow
-attribution and scoring in :mod:`repro.analysis.plans`.  The
-single-stage byte-identity contract lives in
-``test_plan_differential.py``.
+attribution and scoring in :mod:`repro.analysis.plans`.  Plan points
+in the capture store — keys disjoint from single-job points, warm reads
+byte-identical to cold ones — are covered in ``test_plan_campaign.py``.
 """
 
 import pytest
