@@ -37,7 +37,7 @@ from repro.experiments.runner import CampaignRunner
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
 SPEC = PipelineSpec(jobs=("terasort", "grep"),
-                    sizes_gb=(0.125, 0.25, 0.5), experiments=())
+                    sizes_gb=(0.125, 0.25, 0.5))
 
 
 def test_pipeline_warm_dag_skips_all_work():

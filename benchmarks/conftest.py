@@ -28,8 +28,9 @@ import tempfile
 import pytest
 
 from repro.analysis.tables import Table, render_table
-from repro.experiments.campaigns import cache_stats, clear_cache, set_store
-from repro.experiments.store import STORE_ENV_VAR, CaptureStore
+from repro.experiments import campaigns
+from repro.experiments.campaigns import clear_cache
+from repro.experiments.store import STORE_ENV_VAR
 
 
 def registry_values(registry, *prefixes):
@@ -41,23 +42,27 @@ _SESSION_STORE_DIRS = []
 
 
 def pytest_configure(config):
-    """Install the session-wide capture store before any benchmark runs."""
-    root = os.environ.get(STORE_ENV_VAR, "").strip()
-    if not root:
+    """Name the session-wide capture store before any benchmark runs.
+
+    Captures read ``KEDDAH_CAPTURE_STORE`` on every call, so setting it
+    here installs the store for the whole session.
+    """
+    if not os.environ.get(STORE_ENV_VAR, "").strip():
         root = tempfile.mkdtemp(prefix="keddah-capture-store-")
         _SESSION_STORE_DIRS.append(root)
-    set_store(CaptureStore(root))
+        os.environ[STORE_ENV_VAR] = root
 
 
 def pytest_unconfigure(config):
     """Remove the session store this run created (never a persistent one)."""
     while _SESSION_STORE_DIRS:
         shutil.rmtree(_SESSION_STORE_DIRS.pop(), ignore_errors=True)
+        os.environ.pop(STORE_ENV_VAR, None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    stats = cache_stats()
-    terminalreporter.write_line(f"keddah capture cache: {stats}")
+    terminalreporter.write_line(
+        f"keddah capture memo: {campaigns._MEMO.stats()}")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -119,12 +119,15 @@ python -m pytest tests/test_campaign_crash_resume.py -q
 # 9b. Supervised-executor suite: campaign points and pipeline nodes
 #    run on one executor (experiments/supervision.py) under one
 #    RetryPolicy (attempt budget, deadline, base delay) — retries,
-#    deadline kills, pool collapse and degradation to in-process runs,
+#    deadline kills (one fingerprint for a hung task whichever watchdog
+#    path caught it), pool collapse and degradation to in-process runs,
 #    quarantine, fail-fast and continue propagation, capture nodes
 #    retried only by the pipeline's own attempt budget, a deadline-run
 #    node keeping its telemetry, and a worker count that never re-keys
-#    the capture sweep.  Explicit so scoped runs still exercise all of
-#    it.
+#    the capture sweep — plus the one capture resolver (memo, then the
+#    store KEDDAH_CAPTURE_STORE names, then a store → simulate
+#    CampaignRunner) and its bounded LRU memo.  Explicit so scoped runs
+#    still exercise all of it.
 echo "== supervised-executor suite =="
 python -m pytest tests/test_supervision.py tests/test_campaign_runner.py \
     tests/test_pipeline_dag.py tests/test_pipeline_supervision.py -q

@@ -12,6 +12,9 @@ Captures here take the one path every campaign, store and CLI capture
 takes (:class:`~repro.experiments.runner.CapturePoint` /
 :class:`~repro.experiments.runner.PlanPoint`), so a capture depends only
 on its arguments, never on what ran earlier in the process.
+``run_capture_campaign`` resolves its points through
+:func:`repro.experiments.campaigns.resolve_points`, the one memo →
+store → simulation resolver every experiment uses.
 """
 
 from __future__ import annotations
@@ -99,13 +102,13 @@ def run_capture_campaign(job: str, input_sizes_gb: Sequence[float],
     Each (size, repeat) pair runs on a fresh cluster with a seed from
     :func:`repro.experiments.runner.derive_seed`, so runs are
     independent and the whole campaign is reproducible from ``seed``.
-    Points are resolved through the campaign cache hierarchy (the
-    process-local memo and, when configured via
-    ``KEDDAH_CAPTURE_STORE``, the persistent capture store);
+    Points resolve through :func:`repro.experiments.campaigns.
+    resolve_points` (the process-local memo, then the capture store
+    ``KEDDAH_CAPTURE_STORE`` names, if any, then simulation);
     ``workers > 1`` fans cache misses out across processes with
     flow-for-flow identical output.
     """
-    from repro.experiments.campaigns import make_runner
+    from repro.experiments.campaigns import resolve_points
     from repro.experiments.runner import CapturePoint, derive_seed
 
     spec = ClusterSpec(num_nodes=nodes, hosts_per_rack=4, backend=backend)
@@ -115,4 +118,4 @@ def run_capture_campaign(job: str, input_sizes_gb: Sequence[float],
                   spec, hadoop, job_kwargs)
               for size_index, input_gb in enumerate(input_sizes_gb)
               for repeat in range(repeats)]
-    return [trace for _, trace in make_runner(workers).run(points)]
+    return [trace for _, trace in resolve_points(points, workers)]

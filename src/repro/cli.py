@@ -6,7 +6,7 @@ Subcommands mirror the pipeline stages::
     keddah capture  --plan tpcx-hs --scale 1 -o hs.jsonl
     keddah plans    list
     keddah campaign --job terasort --job grep --workers 4 --store ./store
-    keddah pipeline run --dir pipeline/ --experiments e12,e18
+    keddah pipeline run --dir pipeline/ --job grep --sizes-gb 0.25,0.5
     keddah store    stats --store ./store
     keddah fit      traces/*.jsonl -o model.json
     keddah generate --model model.json --input-gb 4.0 -o synthetic.jsonl
@@ -177,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--seed", type=int, default=None)
     pipeline.add_argument("--nodes", type=int, default=None,
                           help="cluster nodes for the base campaign")
-    pipeline.add_argument("--experiments", default=None, metavar="LIST",
-                          help="comma-separated experiment nodes to port "
-                               "onto the shared capture set (e12,e18)")
-    pipeline.add_argument("--e12-input-gb", type=float, default=None)
-    pipeline.add_argument("--e12-repeats", type=int, default=None)
-    pipeline.add_argument("--e18-target-gb", type=float, default=None)
     pipeline.add_argument("--workers", type=int, default=None,
                           help="worker processes inside the capture stage")
     pipeline.add_argument("--on-failure", default="fail-fast",
@@ -484,14 +478,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     import time
 
     from repro.capture.records import save_traces
-    from repro.experiments.campaigns import (
-        CampaignConfig,
-        cache_stats,
-        get_store,
-        make_runner,
-        set_store,
-    )
+    from repro.experiments.campaigns import CampaignConfig
     from repro.experiments.runner import (
+        CampaignRunner,
         CapturePoint,
         default_workers,
         derive_seed,
@@ -538,14 +527,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     quarantine = (Quarantine(quarantine_path)
                   if quarantine_path is not None else None)
     policy = RetryPolicy(max_attempts=args.retries, deadline_s=args.deadline)
-    # Route through the campaign cache hierarchy (memo + store), so
-    # cache_stats() below reports what this run actually hit.  The
-    # previous store is restored on exit (embedders share the global).
-    previous_store = get_store()
-    set_store(store)
     telemetry = _telemetry_from_args(args)
-    runner = make_runner(workers, telemetry=telemetry, retry_policy=policy,
-                         quarantine=quarantine)
+    runner = CampaignRunner(store=store, workers=workers, telemetry=telemetry,
+                            retry_policy=policy, quarantine=quarantine)
     started = time.perf_counter()
     try:
         outcomes = runner.run(points)
@@ -570,25 +554,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     table.notes.append(
         f"{elapsed:.2f}s wall; {stats['simulated']} simulated "
         f"({stats['parallel_simulated']} in parallel), "
-        f"{stats['store_hits']} store hit(s), "
-        f"{stats['memo_hits']} memo hit(s)")
-    if stats["retries"] or stats["deadline_kills"]:
+        f"{stats['store_hits']} store hit(s)")
+    if stats["retries"] or stats["deadline_kills"] or stats["pool_failures"]:
         table.notes.append(
             f"supervision: {stats['retries']} retrie(s), "
             f"{stats['deadline_kills']} deadline kill(s), "
             f"{stats['pool_failures']} pool failure(s)")
     print(render_table(table))
-    caches = cache_stats()
-    set_store(previous_store)
-    memo = caches["memo"]
-    line = (f"cache stats: memo {memo['hits']} hit(s) / "
-            f"{memo['misses']} miss(es), {memo['entries']} entr(ies)")
-    if "store" in caches:
-        store_stats = caches["store"]
-        line += (f"; store {store_stats['hits']} hit(s) / "
-                 f"{store_stats['misses']} miss(es), "
-                 f"{store_stats['writes']} write(s)")
-    print(line)
+    if store is not None:
+        registry = store.registry
+        print(f"cache stats: store {int(registry.value('store.hits'))} "
+              f"hit(s) / {int(registry.value('store.misses'))} miss(es), "
+              f"{int(registry.value('store.writes'))} write(s)")
     if telemetry is not None and args.telemetry:
         _write_telemetry_dir(telemetry, args.telemetry)
     if args.output:
@@ -667,16 +644,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             overrides["seed"] = args.seed
         if args.nodes is not None:
             overrides["campaign"] = dict(base.campaign, nodes=args.nodes)
-        if args.experiments is not None:
-            overrides["experiments"] = tuple(
-                part.strip() for part in args.experiments.split(",")
-                if part.strip())
-        if args.e12_input_gb is not None:
-            overrides["e12_input_gb"] = args.e12_input_gb
-        if args.e12_repeats is not None:
-            overrides["e12_repeats"] = args.e12_repeats
-        if args.e18_target_gb is not None:
-            overrides["e18_target_gb"] = args.e18_target_gb
         if args.workers is not None:
             overrides["workers"] = args.workers
         return base.with_overrides(**overrides) if overrides else base

@@ -2,9 +2,10 @@
 
 :mod:`repro.experiments.campaigns` defines the canonical experiment
 parameters (job mix, input sizes, cluster scale — scaled so the whole
-evaluation regenerates in seconds on a laptop) and fronts the capture
-cache hierarchy: a bounded in-process LRU memo over the optional
-persistent content-addressed store.
+evaluation regenerates in seconds on a laptop) and the one capture
+resolver, ``resolve_points``: a bounded in-process LRU memo in front
+of a :class:`CampaignRunner` on the optional persistent store that
+``KEDDAH_CAPTURE_STORE`` names.
 
 :mod:`repro.experiments.store` is that persistent store — capture
 (result, trace) pairs addressed by the SHA-256 of their canonical
@@ -12,7 +13,7 @@ parameter dict, with atomic writes and corruption-tolerant reads, so
 sweeps are shared across processes, benchmark files and CLI runs.
 
 :mod:`repro.experiments.runner` executes campaigns: it resolves
-capture points memo → store → simulation and fans cache misses out
+capture points store → simulation and fans store misses out
 across worker processes with output flow-for-flow identical to a
 serial run.  Each simulated point is stored as it resolves, so the
 store doubles as the campaign's checkpoint.
@@ -29,7 +30,7 @@ manifest, so a killed pipeline resumes with zero re-execution of
 completed nodes.
 :mod:`repro.experiments.pipelines` wires the built-in
 capture→classify→fit→replay→validate→report DAG over one shared
-capture set, with E12/E18 ported on as sibling branches.
+capture set.
 
 :mod:`repro.experiments.supervision` is the one executor both runners
 use: one :class:`RetryPolicy` (attempt budget, deadline, base delay),
@@ -41,12 +42,9 @@ re-simulates only the points its node-local store lacks.
 
 from repro.experiments.campaigns import (
     CampaignConfig,
-    cache_stats,
     capture,
     capture_campaign,
     clear_cache,
-    get_store,
-    set_store,
 )
 from repro.experiments.dag import (
     DAGRunner,
@@ -79,8 +77,7 @@ __all__ = ["CampaignConfig", "CampaignPointsFailed", "CampaignRunner",
            "FailureFingerprint", "PROPAGATION_MODES", "NodeOutcome", "PipelineCycleError", "PipelineDAG",
            "PipelineFailed", "PipelineResult", "PipelineSpec", "PointFailure",
            "Quarantine", "RetryPolicy", "ScrubReport", "StageContext",
-           "StageNode", "build_pipeline", "cache_stats", "capture",
-           "capture_campaign", "classify_failure", "clear_cache",
-           "derive_seed", "figures", "generate_report", "get_store",
-           "load_spec", "register_stage", "save_spec", "set_store",
+           "StageNode", "build_pipeline", "capture", "capture_campaign",
+           "classify_failure", "clear_cache", "derive_seed", "figures",
+           "generate_report", "load_spec", "register_stage", "save_spec",
            "write_report"]

@@ -12,28 +12,28 @@ matter (blocks per input, reducers per node, oversubscription):
 * input sizes {0.25, 0.5, 1, 2} GiB,
 * the five-job HiBench-style mix.
 
-Captures resolve through a two-level cache: a bounded process-local
-LRU memo (fast path for benchmarks sharing inputs within one process)
-backed by the optional persistent content-addressed store
-(:mod:`repro.experiments.store`), shared across processes and runs.
+Captures resolve through :func:`resolve_points`, the one place that
+decides how a point is obtained: a bounded process-local LRU memo
+(fast path for experiments sharing inputs within one process), then
+the optional persistent content-addressed store
+(:mod:`repro.experiments.store`) named by ``KEDDAH_CAPTURE_STORE``,
+then simulation.  The environment variable is read on every call.
 Both levels key off the same canonical capture-point dict
 (:meth:`~repro.experiments.runner.CapturePoint.key_dict`), so they can
-never disagree about what "the same capture" means.  The store is
-enabled by :func:`set_store` or the ``KEDDAH_CAPTURE_STORE``
-environment variable.
+never disagree about what "the same capture" means.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.capture.records import JobTrace
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.mapreduce.result import JobResult
-from repro.experiments.store import CaptureStore, store_from_env
+from repro.experiments.store import store_from_env
 
 DEFAULT_JOBS = ["terasort", "wordcount", "grep", "pagerank", "kmeans"]
 DEFAULT_SIZES_GB = [0.25, 0.5, 1.0, 2.0]
@@ -146,35 +146,6 @@ class _LruMemo:
 
 _MEMO = _LruMemo()
 
-# Level 2: the persistent store.  ``False`` = not yet resolved (lazy
-# env lookup on first use); ``None`` = explicitly disabled.
-_STORE: Any = False
-
-
-def get_store() -> Optional[CaptureStore]:
-    """The active persistent store (lazily from ``KEDDAH_CAPTURE_STORE``)."""
-    global _STORE
-    if _STORE is False:
-        _STORE = store_from_env()
-    return _STORE
-
-
-def set_store(store: Optional[CaptureStore]) -> Optional[CaptureStore]:
-    """Install (or disable, with ``None``) the persistent capture store."""
-    global _STORE
-    _STORE = store
-    return store
-
-
-def cache_stats() -> Dict[str, Any]:
-    """Both cache levels' counters in one observable dict."""
-    stats: Dict[str, Any] = {"memo": _MEMO.stats()}
-    store = get_store()
-    if store is not None:
-        stats["store"] = {name: int(store.registry.value(f"store.{name}"))
-                          for name in ("hits", "misses", "writes")}
-    return stats
-
 
 def clear_cache() -> None:
     """Drop memoised captures (tests use this to force re-simulation).
@@ -186,18 +157,27 @@ def clear_cache() -> None:
     _MEMO.clear()
 
 
-def make_runner(workers: int = 1, telemetry=None, **supervision):
-    """A CampaignRunner wired to the process memo and active store.
+def resolve_points(points: Sequence[Any], workers: int = 1,
+                   ) -> List[Tuple[Any, JobTrace]]:
+    """(result, trace) per point, in order: memo, store, then simulation.
 
-    ``supervision`` passes through the runner's fault-tolerance knobs
-    (``retry_policy``, ``quarantine`` — see
-    :class:`repro.experiments.runner.CampaignRunner`).
+    Memo misses go to one :class:`~repro.experiments.runner.
+    CampaignRunner` on the store ``KEDDAH_CAPTURE_STORE`` names (read
+    now, not at import), which fans simulation out over ``workers``
+    processes; every resolved point then enters the memo.
     """
     from repro.experiments.runner import CampaignRunner
 
-    return CampaignRunner(store=get_store(), workers=workers,
-                          memo_get=_MEMO.get, memo_put=_MEMO.put,
-                          telemetry=telemetry, **supervision)
+    keys = [point.key() for point in points]
+    results = [_MEMO.get(key) for key in keys]
+    missing = [index for index, hit in enumerate(results) if hit is None]
+    if missing:
+        runner = CampaignRunner(store=store_from_env(), workers=workers)
+        outcomes = runner.run([points[index] for index in missing])
+        for index, outcome in zip(missing, outcomes):
+            _MEMO.put(keys[index], outcome)
+            results[index] = outcome
+    return results  # type: ignore[return-value]
 
 
 # -- capture entry points ------------------------------------------------------------
@@ -212,7 +192,7 @@ def capture(job: str, input_gb: float, seed: int = DEFAULT_SEED,
     campaign = campaign or CampaignConfig()
     point = CapturePoint.from_campaign(job, input_gb, seed, campaign,
                                        job_kwargs)
-    return make_runner().run_point(point)
+    return resolve_points([point])[0]
 
 
 def capture_campaign(job: str, sizes_gb: Optional[List[float]] = None,
@@ -234,7 +214,7 @@ def capture_campaign(job: str, sizes_gb: Optional[List[float]] = None,
     points = [CapturePoint.from_campaign(job, gb, derive_seed(seed, index),
                                          campaign, job_kwargs)
               for index, gb in enumerate(sizes_gb)]
-    return [trace for _, trace in make_runner(workers).run(points)]
+    return [trace for _, trace in resolve_points(points, workers)]
 
 
 def capture_plan(plan: str, params: Optional[Dict[str, Any]] = None,
@@ -243,12 +223,12 @@ def capture_plan(plan: str, params: Optional[Dict[str, Any]] = None,
                  ) -> Tuple[Any, JobTrace]:
     """One cached workload-plan capture run: (PlanResult, trace).
 
-    Plans resolve through the same memo/store hierarchy as single
-    jobs; their store keys carry a ``plan`` block (name, parameters,
+    Plans resolve through :func:`resolve_points`, as single jobs do;
+    their store keys carry a ``plan`` block (name, parameters,
     structural signature), so they can never alias a single-job entry.
     """
     from repro.experiments.runner import PlanPoint
 
     campaign = campaign or CampaignConfig()
     point = PlanPoint.from_campaign(plan, seed, campaign, params)
-    return make_runner().run_point(point)
+    return resolve_points([point])[0]

@@ -366,35 +366,16 @@ def e11_replay(job: str = "terasort", input_gb: float = 1.0,
 E12_NODE_SWEEP = (4, 8, 16, 32)
 
 
-def e12_points(job: str = "terasort", input_gb: float = 1.0,
-               seed: int = DEFAULT_SEED, repeats: int = 3,
-               nodes: tuple = E12_NODE_SWEEP):
-    """The exact capture points E12 consumes (for pipeline pre-capture)."""
-    from repro.experiments.runner import CapturePoint
-
-    return [CapturePoint.from_campaign(job, input_gb,
-                                       derive_seed(seed, node_index, repeat),
-                                       CampaignConfig(nodes=size))
-            for node_index, size in enumerate(nodes)
-            for repeat in range(repeats)]
-
-
 def e12_cluster_scaling(job: str = "terasort", input_gb: float = 1.0,
                         seed: int = DEFAULT_SEED,
                         repeats: int = 3,
-                        nodes: tuple = E12_NODE_SWEEP,
-                        capture_fn=None) -> List[Table]:
+                        nodes: tuple = E12_NODE_SWEEP) -> List[Table]:
     """Traffic and completion time vs cluster size.
 
     JCT noise from placement/straggler draws is of the same order as
     the 4-node -> 8-node parallelism gain, so every point averages
     ``repeats`` seeds (traffic volumes are structural and barely vary).
-
-    ``capture_fn`` (same signature as :func:`~repro.experiments.
-    campaigns.capture`) lets the pipeline DAG resolve points from a
-    shared pre-captured store instead of simulating inline.
     """
-    capture_fn = capture_fn or capture
     table = Table(
         title=f"E12: {job} {input_gb} GiB vs cluster size "
               f"(mean of {repeats} seeds)",
@@ -402,9 +383,9 @@ def e12_cluster_scaling(job: str = "terasort", input_gb: float = 1.0,
                  "write MiB", "cross-rack share", "JCT s"])
     for node_index, cluster_nodes in enumerate(nodes):
         campaign = CampaignConfig(nodes=cluster_nodes)
-        outcomes = [capture_fn(job, input_gb,
-                               seed=derive_seed(seed, node_index, repeat),
-                               campaign=campaign)
+        outcomes = [capture(job, input_gb,
+                            seed=derive_seed(seed, node_index, repeat),
+                            campaign=campaign)
                     for repeat in range(repeats)]
         totals = [trace.total_bytes() for _, trace in outcomes]
         mean_total = sum(totals) / len(totals)
@@ -700,49 +681,29 @@ def e17_interference(job: str = "terasort", input_gb: float = 0.5,
 E18_TRAINING_SIZES = (0.25, 0.5, 1.0)
 
 
-def e18_points(job: str = "terasort", target_gb: float = 2.0,
-               seed: int = DEFAULT_SEED, sizes: tuple = E18_TRAINING_SIZES):
-    """The exact capture points E18 consumes (for pipeline pre-capture)."""
-    from repro.experiments.runner import CapturePoint
-
-    campaign = CampaignConfig()
-    points = [CapturePoint.from_campaign(job, size,
-                                         derive_seed(seed, index), campaign)
-              for index, size in enumerate(sizes)]
-    points.append(CapturePoint.from_campaign(
-        job, target_gb, derive_seed(seed, len(sizes)), campaign))
-    return points
-
-
 def e18_training_sensitivity(job: str = "terasort", target_gb: float = 2.0,
                              seed: int = DEFAULT_SEED,
                              sizes: tuple = E18_TRAINING_SIZES,
-                             capture_fn=None) -> List[Table]:
+                             ) -> List[Table]:
     """Model fidelity vs number of training input sizes (E18).
 
     How many capture campaigns does a usable model need?  Models are
     fitted on growing prefixes of the size sweep (never including the
     target) and validated against the held-out target capture.
-
-    ``capture_fn`` (same signature as :func:`~repro.experiments.
-    campaigns.capture`) lets the pipeline DAG resolve every point —
-    training prefixes and held-out target alike — from one shared
-    pre-captured artifact set.
     """
-    capture_fn = capture_fn or capture
     all_sizes = list(sizes)
     # The held-out target sits just past the training sweep — index 3
     # of the canonical [0.25, 0.5, 1.0, 2.0] sweep by default; derive
     # its seed the same way.
-    _, target = capture_fn(job, target_gb,
-                           seed=derive_seed(seed, len(all_sizes)))
+    _, target = capture(job, target_gb,
+                        seed=derive_seed(seed, len(all_sizes)))
     table = Table(
         title=f"E18: fidelity at {target_gb} GiB vs training sizes ({job})",
         headers=["training sizes", "shuffle count err", "shuffle volume err",
                  "shuffle size KS", "mean volume err"])
     for k in range(1, len(all_sizes) + 1):
         training_sizes = all_sizes[:k]
-        traces = [capture_fn(job, size, seed=derive_seed(seed, index))[1]
+        traces = [capture(job, size, seed=derive_seed(seed, index))[1]
                   for index, size in enumerate(training_sizes)]
         model = fit_job_model(traces)
         synthetic = generate_trace(model, input_gb=target_gb, seed=seed + 999)

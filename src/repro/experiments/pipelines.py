@@ -4,28 +4,27 @@ validate → report, as a crash-safe :mod:`~repro.experiments.dag` DAG.
 The paper's own methodology is this chain; every stage here is a
 registered DAG stage operating on *shared artifacts*:
 
-* ``capture`` simulates the union of every point any downstream stage
-  needs — the base sweep plus E12's cluster-size points and E18's
-  held-out target — into one content-addressed
-  :class:`~repro.experiments.store.CaptureStore` inside its node dir.
-  Every other stage opens that store read-only, so E12 and E18 (and
-  the classify/fit/replay/validate chain) all draw from one captured
-  artifact set instead of re-simulating per figure.
+* ``capture`` simulates the job × size sweep into one
+  content-addressed :class:`~repro.experiments.store.CaptureStore`
+  inside its node dir.  Every downstream stage opens that store
+  read-only (a store miss raises instead of silently simulating — the
+  capture stage's config is the single source of workload truth).
+* ``capture_plans`` (only when the spec names workload plans) does the
+  same for plans, in a store of its own.
 * ``classify`` writes per-point traffic component breakdowns.
 * ``fit`` trains one :class:`~repro.modeling.model.JobTrafficModel`
   per job from the training-size traces.
 * ``replay`` replays each captured trace through the generation layer.
 * ``validate`` generates synthetic traces from the fitted models and
   scores them against held-out captures.
-* ``e12`` / ``e18`` regenerate those experiment figures *from the
-  shared store* (a store miss raises instead of silently simulating —
-  the capture stage's config is the single source of workload truth).
 * ``report`` renders everything into one markdown + JSON report.
 
 A :class:`PipelineSpec` captures the whole workload declaratively; it
 is persisted as ``pipeline.json`` at the pipeline root so ``keddah
 pipeline resume|plan`` can rebuild the identical DAG with zero
-re-specification (and therefore identical node signatures).
+re-specification (and therefore identical node signatures).  The
+experiment figures are not pipeline nodes: ``keddah experiment e12
+e18`` renders them.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.breakdown import component_breakdown
 from repro.analysis.compare import validation_summary
-from repro.analysis.tables import render_table
 from repro.experiments.campaigns import (
     DEFAULT_SEED,
     CampaignConfig,
@@ -54,9 +52,6 @@ from repro.experiments.supervision import RetryPolicy
 from repro.generation.generator import generate_trace
 from repro.generation.replay import replay_trace
 from repro.modeling.model import JobTrafficModel, fit_job_model
-
-#: Experiments the pipeline can port onto shared artifacts.
-PIPELINE_EXPERIMENTS = ("e12", "e18")
 
 PIPELINE_SPEC_FILE = "pipeline.json"
 
@@ -80,16 +75,9 @@ class PipelineSpec:
     fit_sizes_gb: Optional[Tuple[float, ...]] = None
     seed: int = DEFAULT_SEED
     campaign: Mapping[str, Any] = field(default_factory=dict)
-    experiments: Tuple[str, ...] = ()
     #: Workload plans captured alongside the single-job sweep (one
     #: `capture_plans` node, default parameters per plan).
     plans: Tuple[str, ...] = ()
-    e12_job: str = "terasort"
-    e12_input_gb: float = 1.0
-    e12_nodes: Tuple[int, ...] = (4, 8, 16, 32)
-    e12_repeats: int = 3
-    e18_job: str = "terasort"
-    e18_target_gb: float = 2.0
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -97,11 +85,6 @@ class PipelineSpec:
             raise ValueError("pipeline spec needs at least one job")
         if len(self.sizes_gb) < 2:
             raise ValueError("pipeline spec needs >= 2 sizes (fit + target)")
-        for experiment in self.experiments:
-            if experiment not in PIPELINE_EXPERIMENTS:
-                raise ValueError(
-                    f"unknown pipeline experiment {experiment!r}; "
-                    f"known: {PIPELINE_EXPERIMENTS}")
         if self.plans:
             from repro.jobs.plan import plan_catalog
 
@@ -136,32 +119,31 @@ class PipelineSpec:
                                  else list(self.fit_sizes_gb)),
                 "seed": self.seed,
                 "campaign": dict(self.campaign),
-                "experiments": list(self.experiments),
                 "plans": list(self.plans),
-                "e12_job": self.e12_job,
-                "e12_input_gb": self.e12_input_gb,
-                "e12_nodes": list(self.e12_nodes),
-                "e12_repeats": self.e12_repeats,
-                "e18_job": self.e18_job,
-                "e18_target_gb": self.e18_target_gb,
                 "workers": self.workers}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PipelineSpec":
+        """Rebuild a saved spec.
+
+        Specs saved when the pipeline still had figure nodes carry an
+        ``experiments`` list (and ``e12_*``/``e18_*`` parameters, ignored
+        here); a non-empty list is refused rather than silently dropping
+        those nodes.
+        """
+        experiments = list(data.get("experiments") or ())
+        if experiments:
+            raise ValueError(
+                f"spec names pipeline experiments {experiments}, which are "
+                f"no longer pipeline nodes; render them with `keddah "
+                f"experiment {' '.join(experiments)}`")
         return cls(jobs=tuple(data["jobs"]),
                    sizes_gb=tuple(data["sizes_gb"]),
                    fit_sizes_gb=(None if data.get("fit_sizes_gb") is None
                                  else tuple(data["fit_sizes_gb"])),
                    seed=int(data.get("seed", DEFAULT_SEED)),
                    campaign=dict(data.get("campaign", {})),
-                   experiments=tuple(data.get("experiments", ())),
                    plans=tuple(data.get("plans", ())),
-                   e12_job=data.get("e12_job", "terasort"),
-                   e12_input_gb=float(data.get("e12_input_gb", 1.0)),
-                   e12_nodes=tuple(data.get("e12_nodes", (4, 8, 16, 32))),
-                   e12_repeats=int(data.get("e12_repeats", 3)),
-                   e18_job=data.get("e18_job", "terasort"),
-                   e18_target_gb=float(data.get("e18_target_gb", 2.0)),
                    workers=int(data.get("workers", 1)))
 
     def with_overrides(self, **overrides: Any) -> "PipelineSpec":
@@ -207,29 +189,10 @@ def base_point_payloads(spec: PipelineSpec) -> List[Dict[str, Any]]:
 
 
 def capture_point_payloads(spec: PipelineSpec) -> List[Dict[str, Any]]:
-    """The union of every point any stage needs, deduplicated by key."""
-    from repro.experiments.figures import e12_points, e18_points
-
-    payloads = base_point_payloads(spec)
-    if "e12" in spec.experiments:
-        payloads.extend(
-            _point_payload(point.job, point.input_gb, point.seed,
-                           dict(point.key_config)["campaign"])
-            for point in e12_points(job=spec.e12_job,
-                                    input_gb=spec.e12_input_gb,
-                                    seed=spec.seed,
-                                    repeats=spec.e12_repeats,
-                                    nodes=spec.e12_nodes))
-    if "e18" in spec.experiments:
-        payloads.extend(
-            _point_payload(point.job, point.input_gb, point.seed,
-                           dict(point.key_config)["campaign"])
-            for point in e18_points(job=spec.e18_job,
-                                    target_gb=spec.e18_target_gb,
-                                    seed=spec.seed,
-                                    sizes=spec.sizes_gb[:-1]))
+    """The capture node's points: the base sweep, deduplicated and
+    sorted by store key."""
     unique: Dict[str, Dict[str, Any]] = {}
-    for payload in payloads:
+    for payload in base_point_payloads(spec):
         unique.setdefault(_payload_point(payload).key(), payload)
     return [unique[key] for key in sorted(unique)]
 
@@ -250,20 +213,6 @@ def _load_point(store: CaptureStore, point: CapturePoint):
             f"capture store has no entry for {point.job} "
             f"{point.input_gb} GiB seed={point.seed} (key {point.key()[:12]})")
     return entry
-
-
-def store_capture_fn(store: CaptureStore):
-    """A :func:`~repro.experiments.campaigns.capture`-compatible closure
-    resolving points from a shared store (raising on miss)."""
-
-    def capture_fn(job: str, input_gb: float, seed: int,
-                   campaign: Optional[CampaignConfig] = None,
-                   **job_kwargs: Any):
-        point = CapturePoint.from_campaign(
-            job, input_gb, seed, campaign or CampaignConfig(), job_kwargs)
-        return _load_point(store, point)
-
-    return capture_fn
 
 
 # -- stages -------------------------------------------------------------------------
@@ -431,33 +380,6 @@ def stage_validate(context: StageContext) -> None:
                          canonical_json({"jobs": rows}) + "\n")
 
 
-@register_stage("figure")
-def stage_figure(context: StageContext) -> None:
-    """Regenerate one experiment figure from the shared capture store."""
-    from repro.experiments import figures
-
-    experiment = context.config["experiment"]
-    params = dict(context.config.get("params", {}))
-    capture_fn = store_capture_fn(CaptureStore(
-        context.input("store"), registry=context.telemetry.registry))
-    if experiment == "e12":
-        params["nodes"] = tuple(params.get("nodes", (4, 8, 16, 32)))
-        tables = figures.e12_cluster_scaling(capture_fn=capture_fn, **params)
-    elif experiment == "e18":
-        params["sizes"] = tuple(params.get("sizes", (0.25, 0.5, 1.0)))
-        tables = figures.e18_training_sensitivity(capture_fn=capture_fn,
-                                                  **params)
-    else:
-        raise ValueError(f"unknown pipeline experiment {experiment!r}")
-    context.write_output("figure_md", "\n\n".join(
-        render_table(table) for table in tables) + "\n")
-    context.write_output("figure_json", canonical_json(
-        {"experiment": experiment,
-         "tables": [{"title": table.title, "headers": table.headers,
-                     "rows": table.rows, "notes": table.notes}
-                    for table in tables]}) + "\n")
-
-
 @register_stage("report")
 def stage_report(context: StageContext) -> None:
     """Aggregate every upstream artifact into one report.md/.json."""
@@ -510,16 +432,6 @@ def stage_report(context: StageContext) -> None:
                         f"mean volume error "
                         f"{row['mean_volume_error']:.4f}")
     sections.append("")
-
-    for input_name in sorted(context.inputs):
-        if not input_name.startswith("figure_"):
-            continue
-        experiment = input_name[len("figure_"):]
-        sections.append(f"## Experiment {experiment.upper()}")
-        sections.append(
-            context.input(input_name).read_text(encoding="utf-8").rstrip())
-        sections.append("")
-        aggregate.setdefault("experiments", []).append(experiment)
 
     context.write_output("report_md", "\n".join(sections).rstrip() + "\n")
     context.write_output("report_json", canonical_json(aggregate) + "\n")
@@ -598,22 +510,6 @@ def build_pipeline(spec: PipelineSpec) -> PipelineDAG:
                      "validation": ("validate", "validation")}
     if spec.plans:
         report_inputs["plan_summary"] = ("capture_plans", "plan_summary")
-    for experiment in spec.experiments:
-        if experiment == "e12":
-            params = {"job": spec.e12_job, "input_gb": spec.e12_input_gb,
-                      "seed": spec.seed, "repeats": spec.e12_repeats,
-                      "nodes": list(spec.e12_nodes)}
-        else:
-            params = {"job": spec.e18_job, "target_gb": spec.e18_target_gb,
-                      "seed": spec.seed,
-                      "sizes": list(spec.sizes_gb[:-1])}
-        dag.add(StageNode(
-            experiment, "figure",
-            config={"experiment": experiment, "params": params},
-            in_paths={"store": ("capture", "store")},
-            out_paths={"figure_md": f"{experiment}.md",
-                       "figure_json": f"{experiment}.json"}))
-        report_inputs[f"figure_{experiment}"] = (experiment, "figure_md")
     dag.add(StageNode(
         "report", "report",
         config={},
@@ -623,7 +519,6 @@ def build_pipeline(spec: PipelineSpec) -> PipelineDAG:
 
 
 __all__ = [
-    "PIPELINE_EXPERIMENTS",
     "PipelineSpec",
     "SharedStoreMiss",
     "base_point_payloads",
@@ -631,5 +526,4 @@ __all__ = [
     "capture_point_payloads",
     "load_spec",
     "save_spec",
-    "store_capture_fn",
 ]

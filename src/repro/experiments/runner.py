@@ -3,14 +3,12 @@
 A campaign is a list of :class:`CapturePoint` — fully described,
 mutually independent simulations (job kind, input size, derived seed,
 cluster + Hadoop configuration, job kwargs).  The
-:class:`CampaignRunner` resolves each point through a three-level
-hierarchy:
-
-1. the process-local memo (:mod:`repro.experiments.campaigns`),
-2. the persistent content-addressed store
-   (:class:`repro.experiments.store.CaptureStore`), and
-3. actual simulation — serial in-process, or fanned out across
-   ``workers`` processes with a ``spawn`` context.
+:class:`CampaignRunner` resolves each point from the persistent
+content-addressed store (:class:`repro.experiments.store.CaptureStore`)
+when one is given, and otherwise by simulation — serial in-process, or
+fanned out across ``workers`` processes with a ``spawn`` context.  The
+process-local memo sits in front of the runner, in
+:func:`repro.experiments.campaigns.resolve_points`.
 
 The store is also the campaign's checkpoint: each simulated point is
 published to it the moment it resolves, so a campaign killed mid-run
@@ -287,19 +285,17 @@ def _simulate(point: CapturePoint, telemetry: Telemetry,
 
 #: The per-level counters a runner keeps on its registry as
 #: ``campaign.<name>``, in presentation order.
-_RUNNER_STAT_FIELDS = ("points", "points_completed", "memo_hits",
-                       "store_hits", "simulated", "parallel_simulated",
+_RUNNER_STAT_FIELDS = ("points", "points_completed", "store_hits",
+                       "simulated", "parallel_simulated",
                        "retries", "deadline_kills", "quarantined",
                        "pool_failures", "degraded_serial")
 
 
 class CampaignRunner:
-    """Resolve capture points through memo → store → simulation.
+    """Resolve capture points through store → simulation.
 
-    ``workers <= 1`` simulates in-process; ``workers > 1`` fans cache
-    misses out over the executor's spawn pool.  ``memo_get``/``memo_put``
-    plug in the process-local memo without creating an import cycle
-    with ``campaigns``.
+    ``workers <= 1`` simulates in-process; ``workers > 1`` fans store
+    misses out over the executor's spawn pool.
 
     Supervision knobs (handed to the
     :class:`~repro.experiments.supervision.SupervisedExecutor`):
@@ -320,13 +316,10 @@ class CampaignRunner:
     """
 
     def __init__(self, store: Optional[CaptureStore] = None, workers: int = 1,
-                 memo_get=None, memo_put=None,
                  telemetry: Optional[Telemetry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  quarantine: Optional[Quarantine] = None):
         self.store = store
-        self._memo_get = memo_get or (lambda key: None)
-        self._memo_put = memo_put or (lambda key, value: None)
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.quarantine = quarantine
         self.failures: List[PointFailure] = []
@@ -370,17 +363,10 @@ class CampaignRunner:
             if key in pending:
                 pending[key].append(index)
                 continue
-            hit = self._memo_get(key)
-            if hit is not None:
-                self._count("memo_hits")
-                results[index] = hit
-                self._count("points_completed")
-                continue
             if self.store is not None:
                 stored = self.store.get(point.key_dict())
                 if stored is not None:
                     self._count("store_hits")
-                    self._memo_put(key, stored)
                     results[index] = stored
                     self._count("points_completed")
                     continue
@@ -395,7 +381,6 @@ class CampaignRunner:
             point, indices = pending_points[ledger.key], pending[ledger.key]
             if self.store is not None:
                 self.store.put(point.key_dict(), *value)
-            self._memo_put(ledger.key, value)
             for index in indices:
                 results[index] = value
             self._count("points_completed", len(indices))

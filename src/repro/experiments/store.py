@@ -3,10 +3,15 @@
 The evaluation is a sweep over job type × input size × cluster
 configuration, and the same (job, size, config, seed) point is
 re-simulated by many benchmark files and CLI invocations.  The
-in-memory memo in :mod:`repro.experiments.campaigns` only helps within
-one process; this store makes captures reusable artifacts across
-processes and runs, the way trace-driven simulator toolchains treat
-traces as first-class build products.
+in-memory memo in front of :func:`repro.experiments.campaigns.
+resolve_points` only helps within one process; this store makes
+captures reusable artifacts across processes and runs, the way
+trace-driven simulator toolchains treat traces as first-class build
+products.  A :class:`~repro.experiments.runner.CampaignRunner` given a
+store reads each point from it before simulating, and publishes each
+point it simulates.  ``resolve_points`` opens the store that
+:data:`STORE_ENV_VAR` names on every call; ``keddah capture`` and
+``keddah campaign`` open ``--store`` (else the same variable).
 
 Keying
 ------
@@ -62,8 +67,9 @@ from repro.obs.metrics import MetricsRegistry
 #: block instead of ``job``/``input_gb``/``job_kwargs``.
 TRACE_FORMAT_VERSION = 3
 
-#: Environment variable naming the default store directory.  Unset =
-#: no persistent store (the in-memory memo still applies).
+#: Environment variable naming the default store directory, read by
+#: :func:`store_from_env` on every call.  Unset = no persistent store
+#: (the in-memory memo still applies).
 STORE_ENV_VAR = "KEDDAH_CAPTURE_STORE"
 
 

@@ -433,6 +433,14 @@ class SupervisedExecutor:
             else:
                 ready_at[key] = time.monotonic() + delay
 
+        def expire(key: str) -> None:
+            # One wording, with no measured time in it, for both the
+            # watchdog kill and the overran-between-ticks check: the
+            # fingerprint hashes the message, so one hung task must
+            # read the same whichever path caught it.
+            fail(key, DeadlineExpired(
+                f"task {key[:12]} exceeded its {deadline}s deadline"))
+
         try:
             while ready_at:
                 if consecutive_breaks >= POOL_FAILURE_LIMIT:
@@ -482,9 +490,7 @@ class SupervisedExecutor:
                             # own OSError arrives as a plain exception.)
                             broke = True
                             if key in expired:
-                                fail(key, DeadlineExpired(
-                                    f"task {key[:12]} exceeded its "
-                                    f"{deadline}s deadline"))
+                                expire(key)
                             continue
                         except Exception as exc:
                             # The task itself failed in a healthy worker.
@@ -492,9 +498,7 @@ class SupervisedExecutor:
                             continue
                         if deadline is not None and ran > deadline:
                             # Overran, but finished before a tick saw it.
-                            fail(key, DeadlineExpired(
-                                f"task {key[:12]} ran {ran:.3f}s, past its "
-                                f"{deadline}s deadline"))
+                            expire(key)
                             continue
                         telemetry.registry.merge(snapshot, worker=source)
                         del ready_at[key]

@@ -11,11 +11,9 @@ from repro.experiments import campaigns
 from repro.experiments.campaigns import (
     CampaignConfig,
     _LruMemo,
-    cache_stats,
     capture,
     capture_campaign,
     clear_cache,
-    set_store,
 )
 from repro.experiments.runner import (
     CampaignRunner,
@@ -23,19 +21,18 @@ from repro.experiments.runner import (
     derive_seed,
     default_workers,
 )
-from repro.experiments.store import CaptureStore
+from repro.experiments.store import STORE_ENV_VAR, CaptureStore
 
 SMALL = CampaignConfig(nodes=4, hosts_per_rack=2)
 SIZES = [0.0625, 0.125]
 
 
 @pytest.fixture(autouse=True)
-def isolated_caches():
+def isolated_caches(monkeypatch):
+    monkeypatch.delenv(STORE_ENV_VAR, raising=False)
     clear_cache()
-    set_store(None)
     yield
     clear_cache()
-    set_store(None)
 
 
 def _points(job="grep", sizes=SIZES, seed=3):
@@ -149,27 +146,36 @@ def test_capture_campaign_parallel_equals_serial(tmp_path):
             _trace_jsonl(parallel_trace, tmp_path, f"cp{index}.jsonl")
 
 
-def test_capture_uses_store_across_memo_clears(tmp_path):
-    store = set_store(CaptureStore(tmp_path / "store"))
+def test_capture_uses_store_across_memo_clears(tmp_path, monkeypatch):
+    monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
     _, first = capture("grep", 0.0625, seed=4, campaign=SMALL)
     clear_cache()
+
+    def unreachable(self, telemetry=None):
+        raise AssertionError("re-simulated a point the store holds")
+
+    monkeypatch.setattr(CapturePoint, "simulate", unreachable)
     _, second = capture("grep", 0.0625, seed=4, campaign=SMALL)
     assert second is not first  # came from disk, not the memo
     assert json.dumps([f.to_dict() for f in first.flows]) == \
         json.dumps([f.to_dict() for f in second.flows])
-    assert store.registry.value("store.hits") == 1
 
 
 # -- the bounded memo ---------------------------------------------------------------
 
 
-def test_memo_is_lru_bounded(monkeypatch):
+def test_memo_is_lru_bounded(monkeypatch, tmp_path):
     memo = _LruMemo(capacity=2)
     monkeypatch.setattr(campaigns, "_MEMO", memo)
-    capture("grep", 0.0625, seed=1, campaign=SMALL)
-    capture("grep", 0.125, seed=1, campaign=SMALL)
-    capture("teragen", 0.0625, seed=1, campaign=SMALL)
-    stats = cache_stats()["memo"]
+    sizes = [0.03125, 0.0625, 0.125]
+    traces = capture_campaign("grep", sizes_gb=sizes, seed=1, campaign=SMALL)
+    expected = [CampaignRunner().run_point(point)[1]
+                for point in _points(sizes=sizes, seed=1)]
+    assert [_trace_jsonl(trace, tmp_path, f"m{index}.jsonl")
+            for index, trace in enumerate(traces)] == \
+        [_trace_jsonl(trace, tmp_path, f"e{index}.jsonl")
+         for index, trace in enumerate(expected)]
+    stats = memo.stats()
     assert stats["entries"] == 2
     assert stats["capacity"] == 2
     assert stats["evictions"] == 1
@@ -186,12 +192,20 @@ def test_memo_lru_evicts_least_recently_used():
     assert memo.get("c") is not None
 
 
-def test_cache_stats_reports_both_levels(tmp_path):
-    set_store(CaptureStore(tmp_path / "store"))
+def _stored(root):
+    return list((root / "objects").glob("*/*.jsonl"))
+
+
+def test_store_is_read_from_the_environment_on_each_call(tmp_path,
+                                                         monkeypatch):
+    store = tmp_path / "store"
     capture("grep", 0.0625, seed=2, campaign=SMALL)
-    stats = cache_stats()
-    assert "memo" in stats and "store" in stats
-    assert stats["store"]["writes"] == 1
+    assert not store.exists()
+    monkeypatch.setenv(STORE_ENV_VAR, str(store))
+    clear_cache()
+    capture("grep", 0.0625, seed=2, campaign=SMALL)
+    assert len(campaigns._MEMO) == 1
+    assert len(_stored(store)) == 1
 
 
 def test_default_workers_positive():

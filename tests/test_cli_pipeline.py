@@ -7,8 +7,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.pipelines import load_spec
 
-TINY = ["--job", "grep", "--sizes-gb", "0.0625,0.125",
-        "--experiments", ""]
+TINY = ["--job", "grep", "--sizes-gb", "0.0625,0.125"]
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +97,37 @@ def test_bad_spec_values_are_rejected_cleanly(tmp_path, capsys):
     assert main(["pipeline", "run", "--dir", str(tmp_path / "pl"),
                  "--sizes-gb", "not-a-number"]) == 2
     assert "bad pipeline spec" in capsys.readouterr().out
+
+
+def _saved_figure_spec(root, experiments):
+    """A ``pipeline.json`` as saved when the pipeline had figure nodes."""
+    root.mkdir(parents=True)
+    spec = {"jobs": ["grep"], "sizes_gb": [0.0625, 0.125],
+            "fit_sizes_gb": None, "seed": 42, "campaign": {},
+            "experiments": experiments, "plans": [],
+            "e12_job": "terasort", "e12_input_gb": 1.0,
+            "e12_nodes": [4, 8, 16, 32], "e12_repeats": 3,
+            "e18_job": "terasort", "e18_target_gb": 2.0, "workers": 1}
+    (root / "pipeline.json").write_text(
+        json.dumps({"format": 1, "spec": spec}), encoding="utf-8")
+
+
+def test_saved_spec_with_figure_nodes_is_refused(tmp_path, capsys):
+    # Its e12/e18 nodes are gone; resuming must say so, not drop them.
+    root = tmp_path / "pl"
+    _saved_figure_spec(root, ["e12", "e18"])
+    assert main(["pipeline", "resume", "--dir", str(root)]) == 2
+    out = capsys.readouterr().out
+    assert "bad pipeline spec" in out
+    assert "keddah experiment e12 e18" in out
+
+
+def test_saved_spec_without_figure_nodes_still_loads(tmp_path):
+    root = tmp_path / "pl"
+    _saved_figure_spec(root, [])
+    spec = load_spec(root)
+    assert spec.jobs == ("grep",)
+    assert spec.sizes_gb == (0.0625, 0.125)
 
 
 def test_resume_without_a_pipeline_is_a_clean_error(tmp_path, capsys):

@@ -6,20 +6,20 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.campaigns import clear_cache, set_store
-from repro.experiments.runner import CapturePoint
+from repro.experiments.campaigns import clear_cache
+from repro.experiments.runner import CampaignRunner, CapturePoint
+from repro.experiments.store import STORE_ENV_VAR
 
 CAMPAIGN_ARGS = ["campaign", "--job", "grep", "--sizes-gb", "0.0625,0.125",
                  "--nodes", "4", "--hosts-per-rack", "2"]
 
 
 @pytest.fixture(autouse=True)
-def isolated_caches():
+def isolated_caches(monkeypatch):
+    monkeypatch.delenv(STORE_ENV_VAR, raising=False)
     clear_cache()
-    set_store(None)
     yield
     clear_cache()
-    set_store(None)
 
 
 def test_campaign_store_rerun_simulates_nothing(tmp_path, capsys):
@@ -28,11 +28,27 @@ def test_campaign_store_rerun_simulates_nothing(tmp_path, capsys):
     assert len(list((store / "objects").glob("*/*.jsonl"))) == 2
     capsys.readouterr()
 
-    clear_cache()  # the rerun must come from the store, not the memo
     assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 0
     out = capsys.readouterr().out
     assert "0 simulated" in out
     assert "2 store hit(s)" in out
+
+
+def test_campaign_supervision_note_reports_pool_failures(monkeypatch, capsys):
+    """A run whose only supervision event is a pool collapse still
+    prints the supervision note."""
+    real = CampaignRunner.run
+
+    def collapsed_once(self, points):
+        outcomes = real(self, points)
+        self._count("pool_failures")
+        return outcomes
+
+    monkeypatch.setattr(CampaignRunner, "run", collapsed_once)
+    assert main(CAMPAIGN_ARGS) == 0
+    out = capsys.readouterr().out
+    assert ("supervision: 0 retrie(s), 0 deadline kill(s), "
+            "1 pool failure(s)") in out
 
 
 def test_campaign_help_has_no_journal_flags(capsys):

@@ -14,8 +14,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-TINY = ["--job", "grep", "--sizes-gb", "0.0625,0.125",
-        "--experiments", ""]
+TINY = ["--job", "grep", "--sizes-gb", "0.0625,0.125"]
 NODES = {"capture", "classify", "fit", "replay", "validate", "report"}
 
 

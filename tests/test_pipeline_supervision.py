@@ -69,11 +69,9 @@ def test_worker_count_does_not_rekey_the_capture_sweep(tmp_path):
 def test_downstream_nodes_count_their_store_reads(tmp_path):
     # Every node that reads the shared capture store counts the reads
     # on its own registry, so its telemetry shows them.
-    spec = SPEC.with_overrides(experiments=("e18",), e18_job="grep",
-                               e18_target_gb=0.125)
     root = tmp_path / "pl"
-    result = DAGRunner(build_pipeline(spec), root, node_telemetry=True).run()
-    readers = ("classify", "fit", "replay", "validate", "e18")
+    result = DAGRunner(build_pipeline(SPEC), root, node_telemetry=True).run()
+    readers = ("classify", "fit", "replay", "validate")
     for name in readers:
         assert result.states()[name] == DONE
         metrics = root / result.outcomes[name].dir / "telemetry" / \

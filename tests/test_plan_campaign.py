@@ -20,17 +20,16 @@ import pytest
 from repro.analysis.plans import is_plan_trace, plan_meta
 from repro.capture.records import JobTrace
 from repro.cli import main
+from repro.experiments import campaigns
 from repro.experiments.campaigns import (
     CampaignConfig,
-    cache_stats,
     capture_plan,
     clear_cache,
-    set_store,
 )
 from repro.experiments.runner import CapturePoint, PlanPoint
 from repro.experiments.store import (
+    STORE_ENV_VAR,
     TRACE_FORMAT_VERSION,
-    CaptureStore,
     decode_entry,
     encode_entry,
 )
@@ -41,12 +40,24 @@ TINY = 0.0625  # GiB of external input / scale factor
 
 
 @pytest.fixture(autouse=True)
-def isolated_caches():
+def isolated_caches(monkeypatch):
+    monkeypatch.delenv(STORE_ENV_VAR, raising=False)
     clear_cache()
-    set_store(None)
     yield
     clear_cache()
-    set_store(None)
+
+
+def _stored(root):
+    return list((root / "objects").glob("*/*.jsonl"))
+
+
+def _forbid_simulation(monkeypatch):
+    """From here on, a capture must come from the store or the memo."""
+    def unreachable(self, telemetry=None):
+        raise AssertionError(f"re-simulated {self.key()[:12]}")
+
+    monkeypatch.setattr(CapturePoint, "simulate", unreachable)
+    monkeypatch.setattr(PlanPoint, "simulate", unreachable)
 
 
 def _plan_point(params=None, seed=3):
@@ -112,9 +123,10 @@ def test_plan_point_supervision_surface():
 @pytest.fixture(scope="module")
 def hs_capture(tmp_path_factory):
     clear_cache()
-    set_store(None)
-    result, trace = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
-                                 campaign=SMALL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(STORE_ENV_VAR, raising=False)
+        result, trace = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
+                                     campaign=SMALL)
     clear_cache()
     return result, trace
 
@@ -153,41 +165,43 @@ def test_unknown_result_type_is_rejected(hs_capture):
 # -- cache hierarchy ----------------------------------------------------------------
 
 
-def test_warm_store_replay_is_byte_identical(tmp_path):
-    store = set_store(CaptureStore(tmp_path / "store"))
+def test_warm_store_replay_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
     _, cold = capture_plan("tpcx-hs", {"scale": TINY}, seed=3, campaign=SMALL)
-    assert store.registry.value("store.writes") == 1
+    assert len(_stored(tmp_path / "store")) == 1
     clear_cache()  # drop the memo so the store must answer
+    _forbid_simulation(monkeypatch)
     warm_result, warm = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
                                      campaign=SMALL)
-    assert store.registry.value("store.hits") == 1
     assert isinstance(warm_result, PlanResult)
     assert (_jsonl(warm, tmp_path, "warm.jsonl")
             == _jsonl(cold, tmp_path, "cold.jsonl"))
 
 
-def test_memo_serves_repeat_plan_captures(tmp_path):
+def test_memo_serves_repeat_plan_captures(tmp_path, monkeypatch):
     _, first = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
                             campaign=SMALL)
+    _forbid_simulation(monkeypatch)
     _, second = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
                              campaign=SMALL)
-    assert cache_stats()["memo"]["hits"] >= 1
+    assert second is first
+    assert campaigns._MEMO.stats()["hits"] >= 1
     assert (_jsonl(second, tmp_path, "second.jsonl")
             == _jsonl(first, tmp_path, "first.jsonl"))
 
 
-def test_plan_and_job_entries_coexist_in_one_store(tmp_path):
+def test_plan_and_job_entries_coexist_in_one_store(tmp_path, monkeypatch):
     from repro.experiments.campaigns import capture
 
-    store = set_store(CaptureStore(tmp_path / "store"))
+    monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
     capture_plan("tpcx-hs", {"scale": TINY}, seed=3, campaign=SMALL)
     capture("grep", TINY, seed=3, campaign=SMALL)
-    assert store.registry.value("store.writes") == 2
+    assert len(_stored(tmp_path / "store")) == 2
     clear_cache()
+    _forbid_simulation(monkeypatch)
     _, plan_trace = capture_plan("tpcx-hs", {"scale": TINY}, seed=3,
                                  campaign=SMALL)
     _, job_trace = capture("grep", TINY, seed=3, campaign=SMALL)
-    assert store.registry.value("store.hits") == 2
     assert is_plan_trace(plan_trace)
     assert not is_plan_trace(job_trace)
 

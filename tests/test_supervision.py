@@ -385,6 +385,34 @@ def test_task_overrunning_its_deadline_between_ticks_is_charged():
     assert ledger.fingerprints[-1].exception_type == "DeadlineExpired"
 
 
+def _deadline_fingerprint(seconds):
+    """Run one 0.5 s-deadline task that sleeps ``seconds``; return its
+    single fingerprint and the watchdog's kill count."""
+    registry = MetricsRegistry()
+    executor = SupervisedExecutor(
+        RetryPolicy(max_attempts=1, deadline_s=0.5), registry,
+        prefix="test", workers=1)
+    (ledger,) = executor.run(_sleep_task, [("hung-task", seconds)],
+                             Telemetry.disabled(), lambda ledger, value: None)
+    (fingerprint,) = ledger.fingerprints
+    return fingerprint, registry.value("test.deadline_kills")
+
+
+def test_both_deadline_paths_fingerprint_the_same(monkeypatch):
+    """A hung task reads as one crash whichever watchdog path caught it,
+    so the quarantine does not log it as a new one."""
+    # A tick longer than the task: it overruns and finishes unseen.
+    monkeypatch.setattr(supervision, "_WATCHDOG_TICK", 30.0)
+    overran, overran_kills = _deadline_fingerprint(1.0)
+    # The default tick: the watchdog sees it overdue and kills it.
+    monkeypatch.setattr(supervision, "_WATCHDOG_TICK", 0.05)
+    killed, killed_kills = _deadline_fingerprint(30.0)
+    assert (overran_kills, killed_kills) == (0, 1)
+    assert overran.exception_type == killed.exception_type == "DeadlineExpired"
+    assert overran.message == killed.message
+    assert overran.traceback_sha256 == killed.traceback_sha256
+
+
 def test_repeated_pool_collapse_degrades_to_serial(tmp_path, monkeypatch):
     monkeypatch.setattr(supervision, "POOL_FAILURE_LIMIT", 1)
     kill = KillOncePoint.from_campaign(
