@@ -6,11 +6,12 @@ so they drain in a handful of completion batches and the measurement
 isolates exactly the per-flow lifecycle overhead batching removes.
 Two arms:
 
-* **pr6** — the pre-batching lifecycle, emulated faithfully: one heap
-  event per flow calling ``start_flow``, the done-signal allocated
-  eagerly at admission, and a per-flow completion harvest (each
-  finished flow pays its own allocator removal and finish) — the
-  lifecycle before batched admission.
+* **pr6** — the pre-batching lifecycle, emulated: one heap event per
+  flow calling ``start_flow`` (a one-request wave, so one path
+  resolution, allocator insertion and update request per flow), the
+  done-signal allocated eagerly at admission, and a per-flow
+  completion harvest (each finished flow pays its own allocator
+  removal and finish).
 * **batched** — the new seam end to end: one event per wave calling
   ``start_flows`` (wave-level path resolution, one grouped allocator
   insertion, one flush), bulk harvest, lazy done-signals.
@@ -40,7 +41,7 @@ from pathlib import Path
 
 from repro.capture.collector import FlowCollector
 from repro.cluster.topology import build_topology
-from repro.net.backend import FlowRequest, TransportBackend, make_backend
+from repro.net.backend import FlowRequest, make_backend
 from repro.simkit.core import Simulator
 
 from benchmarks.conftest import registry_values
@@ -100,14 +101,12 @@ def _topology(hosts_n, fattree_k, cache={}):
 def _emulate_pr6(net):
     """Rebind the PR6 per-flow lifecycle onto ``net``.
 
-    Three reversions, mirroring the seed at PR6 exactly: the generic
-    one-at-a-time ``start_flows`` loop, an eagerly-allocated done
+    Admission stays one ``start_flow`` call (a one-request wave) per
+    flow; on top of it, two reversions: an eagerly-allocated done
     signal per flow, and a completion harvest that retires each flow
     individually — per-flow allocator removal (membership and cap-class
     updates) and per-flow finish.
     """
-    net.start_flows = types.MethodType(TransportBackend.start_flows, net)
-
     inner_start = net.start_flow
 
     def eager_start_flow(src, dst, size, max_rate=None, metadata=None,
@@ -120,17 +119,10 @@ def _emulate_pr6(net):
     net.start_flow = eager_start_flow
 
     def per_flow_harvest(self, finished):
-        now = self.sim.now
         for flow in finished:
             del self.active[flow.flow_id]
             self._allocator.remove_flow(flow.flow_id)
-            flow.remaining = 0.0
-            flow.rate = 0.0
-            flow.end_time = now
-            self.completed_count += 1
-            self.total_bytes += flow.size
-            self._note_completed(flow)
-            self._finish(flow)
+            self._complete(flow)
 
     net._harvest_finished = types.MethodType(per_flow_harvest, net)
 
@@ -191,9 +183,11 @@ def test_batched_admission_speedup_and_scale():
         pr6 = _run("pr6", hosts_n, fattree_k, flows_per_wave, waves)
         batched = _run("batched", hosts_n, fattree_k,
                        flows_per_wave, waves)
-        assert batched["perf"]["net.flows_admitted_batched"] == \
+        # Every admission call requests one rate update: the batched
+        # arm admits a wave per call, the pr6 arm one flow per call.
+        assert batched["perf"]["net.updates_requested"] == waves
+        assert pr6["perf"]["net.updates_requested"] == \
             flows_per_wave * waves
-        assert pr6["perf"]["net.flows_admitted_batched"] == 0
         assert pr6["perf"]["net.done_signals_skipped"] == 0
         speedup = pr6["elapsed_s"] / batched["elapsed_s"]
         flows = batched["flows"]
@@ -244,8 +238,7 @@ def test_batched_admission_speedup_and_scale():
             "batched_s": round(scale["elapsed_s"], 2),
             "us_per_flow":
                 round(scale["elapsed_s"] / scale["flows"] * 1e6, 2),
-            "flows_admitted_batched":
-                scale["perf"]["net.flows_admitted_batched"],
+            "updates_requested": scale["perf"]["net.updates_requested"],
             "bulk_harvests": scale["perf"]["net.bulk_harvests"],
             "done_signals_skipped":
                 scale["perf"]["net.done_signals_skipped"],

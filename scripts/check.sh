@@ -68,11 +68,12 @@ python -m pytest tests/test_fairshare_incremental.py \
     tests/test_scalar_progress_reference.py \
     tests/test_end_to_end_properties.py -q
 
-# 6. Batched-admission differential gate: admitting a wave through
-#    start_flows must stay observationally identical to looping
-#    start_flow, on every backend, with and without hop latency — the
-#    contract every batching producer (shuffle bursts, write
-#    pipelines) leans on.
+# 6. Batched-admission differential gate: start_flows is every
+#    backend's only admission path (start_flow is a one-request wave),
+#    and admitting a wave must stay observationally identical to
+#    admitting the same requests as one-request waves, on every
+#    backend, with and without hop latency — the contract every
+#    batching producer (shuffle bursts, write pipelines) leans on.
 echo "== batched-admission differential suite =="
 python -m pytest tests/test_flow_batching.py -q
 

@@ -698,7 +698,6 @@ class MRAppMaster(Application):
         """
         store = task.store
         requests: list = []
-        fetch_spans: list = []
         while (len(requests) < copies and task.claimed < len(self._maps)
                and len(store)):
             src_host, size, _map_task = store.peek()
@@ -710,27 +709,34 @@ class MRAppMaster(Application):
             self.result.shuffle_bytes += size
             if size < 1:
                 continue
-            fetch_span = NULL_SPAN
-            if self._tracer.enabled:
-                fetch_span = self._tracer.start(
-                    "fetch", f"fetch[{task.index}<-{src_host.name}]",
-                    self.sim.now, parent=span, src=src_host.name,
-                    size=size)
-            datanode = self.dfs.datanodes.get(src_host)
-            requests.append(FlowRequest(
-                src_host, host, size,
-                max_rate=datanode.disk_read_rate if datanode else None,
-                metadata={
-                    "component": TrafficComponent.SHUFFLE.value,
-                    "service": "shuffle-fetch",
-                    "job_id": self.spec.job_id,
-                    "src_port": ports.SHUFFLE_HANDLER,
-                    "dst_port": ports.ephemeral_port(
-                        f"shuffle-{self.app_id}-{task.index}-{src_host.name}"),
-                }, parent_span=fetch_span))
-            fetch_spans.append(fetch_span)
+            requests.append(self._fetch_request(task, host, src_host, size,
+                                                span))
         flows = self.net.start_flows(requests) if requests else []
-        return list(zip(flows, fetch_spans))
+        return [(flow, request.parent_span)
+                for flow, request in zip(flows, requests)]
+
+    def _fetch_request(self, task: _ReduceTask, host: Host, src_host: Host,
+                       size: float, span) -> FlowRequest:
+        """One shuffle fetch of ``size`` bytes from ``src_host`` to the
+        reducer on ``host``; its ``fetch`` span is the request's
+        ``parent_span``."""
+        fetch_span = NULL_SPAN
+        if self._tracer.enabled:
+            fetch_span = self._tracer.start(
+                "fetch", f"fetch[{task.index}<-{src_host.name}]",
+                self.sim.now, parent=span, src=src_host.name, size=size)
+        datanode = self.dfs.datanodes.get(src_host)
+        return FlowRequest(
+            src_host, host, size,
+            max_rate=datanode.disk_read_rate if datanode else None,
+            metadata={
+                "component": TrafficComponent.SHUFFLE.value,
+                "service": "shuffle-fetch",
+                "job_id": self.spec.job_id,
+                "src_port": ports.SHUFFLE_HANDLER,
+                "dst_port": ports.ephemeral_port(
+                    f"shuffle-{self.app_id}-{task.index}-{src_host.name}"),
+            }, parent_span=fetch_span)
 
     def _fetcher(self, task: _ReduceTask, host: Host, span=None, first=None):
         """One parallel-copy slot: claims map outputs and fetches them.
@@ -764,26 +770,10 @@ class MRAppMaster(Application):
             self.result.shuffle_bytes += size
             if size < 1:
                 continue
-            fetch_span = NULL_SPAN
-            if self._tracer.enabled:
-                fetch_span = self._tracer.start(
-                    "fetch", f"fetch[{task.index}<-{src_host.name}]",
-                    self.sim.now, parent=span, src=src_host.name,
-                    size=size)
-            datanode = self.dfs.datanodes.get(src_host)
-            flow = self.net.start_flow(
-                src_host, host, size,
-                max_rate=datanode.disk_read_rate if datanode else None,
-                metadata={
-                    "component": TrafficComponent.SHUFFLE.value,
-                    "service": "shuffle-fetch",
-                    "job_id": self.spec.job_id,
-                    "src_port": ports.SHUFFLE_HANDLER,
-                    "dst_port": ports.ephemeral_port(
-                        f"shuffle-{self.app_id}-{task.index}-{src_host.name}"),
-                }, parent_span=fetch_span)
+            request = self._fetch_request(task, host, src_host, size, span)
+            flow, = self.net.start_flows([request])
             yield flow.done
-            self._tracer.end(fetch_span, self.sim.now)
+            self._tracer.end(request.parent_span, self.sim.now)
 
     def _recover_map_output(self, map_task: Optional[_MapTask],
                             dead_host: Host):

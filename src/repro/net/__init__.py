@@ -7,8 +7,10 @@ reproduces Hadoop traffic (per-flow records, not per-packet).
 
 Main entry point is :class:`~repro.net.network.FlowNetwork`:
 
-* ``start_flow(src, dst, size)`` returns a :class:`~repro.net.flow.Flow`
-  whose ``done`` signal fires at the fluid completion time;
+* ``start_flows(requests)`` admits a wave and returns one
+  :class:`~repro.net.flow.Flow` per request, whose ``done`` signal
+  fires at the fluid completion time (``start_flow(src, dst, size)``
+  is a one-request wave);
 * flow arrivals/departures trigger max-min rate recomputation
   (:mod:`repro.net.fairshare`); same-instant changes are coalesced into
   one recompute by a zero-delay flush;

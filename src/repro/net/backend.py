@@ -31,10 +31,17 @@ a per-run configuration choice (``ClusterSpec.backend``, CLI
     replayed trace through it yields the exact flow schedule needed by
     the ns-3/OMNeT exporters without paying for a fluid run.
 
+Every backend admits flows through one path, the batched
+:meth:`TransportBackend.start_flows`; ``start_flow`` is a one-request
+wave.  Flow creation and the completion tail (counters and ``flow``
+spans) are shared in the base class, and the fluid and analytic
+backends share the wave split of :class:`RoutedBackend`.
+
 Backends register in :data:`BACKENDS` and are constructed through
 :func:`make_backend`, the single factory used by
 ``HadoopCluster``, ``replay_trace`` and the CLI.  Future substrates
-(packet-level, external-simulator bridges) plug in the same way.
+(packet-level, external-simulator bridges) plug in the same way,
+implementing ``start_flows`` only.
 """
 
 from __future__ import annotations
@@ -93,26 +100,28 @@ class TransportBackend(ABC):
 
     The contract, shared by every implementation:
 
-    * :meth:`start_flow` returns a :class:`~repro.net.flow.Flow` whose
-      ``done`` signal fires (with the flow as payload) when the backend
-      decides the transfer has completed.  Host-local transfers
-      (``src == dst``) never touch links and complete at the flow's
-      rate cap.
-    * :meth:`start_flows` admits a whole synchronous wave of intents in
-      one call (array-in, array-out), observationally identical to a
-      per-request :meth:`start_flow` loop — same ids, same timings,
-      byte-identical captures — but paid for once per wave instead of
-      once per flow.  Hot producers (shuffle waves, pipeline hops)
-      emit through it.
+    * :meth:`start_flows` admits a synchronous wave of intents in one
+      call (array-in, array-out) and returns one
+      :class:`~repro.net.flow.Flow` per request, ids drawn in request
+      order.  Each flow's ``done`` signal fires (with the flow as
+      payload) when the backend decides the transfer has completed.
+      Host-local transfers (``src == dst``) never touch links and
+      complete at the flow's rate cap.  It is the only admission path
+      a backend implements.
+    * :meth:`start_flow` is a one-request wave, for producers that
+      admit one flow at a time (fetcher loops, control RPCs, replay).
     * Completion listeners (:meth:`add_listener`) observe every
       finished flow — the capture stage's tap.
     * :meth:`utilisation` reports per-link mean utilisation since t=0;
       cumulative engine counters live on the simulator's telemetry
       registry (``net.*``).
 
-    Subclasses must also keep the observable state probes sample:
-    ``active`` (flow_id → Flow), ``link_bytes``, ``_capacities``,
-    ``completed_count`` and ``total_bytes``.
+    Flow creation (:meth:`_open_flows`) and the completion tail
+    (:meth:`_note_completed`, :meth:`_finish`) live here, so every
+    backend counts ``net.flows_started``/``net.flows_completed`` and
+    traces one ``flow`` span per flow the same way.  Subclasses must
+    also keep the observable state probes sample: ``active``
+    (flow_id → Flow), ``link_bytes`` and ``_capacities``.
     """
 
     #: Registry name; subclasses override ("fluid", "analytic", ...).
@@ -127,51 +136,92 @@ class TransportBackend(ABC):
         self.link_bytes: Dict[Tuple[object, object], float] = defaultdict(float)
         self._capacities: Dict[Tuple[object, object], float] = {}
         self._listeners: List[Callable[[Flow], None]] = []
+        # Per-backend flow ids: simulations are reproducible no matter
+        # how many flows earlier clusters in this process created.
+        self._flow_ids = flow_id_stream()
         # Every backend announces itself on the run's registry so
         # telemetry artefacts (report --telemetry, campaign snapshots)
         # can distinguish fluid from analytic runs.
         registry = sim.telemetry.registry
         registry.gauge("net.backend", backend=self.name).set(1.0)
-        #: Flows admitted through a native ``start_flows`` wave.
-        self._c_batch_admitted = registry.counter("net.flows_admitted_batched")
+        self._tracer = sim.telemetry.tracer
+        self._c_flows_started = registry.counter("net.flows_started")
+        self._c_flows_completed = registry.counter("net.flows_completed")
+        self._c_bytes_completed = registry.counter("net.bytes_completed")
         #: Completed flows whose ``done`` signal was never materialised
         #: (fire-and-forget producers; the lazy-signal saving).
         self._c_done_skipped = registry.counter("net.done_signals_skipped")
+        registry.gauge("net.active_flows", fn=lambda: len(self.active))
 
     # -- the flow interface ----------------------------------------------------
 
-    @abstractmethod
     def start_flow(self, src: Host, dst: Host, size: float,
                    max_rate: Optional[float] = None,
                    metadata: Optional[Dict[str, Any]] = None,
                    parent_span=None) -> Flow:
-        """Begin transferring ``size`` bytes from ``src`` to ``dst``."""
+        """Begin transferring ``size`` bytes from ``src`` to ``dst``.
 
+        A one-request :meth:`start_flows` wave.  ``parent_span``
+        attaches the flow's telemetry span (emitted on completion when
+        tracing is enabled) under a lifecycle span.
+        """
+        return self.start_flows([FlowRequest(src, dst, size, max_rate,
+                                             metadata, parent_span)])[0]
+
+    @abstractmethod
     def start_flows(self, requests: Sequence[FlowRequest]) -> List[Flow]:
         """Admit a synchronous wave of flow intents; flows in request order.
 
-        Array-in, array-out: semantically identical to calling
-        :meth:`start_flow` once per request, in order — same flow ids,
-        same rates, same completion/listener ordering, byte-identical
-        captures (the contract ``tests/test_flow_batching.py`` pins).
-        Backends override this loop with native bulk paths that admit
-        the whole wave in one pass; this default exists so any future
-        substrate is batch-correct before it is batch-fast.
+        A wave and the same requests admitted as one-request waves, in
+        order, are observationally identical — same flow ids, same
+        rates, same completion/listener ordering, byte-identical
+        captures (the contract ``tests/test_flow_batching.py`` pins) —
+        but the wave pays its bookkeeping once.
         """
-        return [self.start_flow(request.src, request.dst, request.size,
-                                max_rate=request.max_rate,
-                                metadata=request.metadata,
-                                parent_span=request.parent_span)
-                for request in requests]
 
-    # -- listeners -------------------------------------------------------------
+    def _open_flows(self, requests: Sequence[FlowRequest]) -> List[Flow]:
+        """Create a wave's flows in request (hence id) order, started now."""
+        sim = self.sim
+        now = sim.now
+        flow_ids = self._flow_ids
+        flows: List[Flow] = []
+        for request in requests:
+            flow = Flow(request.src, request.dst, request.size, sim,
+                        max_rate=request.max_rate, metadata=request.metadata,
+                        flow_id=next(flow_ids))
+            flow.span_parent = request.parent_span
+            flow.start_time = now
+            flow.last_update = now
+            flows.append(flow)
+        self._c_flows_started.value += len(flows)
+        return flows
+
+    # -- completion ------------------------------------------------------------
 
     def add_listener(self, callback: Callable[[Flow], None]) -> None:
         """Register a callback invoked with every completed flow."""
         self._listeners.append(callback)
 
+    def _note_completed(self, flow: Flow) -> None:
+        """End ``flow`` now: zero its rate and backlog, count and trace it."""
+        flow.remaining = 0.0
+        flow.rate = 0.0
+        flow.end_time = self.sim.now
+        self.completed_count += 1
+        self.total_bytes += flow.size
+        self._c_flows_completed.value += 1
+        self._c_bytes_completed.value += flow.size
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "flow", f"flow[{flow.flow_id}]",
+                flow.start_time, flow.end_time,
+                parent=flow.span_parent,
+                src=flow.src.name, dst=flow.dst.name, size=flow.size,
+                component=flow.metadata.get("component", ""),
+                local=flow.local)
+
     def _finish(self, flow: Flow) -> None:
-        """Shared completion tail: the done signal, then listeners."""
+        """Announce a noted completion: the done signal, then listeners."""
         done = flow._done
         if done is not None:
             done.fire(flow)
@@ -181,6 +231,11 @@ class TransportBackend(ABC):
             self._c_done_skipped.value += 1
         for listener in self._listeners:
             listener(flow)
+
+    def _complete(self, flow: Flow) -> None:
+        """The whole completion tail of one flow."""
+        self._note_completed(flow)
+        self._finish(flow)
 
     # -- observation -----------------------------------------------------------
 
@@ -198,15 +253,109 @@ class TransportBackend(ABC):
         return self.link_bytes.get(link, 0.0) / (capacity * self.sim.now)
 
 
-class AnalyticBackend(TransportBackend):
+class RoutedBackend(TransportBackend):
+    """A backend whose flows cross topology links: fluid and analytic.
+
+    :meth:`start_flows` splits a wave once for both: flows are created
+    in id order; host-local and zero-size flows complete after their
+    delay (zero, or ``size / max_rate``), one heap event per distinct
+    delay; every other flow takes its (src, dst) pair's path, resolved
+    once per backend, and, with ``hop_latency``, waits out a connection
+    setup of 1.5 RTTs (``1.5 × 2 × hops × hop_latency``), one heap
+    event per distinct setup time.  A subclass supplies only how it
+    interns a link the backend meets for the first time
+    (:meth:`_intern_link`) and how it activates a group of flows ready
+    to move bytes (:meth:`_activate_wave`).
+
+    Grouping by identical delay keeps a wave's event order equal to
+    one-request waves': within a group, request order is kept;
+    distinct delays mean distinct fire times, so heap order never falls
+    back to sequence numbers.
+    """
+
+    def __init__(self, sim: Simulator, topology: Topology,
+                 hop_latency: float = 0.0):
+        if hop_latency < 0:
+            raise ValueError(f"hop_latency must be >= 0, got {hop_latency}")
+        super().__init__(sim, topology)
+        self.hop_latency = hop_latency
+        # (src name, dst name) -> (path, links).  Topology routes are
+        # static, so each pair is resolved (and its new links interned)
+        # once per backend; same-pair flows share the read-only lists.
+        self._routes: Dict[Tuple[str, str], Tuple[List[object], List[Any]]] = {}
+
+    def start_flows(self, requests: Sequence[FlowRequest]) -> List[Flow]:
+        flows = self._open_flows(requests)
+        sim = self.sim
+        routes = self._routes
+        hop_latency = self.hop_latency
+        local_groups: Dict[float, List[Flow]] = {}
+        setup_groups: Dict[float, List[Flow]] = {}
+        ready: List[Flow] = []
+        for flow in flows:
+            if flow.local or flow.size == 0:
+                delay = (0.0 if flow.size == 0 or flow.max_rate is None
+                         else flow.size / flow.max_rate)
+                local_groups.setdefault(delay, []).append(flow)
+                continue
+            route = routes.get((flow.src.name, flow.dst.name))
+            if route is None:
+                route = self._route(flow.src, flow.dst)
+            flow.path, flow.links = route
+            if hop_latency > 0:
+                setup = 1.5 * (2.0 * len(flow.links) * hop_latency)
+                setup_groups.setdefault(setup, []).append(flow)
+            else:
+                ready.append(flow)
+        for delay, group in local_groups.items():
+            sim.schedule(delay, self._complete_local_wave, group)
+        for setup, group in setup_groups.items():
+            sim.schedule(setup, self._activate_wave, group)
+        if ready:
+            self._activate_wave(ready)
+        return flows
+
+    def _route(self, src: Host, dst: Host) -> Tuple[List[object], List[Any]]:
+        """Resolve and remember a pair's path and links, interning each
+        link this backend has not seen yet."""
+        path = self.topology.path(src, dst)
+        links = self.topology.edges_on_path(path)
+        for link in links:
+            if link not in self._capacities:
+                self._intern_link(link)
+        route = self._routes[(src.name, dst.name)] = (path, links)
+        return route
+
+    @abstractmethod
+    def _intern_link(self, link: Tuple[object, object]) -> None:
+        """Register a link's capacity in ``_capacities`` (and any state)."""
+
+    @abstractmethod
+    def _activate_wave(self, flows: Sequence[Flow]) -> None:
+        """Start moving bytes for a same-instant group of routed flows."""
+
+    def _complete_local_wave(self, flows: Sequence[Flow]) -> None:
+        """Complete a same-delay local group from one heap event.
+
+        Completing the group back to back inside one event preserves
+        every observable ordering: one event per flow would have been
+        seq-adjacent at this (time, priority) anyway, and the resume
+        events their done-signals schedule land after the group in both
+        shapes.
+        """
+        for flow in flows:
+            self._complete(flow)
+
+
+class AnalyticBackend(RoutedBackend):
     """Closed-form bottleneck-share approximation of the fluid engine.
 
     A flow admitted at time *t* gets the rate ``min over its links of
     capacity(link) / active(link)`` — its max-min share *if* every link
     were its bottleneck and the competitor set frozen — capped by
     ``max_rate``, and completes exactly ``size / rate`` later.  Flows
-    starting at the same instant form one *wave*: admission is deferred
-    to a zero-delay flush so the whole wave sees the same concurrency
+    starting at the same instant form one *wave*: rates are fixed at a
+    zero-delay flush so the whole wave sees the same concurrency
     counts (including each other), mirroring the fluid engine's
     same-timestamp batching.
 
@@ -228,136 +377,38 @@ class AnalyticBackend(TransportBackend):
 
     def __init__(self, sim: Simulator, topology: Topology,
                  hop_latency: float = 0.0, **_ignored: Any):
-        if hop_latency < 0:
-            raise ValueError(f"hop_latency must be >= 0, got {hop_latency}")
-        super().__init__(sim, topology)
-        self.hop_latency = hop_latency
-        self._flow_ids = flow_id_stream()
+        super().__init__(sim, topology, hop_latency)
         self._link_active: Dict[Tuple[object, object], int] = defaultdict(int)
         self._wave: List[Flow] = []
         self._wave_event = None
-        registry = sim.telemetry.registry
-        self._tracer = sim.telemetry.tracer
-        self._c_flows_started = registry.counter("net.flows_started")
-        self._c_flows_completed = registry.counter("net.flows_completed")
-        self._c_bytes_completed = registry.counter("net.bytes_completed")
-        self._c_waves = registry.counter("net.waves")
-        registry.gauge("net.active_flows", fn=lambda: len(self.active))
+        self._c_waves = sim.telemetry.registry.counter("net.waves")
 
     # -- flow lifecycle --------------------------------------------------------
 
-    def start_flow(self, src: Host, dst: Host, size: float,
-                   max_rate: Optional[float] = None,
-                   metadata: Optional[Dict[str, Any]] = None,
-                   parent_span=None) -> Flow:
-        flow = Flow(src, dst, size, self.sim, max_rate=max_rate,
-                    metadata=metadata, flow_id=next(self._flow_ids))
-        flow.span_parent = parent_span
-        self._c_flows_started.value += 1
-        flow.start_time = self.sim.now
-        flow.last_update = self.sim.now
-        if flow.local or size == 0:
-            delay = 0.0 if size == 0 or max_rate is None else size / max_rate
-            self.sim.schedule(delay, self._complete, flow)
-            return flow
-        flow.path = self.topology.path(src, dst)
-        flow.links = self.topology.edges_on_path(flow.path)
-        for link in flow.links:
-            if link not in self._capacities:
-                self._capacities[link] = self.topology.capacity(*link)
-        if self.hop_latency > 0:
-            setup = 1.5 * (2.0 * len(flow.links) * self.hop_latency)
-            self.sim.schedule(setup, self._admit, flow)
-        else:
-            self._admit(flow)
-        return flow
+    def _intern_link(self, link: Tuple[object, object]) -> None:
+        self._capacities[link] = self.topology.capacity(*link)
 
-    def start_flows(self, requests: Sequence[FlowRequest]) -> List[Flow]:
-        """Native wave admission: one pass, one wave flush, one loop.
+    def _activate_wave(self, flows: Sequence[Flow]) -> None:
+        """Count a ready group on its links; the wave flush fixes rates.
 
-        Event-order equivalence with the per-flow path: local/zero-size
-        completions are grouped by identical delay into one heap event
-        (within a group, request order is preserved; across groups the
-        times differ, so heap order is by time, not seq), delayed
-        admissions group by identical setup latency the same way, and
-        the wave-flush event always runs at :data:`_WAVE_PRIORITY`
-        after every priority-0 event of the instant — so scheduling it
-        mid-loop (per-flow) or once (here) cannot reorder anything.
+        The flush runs at :data:`_WAVE_PRIORITY`, after every priority-0
+        event of the instant, so every flow activated at this instant
+        shares it.
         """
-        sim = self.sim
-        now = sim.now
-        topology = self.topology
-        capacities = self._capacities
-        flow_ids = self._flow_ids
-        flows: List[Flow] = []
-        local_groups: Dict[float, List[Flow]] = {}
-        setup_groups: Dict[float, List[Flow]] = {}
-        self._c_flows_started.value += len(requests)
-        self._c_batch_admitted.value += len(requests)
-        for request in requests:
-            flow = Flow(request.src, request.dst, request.size, sim,
-                        max_rate=request.max_rate, metadata=request.metadata,
-                        flow_id=next(flow_ids))
-            flow.span_parent = request.parent_span
-            flow.start_time = now
+        now = self.sim.now
+        active = self.active
+        link_active = self._link_active
+        for flow in flows:
             flow.last_update = now
-            flows.append(flow)
-            if flow.local or flow.size == 0:
-                delay = (0.0 if flow.size == 0 or flow.max_rate is None
-                         else flow.size / flow.max_rate)
-                local_groups.setdefault(delay, []).append(flow)
-                continue
-            flow.path = topology.path(request.src, request.dst)
-            flow.links = topology.edges_on_path(flow.path)
+            active[flow.flow_id] = flow
             for link in flow.links:
-                if link not in capacities:
-                    capacities[link] = topology.capacity(*link)
-            if self.hop_latency > 0:
-                setup = 1.5 * (2.0 * len(flow.links) * self.hop_latency)
-                setup_groups.setdefault(setup, []).append(flow)
-            else:
-                self._admit(flow)
-        for delay, group in local_groups.items():
-            if len(group) == 1:
-                sim.schedule(delay, self._complete, group[0])
-            else:
-                sim.schedule(delay, self._complete_wave, group)
-        for setup, group in setup_groups.items():
-            if len(group) == 1:
-                sim.schedule(setup, self._admit, group[0])
-            else:
-                sim.schedule(setup, self._admit_group, group)
-        return flows
-
-    def _admit(self, flow: Flow) -> None:
-        flow.last_update = self.sim.now
-        self.active[flow.flow_id] = flow
-        for link in flow.links:
-            self._link_active[link] += 1
-        self._wave.append(flow)
+                link_active[link] += 1
+        self._wave.extend(flows)
         if self._wave_event is None:
             self._wave_event = self.sim.schedule(
-                0.0, self._admit_wave, priority=_WAVE_PRIORITY)
+                0.0, self._fix_wave_rates, priority=_WAVE_PRIORITY)
 
-    def _admit_group(self, flows: Sequence[Flow]) -> None:
-        """Admit a same-setup-latency group from one heap event."""
-        for flow in flows:
-            self._admit(flow)
-
-    def _complete_wave(self, flows: Sequence[Flow]) -> None:
-        """Complete a same-delay local group from one heap event.
-
-        Sequentially completing the group inside one event is
-        order-identical to one event per flow: between consecutive
-        per-flow completion events of a synchronous burst no other
-        event can sit (burst events occupy a contiguous seq range), and
-        the resume events their signals schedule land after the burst
-        in both shapes.
-        """
-        for flow in flows:
-            self._complete(flow)
-
-    def _admit_wave(self) -> None:
+    def _fix_wave_rates(self) -> None:
         """Fix the whole wave's rates from current concurrency, once."""
         self._wave_event = None
         self._c_waves.value += 1
@@ -370,31 +421,15 @@ class AnalyticBackend(TransportBackend):
             if flow.max_rate is not None:
                 rate = min(rate, flow.max_rate)
             flow.rate = rate
-            self.sim.schedule(flow.size / rate, self._complete, flow,
+            self.sim.schedule(flow.size / rate, self._complete_routed, flow,
                               priority=-1)
 
-    def _complete(self, flow: Flow) -> None:
-        if not flow.local and flow.size > 0:
-            del self.active[flow.flow_id]
-            for link in flow.links:
-                self._link_active[link] -= 1
-                self.link_bytes[link] += flow.size
-        flow.remaining = 0.0
-        flow.rate = 0.0
-        flow.end_time = self.sim.now
-        self.completed_count += 1
-        self.total_bytes += flow.size
-        self._c_flows_completed.value += 1
-        self._c_bytes_completed.value += flow.size
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "flow", f"flow[{flow.flow_id}]",
-                flow.start_time, self.sim.now,
-                parent=flow.span_parent,
-                src=flow.src.name, dst=flow.dst.name, size=flow.size,
-                component=flow.metadata.get("component", ""),
-                local=flow.local)
-        self._finish(flow)
+    def _complete_routed(self, flow: Flow) -> None:
+        del self.active[flow.flow_id]
+        for link in flow.links:
+            self._link_active[link] -= 1
+            self.link_bytes[link] += flow.size
+        self._complete(flow)
 
 
 class FlowIntent:
@@ -439,72 +474,32 @@ class RecordBackend(TransportBackend):
     def __init__(self, sim: Simulator, topology: Topology,
                  **_ignored: Any):
         super().__init__(sim, topology)
-        self._flow_ids = flow_id_stream()
         self.intents: List[FlowIntent] = []
-        registry = sim.telemetry.registry
-        self._c_intents = registry.counter("net.intents_recorded")
-        registry.gauge("net.active_flows", fn=lambda: len(self.active))
-
-    def start_flow(self, src: Host, dst: Host, size: float,
-                   max_rate: Optional[float] = None,
-                   metadata: Optional[Dict[str, Any]] = None,
-                   parent_span=None) -> Flow:
-        flow = Flow(src, dst, size, self.sim, max_rate=max_rate,
-                    metadata=metadata, flow_id=next(self._flow_ids))
-        flow.span_parent = parent_span
-        flow.start_time = self.sim.now
-        flow.last_update = self.sim.now
-        self.intents.append(FlowIntent(flow.flow_id, self.sim.now, src, dst,
-                                       float(size), max_rate, flow.metadata))
-        self._c_intents.value += 1
-        self.active[flow.flow_id] = flow
-        self.sim.schedule(0.0, self._complete, flow)
-        return flow
 
     def start_flows(self, requests: Sequence[FlowRequest]) -> List[Flow]:
-        """Native wave recording: one intent loop, one completion event.
+        """Record the wave's intents; complete it from one zero-delay event.
 
-        The per-flow path schedules one zero-delay completion per flow
-        at consecutive seqs; completing the whole wave from a single
-        event preserves every observable ordering (see
-        ``AnalyticBackend._complete_wave``) while the burst costs one
-        heap operation instead of N.
+        Completing the whole wave from a single event preserves every
+        observable ordering of one event per flow (see
+        ``RoutedBackend._complete_local_wave``).
         """
-        sim = self.sim
-        now = sim.now
-        flow_ids = self._flow_ids
+        flows = self._open_flows(requests)
+        now = self.sim.now
         intents = self.intents
         active = self.active
-        flows: List[Flow] = []
-        for request in requests:
-            flow = Flow(request.src, request.dst, request.size, sim,
-                        max_rate=request.max_rate, metadata=request.metadata,
-                        flow_id=next(flow_ids))
-            flow.span_parent = request.parent_span
-            flow.start_time = now
-            flow.last_update = now
-            intents.append(FlowIntent(flow.flow_id, now, request.src,
-                                      request.dst, float(request.size),
-                                      request.max_rate, flow.metadata))
+        for flow in flows:
+            intents.append(FlowIntent(flow.flow_id, now, flow.src, flow.dst,
+                                      flow.size, flow.max_rate, flow.metadata))
             active[flow.flow_id] = flow
-            flows.append(flow)
-        self._c_intents.value += len(requests)
-        self._c_batch_admitted.value += len(requests)
         if flows:
-            sim.schedule(0.0, self._complete_wave, flows)
+            self.sim.schedule(0.0, self._complete_wave, flows)
         return flows
 
     def _complete_wave(self, flows: Sequence[Flow]) -> None:
+        active = self.active
         for flow in flows:
+            del active[flow.flow_id]
             self._complete(flow)
-
-    def _complete(self, flow: Flow) -> None:
-        del self.active[flow.flow_id]
-        flow.remaining = 0.0
-        flow.end_time = self.sim.now
-        self.completed_count += 1
-        self.total_bytes += flow.size
-        self._finish(flow)
 
 
 # -- factory -------------------------------------------------------------------------

@@ -179,33 +179,19 @@ class FairShareAllocator:
         Returns the flow's dense link ids, in ``links`` order.  The list
         is shared with the allocator: treat it as read-only.
         """
-        if flow in self._flow_links:
-            raise ValueError(f"flow {flow!r} is already active")
-        if cap is not None and cap <= 0:
-            raise ValueError(f"flow {flow!r} has non-positive cap {cap}")
-        link_ids = self._link_ids
-        try:
-            ids = [link_ids[link] for link in links]
-        except KeyError as missing:
-            raise KeyError(
-                f"unknown link {missing.args[0]!r}; call set_capacity first") from None
-        self._enter(flow, ids, cap)
-        return ids
+        return self.add_flows(((flow, links, cap),))[0]
 
     def add_flows(self, entries: Sequence[Tuple[Hashable, Sequence[Hashable],
                                                 Optional[float]]]
                   ) -> List[List[int]]:
-        """Grouped :meth:`add_flow`: one call for a whole admission wave.
+        """Add a whole admission wave, in order; ``(flow, links, cap)`` each.
 
-        ``entries`` is ``(flow, links, cap)`` per flow.  Same state
-        transitions and validation as the per-flow calls in the same
-        order — the grouping only hoists the link-id resolution out of
-        the per-flow path.  Returns each flow's link ids, as
-        :meth:`add_flow` does.
+        Returns each flow's link ids, as :meth:`add_flow` does.
         """
         link_ids = self._link_ids
         flow_links = self._flow_links
-        enter = self._enter
+        members = self._members
+        loaded = self._loaded
         # Same-wave flows often share their ``links`` object (the
         # caller resolves each (src, dst) pair once); the resolved id
         # list is read-only, so sharing it between flows is safe.
@@ -224,27 +210,20 @@ class FairShareAllocator:
                     raise KeyError(f"unknown link {missing.args[0]!r}; "
                                    f"call set_capacity first") from None
                 ids_memo[id(links)] = ids
-            enter(flow, ids, cap)
+            flow_links[flow] = ids
+            if ids:
+                for link_id in ids:
+                    members[link_id].add(flow)
+                    loaded.add(link_id)
+            else:
+                self._linkless[flow] = None
+            if cap is not None:
+                cap = float(cap)
+                self._flow_caps[flow] = cap
+                if ids:
+                    self._cap_classes.setdefault(cap, set()).add(flow)
             result.append(ids)
         return result
-
-    def _enter(self, flow: Hashable, ids: List[int],
-               cap: Optional[float]) -> None:
-        """Record a validated flow in every membership structure."""
-        self._flow_links[flow] = ids
-        if ids:
-            members = self._members
-            loaded = self._loaded
-            for link_id in ids:
-                members[link_id].add(flow)
-                loaded.add(link_id)
-        else:
-            self._linkless[flow] = None
-        if cap is not None:
-            cap = float(cap)
-            self._flow_caps[flow] = cap
-            if ids:
-                self._cap_classes.setdefault(cap, set()).add(flow)
 
     def remove_flow(self, flow: Hashable) -> None:
         """Remove a completed (or aborted) flow."""

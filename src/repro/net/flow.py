@@ -26,9 +26,9 @@ class Flow:
     """A single data transfer between two hosts.
 
     Users obtain flows from :meth:`repro.net.backend.TransportBackend.
-    start_flow` / :meth:`~repro.net.backend.TransportBackend.
-    start_flows` and wait on :attr:`done` (a :class:`~repro.simkit.core.
-    Signal` fired with the flow itself).  The ``metadata`` dict carries
+    start_flows` (``start_flow`` is a one-request wave) and wait on
+    :attr:`done` (a :class:`~repro.simkit.core.Signal` fired with the
+    flow itself).  The ``metadata`` dict carries
     application labels (job id, traffic component, task ids) used by the
     capture stage; the network itself never interprets it.
 

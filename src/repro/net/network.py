@@ -49,10 +49,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.topology import Host, Topology
-from repro.net.backend import FlowRequest, TransportBackend
+from repro.cluster.topology import Topology
+from repro.net.backend import RoutedBackend
 from repro.net.fairshare import FairShareAllocator
-from repro.net.flow import Flow, flow_id_stream
+from repro.net.flow import Flow
 from repro.simkit.core import Event, Simulator
 
 _DONE_EPS_BYTES = 0.5
@@ -64,7 +64,7 @@ _DONE_EPS_BYTES = 0.5
 _FLUSH_PRIORITY = 1
 
 
-class FlowNetwork(TransportBackend):
+class FlowNetwork(RoutedBackend):
     """Flow-level network over a :class:`~repro.cluster.topology.Topology`.
 
     The reference (and default) :class:`~repro.net.backend.
@@ -84,8 +84,6 @@ class FlowNetwork(TransportBackend):
 
     def __init__(self, sim: Simulator, topology: Topology,
                  hop_latency: float = 0.0):
-        if hop_latency < 0:
-            raise ValueError(f"hop_latency must be >= 0, got {hop_latency}")
         # Set before super().__init__: the base class assigns
         # ``link_bytes``, which is a property below whose getter reads
         # the accumulator.
@@ -96,11 +94,7 @@ class FlowNetwork(TransportBackend):
         self._link_acc: List[float] = []
         self._link_order: Dict[int, None] = {}
         self._links_dirty = False
-        super().__init__(sim, topology)
-        self.hop_latency = hop_latency
-        # Per-network flow ids: simulations are reproducible no matter
-        # how many flows earlier clusters in this process created.
-        self._flow_ids = flow_id_stream()
+        super().__init__(sim, topology, hop_latency)
         self._allocator = FairShareAllocator()
         self._completion_event: Optional[Event] = None
         self._flush_event: Optional[Event] = None
@@ -108,17 +102,11 @@ class FlowNetwork(TransportBackend):
         # Perf counters live on the simulator's telemetry registry.  The
         # allocator keeps plain running totals; each recompute adds its
         # share to the counters, so networks sharing a registry sum.
-        self.telemetry = sim.telemetry
-        registry = self.telemetry.registry
-        self._tracer = self.telemetry.tracer
+        registry = sim.telemetry.registry
         self._c_updates = registry.counter("net.updates_requested")
         self._c_flushes = registry.counter("net.flushes")
         self._c_batched = registry.counter("net.flows_batched")
         self._c_bulk_harvests = registry.counter("net.bulk_harvests")
-        self._c_flows_started = registry.counter("net.flows_started")
-        self._c_flows_completed = registry.counter("net.flows_completed")
-        self._c_bytes_completed = registry.counter("net.bytes_completed")
-        registry.gauge("net.active_flows", fn=lambda: len(self.active))
         self._c_recomputes = registry.counter("net.recomputes")
         self._c_rounds = registry.counter("net.waterfill_rounds")
         self._c_allocator_s = registry.counter("net.allocator_seconds")
@@ -155,125 +143,6 @@ class FlowNetwork(TransportBackend):
 
     # -- flow lifecycle -------------------------------------------------------
 
-    def start_flow(self, src: Host, dst: Host, size: float,
-                   max_rate: Optional[float] = None,
-                   metadata: Optional[Dict[str, Any]] = None,
-                   parent_span=None) -> Flow:
-        """Begin transferring ``size`` bytes from ``src`` to ``dst``.
-
-        Returns the :class:`Flow`; its ``done`` signal fires (with the
-        flow as payload) at the fluid completion time.  ``parent_span``
-        attaches the flow's telemetry span (emitted on completion when
-        tracing is enabled) under a lifecycle span.
-        """
-        flow = Flow(src, dst, size, self.sim, max_rate=max_rate,
-                    metadata=metadata, flow_id=next(self._flow_ids))
-        flow.span_parent = parent_span
-        self._c_flows_started.value += 1
-        flow.start_time = self.sim.now
-        flow.last_update = self.sim.now
-        if flow.local or size == 0:
-            delay = 0.0 if size == 0 or max_rate is None else size / max_rate
-            self.sim.schedule(delay, self._complete_local, flow)
-            return flow
-        flow.path = self.topology.path(src, dst)
-        flow.links = self.topology.edges_on_path(flow.path)
-        for link in flow.links:
-            if link not in self._capacities:
-                self._intern_link(link)
-        if self.hop_latency > 0:
-            setup = 1.5 * (2.0 * len(flow.links) * self.hop_latency)
-            self.sim.schedule(setup, self._activate, flow)
-        else:
-            self._activate(flow)
-        return flow
-
-    def start_flows(self, requests: Sequence[FlowRequest]) -> List[Flow]:
-        """Native wave admission: one pass, one allocator batch, one flush.
-
-        Paths and links are resolved (and capacities interned) for the
-        whole wave in a single loop; every zero-setup non-local flow is
-        activated through one bulk allocator insertion and exactly one
-        coalesced rate-update request.  Event-order equivalence with a
-        per-request :meth:`start_flow` loop:
-
-        * flow ids are drawn in request order from the same stream;
-        * local/zero-size completions group by *identical* delay into
-          one heap event each (group-internal order is request order;
-          distinct delays mean distinct fire times, so heap order never
-          falls back to sequence numbers);
-        * the flush runs at ``_FLUSH_PRIORITY`` after every priority-0
-          event of the instant, so whether it was scheduled at the
-          first activation (per-flow path) or after the loop (here) is
-          unobservable;
-        * with ``hop_latency`` the delayed activations group by
-          identical setup time, again preserving request order.
-
-        Captures are therefore byte-identical across the two admission
-        paths (``tests/test_flow_batching.py`` pins this per backend).
-        """
-        sim = self.sim
-        now = sim.now
-        topology = self.topology
-        capacities = self._capacities
-        flow_ids = self._flow_ids
-        hop_latency = self.hop_latency
-        flows: List[Flow] = []
-        local_groups: Dict[float, List[Flow]] = {}
-        setup_groups: Dict[float, List[Flow]] = {}
-        ready: List[Flow] = []
-        # Wave-level (src, dst) memo: a shuffle or bench wave admits
-        # many flows over few distinct host pairs, so each pair pays
-        # for path lookup, edge listing and capacity interning once per
-        # wave instead of once per flow.  The links list is shared
-        # between same-pair flows — it is read-only downstream (the
-        # allocator derives its id list from it).
-        resolved_pairs: Dict[Any, Any] = {}
-        self._c_flows_started.value += len(requests)
-        self._c_batch_admitted.value += len(requests)
-        for request in requests:
-            flow = Flow(request.src, request.dst, request.size, sim,
-                        max_rate=request.max_rate, metadata=request.metadata,
-                        flow_id=next(flow_ids))
-            flow.span_parent = request.parent_span
-            flow.start_time = now
-            flow.last_update = now
-            flows.append(flow)
-            if flow.local or flow.size == 0:
-                delay = (0.0 if flow.size == 0 or flow.max_rate is None
-                         else flow.size / flow.max_rate)
-                local_groups.setdefault(delay, []).append(flow)
-                continue
-            pair = (request.src, request.dst)
-            resolved = resolved_pairs.get(pair)
-            if resolved is None:
-                path = topology.path(request.src, request.dst)
-                links = topology.edges_on_path(path)
-                for link in links:
-                    if link not in capacities:
-                        self._intern_link(link)
-                resolved = (path, links)
-                resolved_pairs[pair] = resolved
-            flow.path, flow.links = resolved
-            if hop_latency > 0:
-                setup = 1.5 * (2.0 * len(flow.links) * hop_latency)
-                setup_groups.setdefault(setup, []).append(flow)
-            else:
-                ready.append(flow)
-        for delay, group in local_groups.items():
-            if len(group) == 1:
-                sim.schedule(delay, self._complete_local, group[0])
-            else:
-                sim.schedule(delay, self._complete_local_wave, group)
-        for setup, group in setup_groups.items():
-            if len(group) == 1:
-                sim.schedule(setup, self._activate, group[0])
-            else:
-                sim.schedule(setup, self._activate_wave, group)
-        if ready:
-            self._activate_wave(ready)
-        return flows
-
     def _intern_link(self, link: Any) -> None:
         """Register a link's capacity and give it a byte accumulator."""
         capacity = self.topology.capacity(*link)
@@ -281,19 +150,12 @@ class FlowNetwork(TransportBackend):
         self._allocator.set_capacity(link, capacity)
         self._link_acc.append(0.0)
 
-    def _activate(self, flow: Flow) -> None:
-        flow.last_update = self.sim.now
-        self.active[flow.flow_id] = flow
-        flow.link_ids = self._allocator.add_flow(
-            flow.flow_id, flow.links, flow.max_rate)
-        self._request_update()
-
     def _activate_wave(self, flows: Sequence[Flow]) -> None:
         """Activate a same-instant group: one allocator batch, one update.
 
         The single :meth:`_request_update` is exact: no simulated time
-        passes inside the wave, so the per-flow path's intermediate
-        update requests all coalesce into the same flush anyway.
+        passes inside the group, so one request per flow would all
+        coalesce into the same flush anyway.
         """
         now = self.sim.now
         active = self.active
@@ -305,40 +167,6 @@ class FlowNetwork(TransportBackend):
         for flow, link_ids in zip(flows, self._allocator.add_flows(entries)):
             flow.link_ids = link_ids
         self._request_update()
-
-    def _complete_local_wave(self, flows: Sequence[Flow]) -> None:
-        """Complete a same-delay local group from one heap event.
-
-        One event for the group instead of one per flow; completing
-        them back to back inside the event preserves every observable
-        ordering because the per-flow events would have been seq-
-        adjacent at this (time, priority) anyway, and the resume events
-        their done-signals schedule land after the group in both
-        shapes.
-        """
-        for flow in flows:
-            self._complete_local(flow)
-
-    def _complete_local(self, flow: Flow) -> None:
-        flow.remaining = 0.0
-        flow.end_time = self.sim.now
-        flow.rate = 0.0
-        self.completed_count += 1
-        self.total_bytes += flow.size
-        self._note_completed(flow)
-        self._finish(flow)
-
-    def _note_completed(self, flow: Flow) -> None:
-        self._c_flows_completed.value += 1
-        self._c_bytes_completed.value += flow.size
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "flow", f"flow[{flow.flow_id}]",
-                flow.start_time, self.sim.now,
-                parent=flow.span_parent,
-                src=flow.src.name, dst=flow.dst.name, size=flow.size,
-                component=flow.metadata.get("component", ""),
-                local=flow.local)
 
     # -- fluid dynamics -------------------------------------------------------
 
@@ -458,32 +286,21 @@ class FlowNetwork(TransportBackend):
         """Retire ``finished`` (from :meth:`_advance_progress`), in order."""
         if not finished:
             return
-        now = self.sim.now
         active = self.active
         if len(finished) == 1:
             flow = finished[0]
             del active[flow.flow_id]
             self._allocator.remove_flow(flow.flow_id)
-            flow.remaining = 0.0
-            flow.rate = 0.0
-            flow.end_time = now
-            self.completed_count += 1
-            self.total_bytes += flow.size
-            self._note_completed(flow)
-            self._finish(flow)
+            self._complete(flow)
             return
         # Bulk path: the whole completion wave leaves the allocator in
-        # one grouped call.
+        # one grouped call, and every flow is noted before any signal
+        # or listener fires.
         self._c_bulk_harvests.value += 1
         for flow in finished:
             del active[flow.flow_id]
         self._allocator.remove_flows([flow.flow_id for flow in finished])
-        self.completed_count += len(finished)
         for flow in finished:
-            flow.remaining = 0.0
-            flow.rate = 0.0
-            flow.end_time = now
-            self.total_bytes += flow.size
             self._note_completed(flow)
         for flow in finished:
             self._finish(flow)

@@ -1,26 +1,32 @@
-"""Batched admission differential: ``start_flows`` vs one-at-a-time.
+"""Batched admission differential: one wave vs one-request waves.
 
-The contract under test (DESIGN.md "Batched admission"): for every
-substrate, admitting a wave through the array-in/array-out
-``start_flows`` seam is *observationally identical* to looping
-``start_flow`` over the same requests — same flow ids, same captured
-bytes, same completion ordering — while doing the bookkeeping (path
-resolution, allocator insertion, rate recomputation, heap events) in
-bulk.  The sequential reference arm is the generic
-``TransportBackend.start_flows`` loop, bound over the same instance.
+The contract under test (DESIGN.md "Batched admission"): ``start_flows``
+is every backend's only admission path, and for every substrate a
+whole wave is *observationally identical* to admitting the same
+requests as one-request waves (what ``start_flow`` does) in order —
+same flow ids, same captured bytes, same completion ordering — while
+the wave does its bookkeeping (path resolution, allocator insertion,
+rate recomputation, heap events) once.  The reference arm wraps the
+instance's ``start_flows`` so it admits one request per call.
 """
 
 import json
 import random
-import types
 
 import pytest
 
 from repro.capture.collector import FlowCollector
 from repro.cluster.topology import build_topology
 from repro.cluster.units import GBPS
-from repro.net.backend import FlowRequest, TransportBackend, make_backend
+from repro.net.backend import (
+    AnalyticBackend,
+    FlowRequest,
+    RecordBackend,
+    TransportBackend,
+    make_backend,
+)
 from repro.net.network import FlowNetwork
+from repro.obs import Telemetry
 from repro.simkit import Simulator
 
 MB = 1e6
@@ -40,17 +46,20 @@ SUBSTRATE_IDS = [f"{name}{'-lat' if cfg.get('hop_latency') else ''}"
                  for name, cfg in SUBSTRATES]
 
 
-def _make(substrate):
+def _make(substrate, telemetry=None):
     name, cfg = substrate
-    sim = Simulator()
+    sim = Simulator(telemetry=telemetry)
     topo = build_topology("tree", num_hosts=8, hosts_per_rack=4,
                           host_gbps=1.0, oversubscription=2.0)
     return sim, topo, make_backend(name, sim, topo, **cfg)
 
 
 def _force_sequential(net):
-    """Rebind the generic one-at-a-time loop over the native override."""
-    net.start_flows = types.MethodType(TransportBackend.start_flows, net)
+    """Make every wave on ``net`` one ``start_flows([request])`` call per
+    request, in order."""
+    wave = net.start_flows
+    net.start_flows = lambda requests: [wave([request])[0]
+                                        for request in requests]
 
 
 def _capture(substrate, sequential, driver):
@@ -182,7 +191,8 @@ def test_harvest_counters_after_a_batched_wave():
     sim.run()
     assert net.completed_count == 4
     assert net.active == {}
-    assert sim.telemetry.registry.value("net.flows_admitted_batched") == 4
+    # The whole wave was admitted by one activation: one update request.
+    assert sim.telemetry.registry.value("net.updates_requested") == 1
     assert sim.telemetry.registry.value("net.bulk_harvests") >= 1
 
 
@@ -247,6 +257,30 @@ def test_flow_ids_are_per_network():
 
 
 def test_flow_network_native_start_flows_is_overridden():
-    # Guard against the differential silently comparing the generic
-    # loop to itself: the fluid backend must define its own override.
-    assert FlowNetwork.start_flows is not TransportBackend.start_flows
+    # start_flows is the one admission path: every backend implements
+    # it, and only the base class defines start_flow (a one-request
+    # wave).
+    for backend_cls in (FlowNetwork, AnalyticBackend, RecordBackend):
+        assert backend_cls.start_flows is not TransportBackend.start_flows
+        assert [cls for cls in backend_cls.__mro__
+                if "start_flow" in vars(cls)] == [TransportBackend]
+
+
+# -- counters and spans ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES, ids=SUBSTRATE_IDS)
+def test_every_admitted_flow_is_counted_and_traced(substrate):
+    # Local and zero-size flows included: every backend counts each
+    # admitted flow started and completed, and traces one flow span.
+    telemetry = Telemetry.enabled_in_memory()
+    sim, topo, net = _make(substrate, telemetry)
+    collector = FlowCollector(net, include_local=True)
+    _mixed_waves(net, sim, topo)
+    flows = len(collector.records)
+    assert flows == 12
+    value = telemetry.registry.value
+    assert value("net.flows_started") == flows
+    assert value("net.flows_completed") == flows
+    assert net.completed_count == flows
+    assert sum(1 for span in telemetry.spans if span.kind == "flow") == flows
