@@ -24,10 +24,13 @@ change (DESIGN.md "Batched admission").
 
 Records, per rung: wall clock for both arms, per-flow overhead in
 microseconds, speedup, and the byte-identity flag; then a batched-only
-scale run on a >= 4096-host fat-tree (k=26, 4394 hosts).  Writes
-``BENCH_flow_batching.json`` at the repo root and asserts the headline
-numbers: >= 2x end-to-end at the >= 16k-flows-per-wave rung and a
-completed >= 4096-host run.
+scale run on a >= 4096-host fat-tree (k=26, 4394 hosts).  One timing
+of each arm is dominated by run-to-run noise on a small VM, so the
+gated 16k rung times each arm ``REPEATS`` times, alternating which arm
+runs first, and its speedup is the ratio of the medians; every per-run
+time is recorded.  Writes ``BENCH_flow_batching.json`` at the repo
+root and asserts the headline numbers: >= 2x end-to-end at the
+16k-flows-per-wave rung and a completed >= 4096-host run.
 
 Run via ``scripts/run_benchmarks.sh`` or::
 
@@ -35,6 +38,7 @@ Run via ``scripts/run_benchmarks.sh`` or::
 """
 
 import json
+import statistics
 import time
 import types
 from pathlib import Path
@@ -50,6 +54,10 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_flow_batching.json"
 
 MIN_SPEEDUP_16K = 2.0
 MIN_SCALE_HOSTS = 4096
+
+#: Timings per arm at the gated rung (other rungs are timed once).
+REPEATS = 5
+GATED_WAVE = 16384
 
 HOST_GBPS = 10.0
 HOST_RATE = HOST_GBPS * 1e9 / 8.0
@@ -180,36 +188,46 @@ def test_batched_admission_speedup_and_scale():
 
     rows = []
     for hosts_n, fattree_k, flows_per_wave, waves in RUNGS:
-        pr6 = _run("pr6", hosts_n, fattree_k, flows_per_wave, waves)
-        batched = _run("batched", hosts_n, fattree_k,
-                       flows_per_wave, waves)
-        # Every admission call requests one rate update: the batched
-        # arm admits a wave per call, the pr6 arm one flow per call.
-        assert batched["perf"]["net.updates_requested"] == waves
-        assert pr6["perf"]["net.updates_requested"] == \
-            flows_per_wave * waves
-        assert pr6["perf"]["net.done_signals_skipped"] == 0
-        speedup = pr6["elapsed_s"] / batched["elapsed_s"]
+        runs = {"pr6": [], "batched": []}
+        repeats = REPEATS if flows_per_wave == GATED_WAVE else 1
+        for repeat in range(repeats):
+            arms = ("pr6", "batched") if repeat % 2 == 0 \
+                else ("batched", "pr6")
+            for arm in arms:
+                run = _run(arm, hosts_n, fattree_k, flows_per_wave, waves)
+                runs[arm].append(run)
+            pr6, batched = runs["pr6"][-1], runs["batched"][-1]
+            # Every admission call requests one rate update: the batched
+            # arm admits a wave per call, the pr6 arm one flow per call.
+            assert batched["perf"]["net.updates_requested"] == waves
+            assert pr6["perf"]["net.updates_requested"] == \
+                flows_per_wave * waves
+            assert pr6["perf"]["net.done_signals_skipped"] == 0
+        pr6_runs = [run["elapsed_s"] for run in runs["pr6"]]
+        batched_runs = [run["elapsed_s"] for run in runs["batched"]]
+        pr6_s = statistics.median(pr6_runs)
+        batched_s = statistics.median(batched_runs)
+        speedup = pr6_s / batched_s
         flows = batched["flows"]
         rows.append({
             "hosts": hosts_n, "fattree_k": fattree_k,
             "flows_per_wave": flows_per_wave, "waves": waves,
             "flows": flows,
-            "pr6_s": round(pr6["elapsed_s"], 4),
-            "batched_s": round(batched["elapsed_s"], 4),
-            "pr6_us_per_flow":
-                round(pr6["elapsed_s"] / flows * 1e6, 2),
-            "batched_us_per_flow":
-                round(batched["elapsed_s"] / flows * 1e6, 2),
+            "repeats": repeats,
+            "pr6_s": round(pr6_s, 4),
+            "batched_s": round(batched_s, 4),
+            "pr6_runs_s": [round(run, 4) for run in pr6_runs],
+            "batched_runs_s": [round(run, 4) for run in batched_runs],
+            "pr6_us_per_flow": round(pr6_s / flows * 1e6, 2),
+            "batched_us_per_flow": round(batched_s / flows * 1e6, 2),
             "speedup": round(speedup, 2),
             "bulk_harvests": batched["perf"]["net.bulk_harvests"],
             "done_signals_skipped":
                 batched["perf"]["net.done_signals_skipped"],
         })
         print(f"wave={flows_per_wave:6d} flows={flows:7d} "
-              f"pr6={pr6['elapsed_s']:7.2f}s "
-              f"batched={batched['elapsed_s']:6.2f}s "
-              f"speedup={speedup:5.2f}x")
+              f"pr6={pr6_s:7.2f}s batched={batched_s:6.2f}s "
+              f"speedup={speedup:5.2f}x (median of {repeats})")
 
     hosts_n, fattree_k, flows_per_wave, waves = SCALE_RUNG
     scale = _run("batched", hosts_n, fattree_k, flows_per_wave, waves)
@@ -218,7 +236,7 @@ def test_batched_admission_speedup_and_scale():
           f"bulk_harvests={scale['perf']['net.bulk_harvests']}")
 
     speedup_16k = next(row["speedup"] for row in rows
-                       if row["flows_per_wave"] >= 16384)
+                       if row["flows_per_wave"] == GATED_WAVE)
     report = {
         "workload": {
             "shape": "synchronized uniform waves, constant-offset "
@@ -251,6 +269,6 @@ def test_batched_admission_speedup_and_scale():
 
     assert speedup_16k >= MIN_SPEEDUP_16K, \
         f"batched admission should be >={MIN_SPEEDUP_16K}x faster at the " \
-        f"16k rung, got {speedup_16k:.2f}x"
+        f"16k rung (ratio of medians), got {speedup_16k:.2f}x"
     assert hosts_n >= MIN_SCALE_HOSTS and scale["flows"] == \
         flows_per_wave * waves

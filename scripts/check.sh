@@ -96,9 +96,10 @@ python -m pytest tests/test_ks_distance_reference.py tests/test_weibull_mle.py \
 #    fold into the parent registry (counters and histograms sum,
 #    gauges keep a per-worker series, callback gauges are never
 #    overwritten), and telemetry directories must load back through
-#    one tolerant loader: plain dirs, pipeline roots under node labels,
-#    partial writes degrading to empty artefacts, and the
-#    report/trace/top commands that read them.  Redundant with tier-1
+#    one loader: plain dirs, pipeline roots under node labels, a
+#    damaged artefact raising an error that names the file (top and
+#    report --telemetry exit 2 on it), and the report/trace/top
+#    commands that read them.  Redundant with tier-1
 #    on a full run, explicit so scoped runs still exercise it.
 echo "== telemetry merge and loading suite =="
 python -m pytest tests/test_obs_metrics.py tests/test_cli_telemetry.py -q
@@ -122,7 +123,8 @@ python -m pytest tests/test_campaign_crash_resume.py -q
 #    RetryPolicy (attempt budget, deadline, base delay) — retries,
 #    deadline kills (one fingerprint for a hung task whichever watchdog
 #    path caught it), pool collapse and degradation to in-process runs,
-#    quarantine, fail-fast and continue propagation, capture nodes
+#    quarantine, fail-fast (every node after a quarantined one
+#    blocked), plan() predicting run() per node, capture nodes
 #    retried only by the pipeline's own attempt budget, a deadline-run
 #    node keeping its telemetry, and a worker count that never re-keys
 #    the capture sweep — plus the one capture resolver (memo, then the

@@ -121,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="persistent capture-store directory (defaults "
                                "to $KEDDAH_CAPTURE_STORE); each point is "
                                "stored as it finishes, so rerunning with the "
-                               "same store resumes an interrupted campaign")
-    campaign.add_argument("--invalidate", action="store_true",
-                          help="clear the store before running")
+                               "same store resumes an interrupted campaign; "
+                               "quarantined points are recorded in "
+                               "<store>/quarantine.jsonl")
     campaign.add_argument("--retries", type=int, default=3,
                           help="attempt budget per point: transient worker "
                                "failures (broken pools, killed workers) are "
@@ -133,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-point wall-clock deadline in seconds; a "
                                "hung point is killed by the watchdog and "
                                "retried (then quarantined)")
-    campaign.add_argument("--quarantine", default=None, metavar="PATH",
-                          help="quarantine sidecar recording failure "
-                               "fingerprints of poisoned points (default: "
-                               "<store>/quarantine.jsonl, when a store is "
-                               "configured)")
     campaign.add_argument("--telemetry", default=None, metavar="DIR",
                           help="enable telemetry and write the aggregated "
                                "registry artefacts into this directory "
@@ -179,11 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cluster nodes for the base campaign")
     pipeline.add_argument("--workers", type=int, default=None,
                           help="worker processes inside the capture stage")
-    pipeline.add_argument("--on-failure", default="fail-fast",
-                          choices=["fail-fast", "continue"],
-                          help="failure propagation: stop at the first "
-                               "quarantined node / finish independent "
-                               "branches, then fail")
     pipeline.add_argument("--retries", type=int, default=3,
                           help="attempt budget per node; a capture node's "
                                "points get no retries of their own, and a "
@@ -507,12 +497,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                               scheduler=args.scheduler,
                               backend=args.backend)
     store = _resolve_store(args.store)
-    if args.invalidate:
-        if store is None:
-            print("--invalidate needs a store (--store or "
-                  "$KEDDAH_CAPTURE_STORE)")
-            return 2
-        print(f"invalidated {store.clear()} store entries in {store.root}")
     workers = args.workers if args.workers > 0 else default_workers()
     points = [CapturePoint.from_campaign(job, gb, derive_seed(args.seed, index),
                                          campaign)
@@ -521,11 +505,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.retries < 1:
         print(f"--retries must be >= 1, got {args.retries}")
         return 2
-    quarantine_path = args.quarantine
-    if quarantine_path is None and store is not None:
-        quarantine_path = store.root / "quarantine.jsonl"
-    quarantine = (Quarantine(quarantine_path)
-                  if quarantine_path is not None else None)
+    quarantine = (Quarantine(store.root / "quarantine.jsonl")
+                  if store is not None else None)
     policy = RetryPolicy(max_attempts=args.retries, deadline_s=args.deadline)
     telemetry = _telemetry_from_args(args)
     runner = CampaignRunner(store=store, workers=workers, telemetry=telemetry,
@@ -585,9 +566,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 last.classification if last else "?",
                 (f"{last.exception_type}: {last.message} "
                  f"[tb {last.traceback_sha256[:10]}]") if last else "?")
-        if quarantine is not None:
-            failed.notes.append(f"fingerprints -> {quarantine.path}")
         if store is not None:
+            failed.notes.append(f"fingerprints -> {quarantine.path}")
             failed.notes.append(
                 f"re-run with --store {store.root} to retry only the "
                 f"quarantined point(s)")
@@ -680,7 +660,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         retry_policy=RetryPolicy(max_attempts=args.retries,
                                  deadline_s=args.deadline),
         quarantine=Quarantine(root / "quarantine.jsonl"),
-        on_failure=args.on_failure,
         telemetry=telemetry,
         node_telemetry=args.telemetry)
 
@@ -1028,7 +1007,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             span_summary_table,
         )
 
-        metrics, probes, spans = load_telemetry_dir(args.telemetry)
+        try:
+            metrics, probes, spans = load_telemetry_dir(args.telemetry)
+        except ValueError as exc:
+            print(exc)
+            return 2
         print()
         print(render_table(metrics_table(
             metrics, title=f"telemetry metrics ({args.telemetry})")))
@@ -1047,7 +1030,11 @@ def cmd_top(args: argparse.Namespace) -> int:
     if not Path(args.source).is_dir():
         print(f"{args.source}: not a telemetry directory")
         return 2
-    metrics, probes, _ = load_telemetry_dir(args.source)
+    try:
+        metrics, probes, _ = load_telemetry_dir(args.source)
+    except ValueError as exc:
+        print(exc)
+        return 2
     print(render_table(metrics_table(
         metrics, title=f"cluster metrics ({args.source})")))
     if probes.series:

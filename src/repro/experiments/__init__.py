@@ -53,7 +53,6 @@ from repro.experiments.dag import (
     PipelineDAG,
     PipelineFailed,
     PipelineResult,
-    PROPAGATION_MODES,
     StageContext,
     StageNode,
     register_stage,
@@ -74,7 +73,7 @@ from repro.experiments.report import generate_report, write_report
 
 __all__ = ["CampaignConfig", "CampaignPointsFailed", "CampaignRunner",
            "CaptureStore", "CapturePoint", "DAGRunner",
-           "FailureFingerprint", "PROPAGATION_MODES", "NodeOutcome", "PipelineCycleError", "PipelineDAG",
+           "FailureFingerprint", "NodeOutcome", "PipelineCycleError", "PipelineDAG",
            "PipelineFailed", "PipelineResult", "PipelineSpec", "PointFailure",
            "Quarantine", "RetryPolicy", "ScrubReport", "StageContext",
            "StageNode", "build_pipeline", "capture", "capture_campaign",

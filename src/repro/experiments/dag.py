@@ -34,13 +34,13 @@ points run on: one :class:`~repro.experiments.supervision.RetryPolicy`,
 retry decision and deadline watchdog (a deadline runs registry stages
 on the executor's spawn pool), and a
 :class:`~repro.experiments.supervision.Quarantine` sidecar.
-Propagation is configurable — ``fail-fast`` stops scheduling at the
-first quarantined node, ``continue`` finishes every independent branch
-first; either way the run then raises :class:`PipelineFailed`, which
+:meth:`DAGRunner.plan` and :meth:`DAGRunner.run` walk the topological
+order through one per-node resolver (upstream digests -> signature ->
+node dir -> verified ``outputs.json``), so a plan names exactly the
+node dirs a run would use.  There is one failure policy, fail-fast: at
+the first ``QUARANTINED`` node every later node ends ``BLOCKED`` with
+a reason naming it, and the run raises :class:`PipelineFailed`, which
 carries the partial result.
-In both modes the descendants of a failed node are explicitly marked
-``BLOCKED`` (never silently skipped), mirroring the runner's explicit
-partial-result manifest.
 """
 
 from __future__ import annotations
@@ -71,14 +71,7 @@ DAG_FORMAT_VERSION = 1
 DONE = "done"              #: executed this run; outputs.json published
 CACHED = "cached"          #: valid outputs.json found; stage not re-run
 QUARANTINED = "quarantined"  #: attempt budget exhausted; recorded in sidecar
-BLOCKED = "blocked"        #: an upstream node failed; cannot run
-SKIPPED = "skipped"        #: unstarted when a fail-fast run aborted
-
-# -- failure propagation modes ------------------------------------------------------
-
-FAIL_FAST = "fail-fast"
-CONTINUE = "continue"
-PROPAGATION_MODES = (FAIL_FAST, CONTINUE)
+BLOCKED = "blocked"        #: not started: an earlier node was quarantined
 
 #: Env var naming node(s) in which to SIGKILL *this process* right
 #: after the node's ``node.json`` is written — the crash-injection hook
@@ -186,9 +179,6 @@ class PipelineDAG:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._nodes
-
     def validate(self) -> None:
         """Check wiring: known upstreams, known output names, no cycles."""
         for node in self._nodes.values():
@@ -235,19 +225,6 @@ class PipelineDAG:
             for upstream in node.predecessors():
                 successors.setdefault(upstream, []).append(node.name)
         return {name: sorted(group) for name, group in successors.items()}
-
-    def descendants(self, name: str) -> List[str]:
-        """Every transitive successor of ``name`` (sorted)."""
-        successors = self._successor_map()
-        seen: set = set()
-        frontier = list(successors.get(name, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(successors.get(current, ()))
-        return sorted(seen)
 
 
 # -- signatures and digests ---------------------------------------------------------
@@ -312,6 +289,12 @@ def _file_sha256(path: Path) -> str:
 
 def node_dirname(name: str, signature: str) -> str:
     return f"{name}@{signature[:12]}"
+
+
+def _output_digests(outputs: Mapping[str, Mapping[str, Any]]
+                    ) -> Dict[str, str]:
+    """Output name -> content digest, from a manifest's outputs."""
+    return {output: meta["digest"] for output, meta in outputs.items()}
 
 
 # -- stage execution context --------------------------------------------------------
@@ -415,12 +398,6 @@ class NodeOutcome:
     outputs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     reason: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "stage": self.stage, "state": self.state,
-                "signature": self.signature, "dir": self.dir,
-                "attempts": self.attempts, "outputs": self.outputs,
-                "reason": self.reason}
-
 
 class PipelineResult:
     """What one :meth:`DAGRunner.run` produced (possibly partial)."""
@@ -455,14 +432,6 @@ class PipelineResult:
             raise StageOutputMissing(
                 f"node {node!r} is {outcome.state}, not complete")
         return self.root / outcome.dir / outcome.outputs[output]["path"]
-
-    def manifest(self) -> Dict[str, Any]:
-        return {"pipeline": self.pipeline,
-                "ok": self.ok,
-                "nodes": {name: outcome.to_dict()
-                          for name, outcome in sorted(self.outcomes.items())},
-                "failures": [failure.to_dict()
-                             for failure in self.failures]}
 
 
 class PipelineFailed(RuntimeError):
@@ -500,28 +469,66 @@ class DAGRunner:
     def __init__(self, dag: PipelineDAG, root: str | Path,
                  retry_policy: Optional[RetryPolicy] = None,
                  quarantine: Optional[Quarantine] = None,
-                 on_failure: str = FAIL_FAST,
                  telemetry: Optional[Telemetry] = None,
                  node_telemetry: bool = False):
-        if on_failure not in PROPAGATION_MODES:
-            raise ValueError(f"on_failure must be one of {PROPAGATION_MODES},"
-                             f" got {on_failure!r}")
         dag.validate()
         self.dag = dag
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.quarantine = quarantine
-        self.on_failure = on_failure
         self.telemetry = telemetry or Telemetry.disabled()
         self.node_telemetry = node_telemetry
         self._registry = self.telemetry.registry
         self.executor = SupervisedExecutor(retry_policy or RetryPolicy(),
                                            self._registry, "pipeline")
 
-    # -- bookkeeping -----------------------------------------------------------------
-
     def _count(self, name: str, amount: float = 1) -> None:
         self._registry.counter(f"pipeline.{name}").inc(amount)
+
+    # -- the per-node resolver -------------------------------------------------------
+
+    def _resolve(self, node: StageNode, digests: Dict[str, Dict[str, str]]
+                 ) -> Optional[Tuple[str, str, Optional[Dict[str, Any]]]]:
+        """``(signature, root-relative node dir, verified cached outputs)``.
+
+        ``digests`` maps each settled node to its output digests.  The
+        cached outputs are None unless the node's ``outputs.json`` is
+        present, matching and verified.  Returns None when an upstream
+        digest is not known yet: that upstream has still to run.
+        """
+        upstream_digests: Dict[str, str] = {}
+        for input_name, (upstream, output) in node.in_paths.items():
+            known = digests.get(upstream, {})
+            if output not in known:
+                return None
+            upstream_digests[input_name] = known[output]
+        signature = node_signature(node, upstream_digests)
+        dirname = f"nodes/{node_dirname(node.name, signature)}"
+        return signature, dirname, self._cached_outputs(
+            node, signature, self.root / dirname)
+
+    def _cached_outputs(self, node: StageNode, signature: str, base: Path
+                        ) -> Optional[Dict[str, Dict[str, Any]]]:
+        """The completion manifest, iff present, matching and verified."""
+        try:
+            manifest = json.loads(
+                (base / "outputs.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        if (manifest.get("format") != DAG_FORMAT_VERSION
+                or manifest.get("signature") != signature):
+            return None
+        outputs = manifest.get("outputs")
+        if (not isinstance(outputs, dict)
+                or set(outputs) != set(node.out_paths)):
+            return None
+        for meta in outputs.values():
+            try:
+                if digest_path(base / meta["path"]) != meta["digest"]:
+                    return None
+            except (StageOutputMissing, OSError, KeyError, TypeError):
+                return None
+        return outputs
 
     # -- planning --------------------------------------------------------------------
 
@@ -536,144 +543,75 @@ class DAGRunner:
         signature depends on output bytes that do not exist yet).
         """
         entries: List[Dict[str, Any]] = []
-        digests: Dict[str, Dict[str, str]] = {}   # node -> output -> digest
+        digests: Dict[str, Dict[str, str]] = {}
         for name in self.dag.topological_order():
             node = self.dag.node(name)
-            upstream_digests = self._upstream_digests(node, digests)
             entry = {"node": name, "stage": node.stage,
-                     "after": node.predecessors()}
-            if upstream_digests is None:
-                entry.update(signature="", dir="", action="stale-upstream")
-                entries.append(entry)
-                continue
-            signature = node_signature(node, upstream_digests)
-            dirname = node_dirname(name, signature)
-            outputs = self._cached_outputs(node, signature)
-            entry.update(signature=signature, dir=f"nodes/{dirname}")
-            if outputs is None:
-                node_dir = self._node_dir(name, signature)
-                interrupted = ((node_dir / "node.json").is_file()
-                               and not (node_dir / "outputs.json").exists())
-                entry["action"] = "interrupted" if interrupted else "run"
-            else:
-                entry["action"] = "cached"
-                digests[name] = {output: meta["digest"]
-                                 for output, meta in outputs.items()}
+                     "after": node.predecessors(),
+                     "signature": "", "dir": "", "action": "stale-upstream"}
+            resolved = self._resolve(node, digests)
+            if resolved is not None:
+                signature, dirname, cached = resolved
+                entry.update(signature=signature, dir=dirname)
+                node_dir = self.root / dirname
+                if cached is not None:
+                    entry["action"] = "cached"
+                    digests[name] = _output_digests(cached)
+                elif ((node_dir / "node.json").is_file()
+                      and not (node_dir / "outputs.json").exists()):
+                    entry["action"] = "interrupted"
+                else:
+                    entry["action"] = "run"
             entries.append(entry)
         return entries
-
-    def _upstream_digests(self, node: StageNode,
-                          digests: Dict[str, Dict[str, str]]
-                          ) -> Optional[Dict[str, str]]:
-        """Input-name -> upstream output digest, or None if unknowable."""
-        resolved: Dict[str, str] = {}
-        for input_name, (upstream, output) in node.in_paths.items():
-            known = digests.get(upstream)
-            if known is None or output not in known:
-                return None
-            resolved[input_name] = known[output]
-        return resolved
-
-    # -- cache validity --------------------------------------------------------------
-
-    def _node_dir(self, name: str, signature: str) -> Path:
-        return self.root / "nodes" / node_dirname(name, signature)
-
-    def _cached_outputs(self, node: StageNode, signature: str
-                        ) -> Optional[Dict[str, Dict[str, Any]]]:
-        """The completion manifest, iff present, matching and verified."""
-        manifest_path = self._node_dir(node.name, signature) / "outputs.json"
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if (manifest.get("format") != DAG_FORMAT_VERSION
-                or manifest.get("signature") != signature):
-            return None
-        outputs = manifest.get("outputs")
-        if (not isinstance(outputs, dict)
-                or set(outputs) != set(node.out_paths)):
-            return None
-        base = self._node_dir(node.name, signature)
-        for meta in outputs.values():
-            try:
-                if digest_path(base / meta["path"]) != meta["digest"]:
-                    return None
-            except (StageOutputMissing, OSError, KeyError, TypeError):
-                return None
-        return outputs
 
     # -- running ---------------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        """Execute the DAG; see the class docstring for semantics."""
-        order = self.dag.topological_order()
+        """Execute the DAG in topological order, reusing verified nodes.
+
+        Fail-fast: once a node is quarantined, every later node is
+        recorded ``BLOCKED`` and :class:`PipelineFailed` is raised.
+        """
         result = PipelineResult(self.root, self.dag.name)
         digests: Dict[str, Dict[str, str]] = {}
-        blocked: Dict[str, str] = {}      # node -> failed upstream
-        aborted = False
+        failed: Optional[str] = None
         self._count("runs")
-
-        for name in order:
+        for name in self.dag.topological_order():
             node = self.dag.node(name)
-            if name in blocked:
-                outcome = NodeOutcome(
-                    name=name, stage=node.stage, state=BLOCKED,
-                    reason=f"upstream {blocked[name]} failed")
-                self._finish_node(result, outcome)
-                continue
-            if aborted:
+            if failed is not None:
                 outcome = NodeOutcome(name=name, stage=node.stage,
-                                      state=SKIPPED,
-                                      reason="fail-fast abort")
-                self._finish_node(result, outcome)
-                continue
-
-            upstream_digests = self._upstream_digests(node, digests)
-            assert upstream_digests is not None, \
-                "topological order guarantees resolved upstream digests"
-            signature = node_signature(node, upstream_digests)
-            node_dir = self._node_dir(name, signature)
-            dirname = os.path.join("nodes", node_dirname(name, signature))
-
-            cached = self._cached_outputs(node, signature)
-            if cached is not None:
-                digests[name] = {output: meta["digest"]
-                                 for output, meta in cached.items()}
-                outcome = NodeOutcome(name=name, stage=node.stage,
-                                      state=CACHED, signature=signature,
-                                      dir=dirname, outputs=cached)
-                self._finish_node(result, outcome)
-                continue
-
-            outcome = self._execute(node, signature, node_dir, dirname,
-                                    result)
-            if outcome.state == DONE:
-                digests[name] = {output: meta["digest"]
-                                 for output, meta in outcome.outputs.items()}
+                                      state=BLOCKED,
+                                      reason=f"stopped at quarantined "
+                                             f"node {failed}")
             else:
-                for descendant in self.dag.descendants(name):
-                    blocked.setdefault(descendant, name)
-                if self.on_failure == FAIL_FAST:
-                    aborted = True
-            self._finish_node(result, outcome)
-
-        if result.in_state(QUARANTINED):
+                resolved = self._resolve(node, digests)
+                assert resolved is not None, \
+                    "topological order guarantees resolved upstream digests"
+                signature, dirname, cached = resolved
+                if cached is not None:
+                    outcome = NodeOutcome(name=name, stage=node.stage,
+                                          state=CACHED, signature=signature,
+                                          dir=dirname, outputs=cached)
+                else:
+                    outcome = self._execute(node, signature, dirname, result)
+                if outcome.state == QUARANTINED:
+                    failed = name
+                else:
+                    digests[name] = _output_digests(outcome.outputs)
+            result.record(outcome)
+            self._count({DONE: "executed", CACHED: "cache_hits"}.get(
+                outcome.state, outcome.state))
+        if failed is not None:
             raise PipelineFailed(result)
         return result
 
-    def _finish_node(self, result: PipelineResult,
-                     outcome: NodeOutcome) -> None:
-        result.record(outcome)
-        self._count({DONE: "executed", CACHED: "cache_hits",
-                     QUARANTINED: "quarantined", BLOCKED: "blocked",
-                     SKIPPED: "skipped"}.get(outcome.state, outcome.state))
-
     # -- single-node execution -------------------------------------------------------
 
-    def _execute(self, node: StageNode, signature: str, node_dir: Path,
-                 dirname: str, result: PipelineResult) -> NodeOutcome:
+    def _execute(self, node: StageNode, signature: str, dirname: str,
+                 result: PipelineResult) -> NodeOutcome:
         """Run one node as a single executor task and commit it."""
+        node_dir = self.root / dirname
         inputs = self._resolve_inputs(node, result)
         self._write_descriptor(node, signature, node_dir, inputs)
         self._maybe_crash(node)

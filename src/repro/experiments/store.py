@@ -245,7 +245,7 @@ class CaptureStore:
             self._count("misses")
             return None
         try:
-            entry = self._decode(text)
+            entry = decode_entry(text)
         except _StaleEntry:
             self._count("stale")
             self._count("misses")
@@ -258,10 +258,6 @@ class CaptureStore:
         self._count("hits")
         self._count("bytes_read", len(text))
         return entry
-
-    @staticmethod
-    def _decode(text: str) -> Tuple[JobResult, JobTrace]:
-        return decode_entry(text)
 
     # -- write -------------------------------------------------------------------
 

@@ -60,7 +60,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.store import fsync_dir, write_atomic
+from repro.experiments.store import write_atomic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 
@@ -616,30 +616,24 @@ class Quarantine:
             self.failures = Quarantine.load(self.path)
 
     def record(self, failure: PointFailure) -> PointFailure:
-        """Record (or merge) one failure; returns the stored record."""
-        signature = failure.crash_signature()
-        for known in self.failures:
-            if known.crash_signature() == signature:
-                known.occurrences += failure.occurrences
-                known.attempts += failure.attempts
-                self._rewrite()
-                return known
-        self.failures.append(failure)
-        created = not self.path.exists()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(failure.to_dict(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if created:
-            fsync_dir(self.path.parent)
-        return failure
+        """Record (or merge) one failure; returns the stored record.
 
-    def _rewrite(self) -> None:
-        """Atomically re-publish the whole sidecar (after a merge)."""
-        text = "".join(json.dumps(failure.to_dict(), sort_keys=True) + "\n"
-                       for failure in self.failures)
-        write_atomic(self.path, text)
+        The whole sidecar is re-published through ``write_atomic`` each
+        time, so it is never torn and survives power loss.
+        """
+        signature = failure.crash_signature()
+        stored = next((known for known in self.failures
+                       if known.crash_signature() == signature), None)
+        if stored is None:
+            stored = failure
+            self.failures.append(failure)
+        else:
+            stored.occurrences += failure.occurrences
+            stored.attempts += failure.attempts
+        write_atomic(self.path, "".join(
+            json.dumps(known.to_dict(), sort_keys=True) + "\n"
+            for known in self.failures))
+        return stored
 
     def __len__(self) -> int:
         return len(self.failures)

@@ -47,8 +47,5 @@ class BlockLocation:
         """First replica (pipeline head; the writer's local copy)."""
         return self.replicas[0]
 
-    def on_host(self, host: Host) -> bool:
-        return host in self.replicas
-
     def racks(self) -> List[int]:
         return sorted({replica.rack for replica in self.replicas})

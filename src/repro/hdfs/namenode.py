@@ -239,10 +239,3 @@ class NameNode:
         return [location for location in self._locations.values()
                 if host in location.replicas]
 
-    def used_bytes(self, with_replicas: bool = True) -> int:
-        """Logical bytes stored, or physical bytes including replicas."""
-        total = 0
-        for location in self._locations.values():
-            factor = len(location.replicas) if with_replicas else 1
-            total += location.block.size * factor
-        return total

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import Table
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -138,18 +137,14 @@ def write_telemetry(telemetry: Telemetry, directory: str | Path) -> List[Path]:
     return paths
 
 
-def load_telemetry_dir(directory: str | Path, strict: bool = False
+def load_telemetry_dir(directory: str | Path
                        ) -> Tuple[List[Dict[str, Any]], ProbeLog, List[Span]]:
     """Read back (metrics snapshot, probe log, spans) from a directory.
 
     Missing artefacts load as empty — a campaign telemetry directory
-    has metrics but no span stream, and that is fine.  By default the
-    loader also *degrades* on damage: a directory read while a run is
-    still writing it can hold a truncated ``spans.jsonl`` or a
-    half-written ``probes.json``, which load as a :class:`UserWarning`
-    and an empty artefact instead of an exception.  Pass
-    ``strict=True`` to re-raise instead (offline analysis of a dir that
-    should be whole).
+    has metrics but no span stream, and that is fine.  A damaged one
+    (a torn ``probes.json``, a truncated ``spans.jsonl``) raises
+    :class:`ValueError` naming the file.
 
     A *pipeline* root (``keddah pipeline --dir DIR``: it has a
     ``nodes/`` of per-stage dirs, or a ``pipeline.json`` spec) loads as
@@ -159,7 +154,7 @@ def load_telemetry_dir(directory: str | Path, strict: bool = False
     """
     root = Path(directory)
     if not ((root / "nodes").is_dir() or (root / "pipeline.json").is_file()):
-        return _load_one_dir(root, strict)
+        return _load_one_dir(root)
     parts: List[Tuple[Optional[str], Path]] = [(None, root / "telemetry")]
     nodes_dir = root / "nodes"
     if nodes_dir.is_dir():
@@ -171,7 +166,7 @@ def load_telemetry_dir(directory: str | Path, strict: bool = False
     for label, part in parts:
         if not part.is_dir():
             continue
-        part_metrics, part_probes, part_spans = _load_one_dir(part, strict)
+        part_metrics, part_probes, part_spans = _load_one_dir(part)
         if label is None:
             metrics.extend(part_metrics)
         else:
@@ -184,45 +179,33 @@ def load_telemetry_dir(directory: str | Path, strict: bool = False
     return metrics, probes, spans
 
 
-def _load_one_dir(root: Path, strict: bool
+def _load_one_dir(root: Path
                   ) -> Tuple[List[Dict[str, Any]], ProbeLog, List[Span]]:
-    def _degrade(name: str, exc: Exception):
-        if strict:
-            raise exc
-        warnings.warn(f"telemetry dir {root}: unreadable {name} "
-                      f"({type(exc).__name__}: {exc}); loading it as empty",
-                      stacklevel=3)
+    return (_load_artefact(root / METRICS_JSON, _metrics_list, []),
+            _load_artefact(root / PROBES_JSON,
+                           lambda text: ProbeLog.from_dict(json.loads(text)),
+                           ProbeLog()),
+            _load_artefact(root / SPANS_JSONL,
+                           lambda text: load_spans(text.splitlines()), []))
 
-    metrics: List[Dict[str, Any]] = []
-    metrics_path = root / METRICS_JSON
-    if metrics_path.is_file():
-        try:
-            loaded = json.loads(metrics_path.read_text(encoding="utf-8"))
-            if not isinstance(loaded, list):
-                raise ValueError(f"expected a JSON list, got "
-                                 f"{type(loaded).__name__}")
-            metrics = loaded
-        except (OSError, ValueError) as exc:
-            _degrade(METRICS_JSON, exc)
-    probes = ProbeLog()
-    probes_path = root / PROBES_JSON
-    if probes_path.is_file():
-        try:
-            probes = ProbeLog.from_dict(
-                json.loads(probes_path.read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError, TypeError,
-                AttributeError) as exc:
-            _degrade(PROBES_JSON, exc)
-            probes = ProbeLog()
-    spans: List[Span] = []
-    spans_path = root / SPANS_JSONL
-    if spans_path.is_file():
-        try:
-            spans = load_spans(str(spans_path), strict=strict)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            _degrade(SPANS_JSONL, exc)
-            spans = []
-    return metrics, probes, spans
+
+def _metrics_list(text: str) -> List[Dict[str, Any]]:
+    loaded = json.loads(text)
+    if not isinstance(loaded, list):
+        raise ValueError(f"expected a JSON list, got {type(loaded).__name__}")
+    return loaded
+
+
+def _load_artefact(path: Path, parse: Callable[[str], Any],
+                   missing: Any) -> Any:
+    """Parse one artefact; ``missing`` if absent, ValueError if damaged."""
+    if not path.is_file():
+        return missing
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"damaged telemetry artefact {path} "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 # -- human tables --------------------------------------------------------------------

@@ -90,9 +90,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "gauge", "name": self.name,
                 "labels": dict(self.labels), "value": self.value}

@@ -163,37 +163,14 @@ class Tracer:
 # -- reading span files -------------------------------------------------------------
 
 
-def load_spans(source: Union[str, Iterable[str]],
-               strict: bool = True) -> List[Span]:
-    """Read spans back from a JSONL path (or iterable of lines).
-
-    With ``strict=False`` damaged lines — a truncated tail from a file
-    still being streamed, a torn write — are skipped (with one summary
-    warning) instead of raising, so live readers degrade gracefully.
-    """
+def load_spans(source: Union[str, Iterable[str]]) -> List[Span]:
+    """Read spans back from a JSONL path (or iterable of lines)."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     else:
         lines = list(source)
-    if strict:
-        return [Span.from_dict(json.loads(line))
-                for line in lines if line.strip()]
-    spans: List[Span] = []
-    skipped = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            spans.append(Span.from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError):
-            skipped += 1
-    if skipped:
-        import warnings
-
-        warnings.warn(f"span stream: skipped {skipped} unparseable "
-                      f"line(s) (mid-write or torn tail)", stacklevel=2)
-    return spans
+    return [Span.from_dict(json.loads(line)) for line in lines if line.strip()]
 
 
 def span_children(spans: Iterable[Span]) -> Dict[Optional[int], List[Span]]:

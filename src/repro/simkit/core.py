@@ -123,7 +123,7 @@ class Signal(_Waitable):
     throwing ``exc`` into them.
     """
 
-    __slots__ = ("sim", "name", "_fired", "_payload", "_exception", "_waiters", "_callbacks")
+    __slots__ = ("sim", "name", "_fired", "_payload", "_exception", "_waiters")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -131,12 +131,11 @@ class Signal(_Waitable):
         self._fired = False
         self._payload: Any = None
         self._exception: Optional[BaseException] = None
-        # Waiter/callback lists are allocated on first registration:
-        # most signals in a large run (flow completions nobody waits
-        # on) fire with zero waiters, so the two empty lists would be
-        # pure allocation overhead.
+        # The waiter list is allocated on first registration: most
+        # signals in a large run (flow completions nobody waits on)
+        # fire with zero waiters, so an empty list would be pure
+        # allocation overhead.
         self._waiters: Optional[List[Process]] = None
-        self._callbacks: Optional[List[Callable[[Any], None]]] = None
 
     @property
     def fired(self) -> bool:
@@ -146,28 +145,15 @@ class Signal(_Waitable):
     def payload(self) -> Any:
         return self._payload
 
-    def on_fire(self, callback: Callable[[Any], None]) -> None:
-        """Register a plain callback invoked with the payload on fire."""
-        if self._fired:
-            self.sim.schedule(0.0, callback, self._payload)
-        elif self._callbacks is None:
-            self._callbacks = [callback]
-        else:
-            self._callbacks.append(callback)
-
     def fire(self, payload: Any = None) -> None:
         if self._fired:
             raise SimulationError(f"signal {self.name!r} fired twice")
         self._fired = True
         self._payload = payload
         waiters, self._waiters = self._waiters, None
-        callbacks, self._callbacks = self._callbacks, None
         if waiters:
             for process in waiters:
                 self.sim.schedule(0.0, process._resume, payload)
-        if callbacks:
-            for callback in callbacks:
-                self.sim.schedule(0.0, callback, payload)
 
     def fail(self, exception: BaseException) -> None:
         """Fire the signal exceptionally: waiters get ``exception`` thrown."""
@@ -176,7 +162,6 @@ class Signal(_Waitable):
         self._fired = True
         self._exception = exception
         waiters, self._waiters = self._waiters, None
-        self._callbacks = None
         if waiters:
             for process in waiters:
                 self.sim.schedule(0.0, process._throw, exception)

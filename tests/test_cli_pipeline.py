@@ -143,8 +143,7 @@ def test_run_failure_returns_nonzero_and_keeps_partial_work(tmp_path,
     # deadline that no capture stage can meet.
     root = tmp_path / "pl"
     code = main(["pipeline", "run", "--dir", str(root), *TINY,
-                 "--deadline", "0.000001", "--retries", "1",
-                 "--on-failure", "continue"])
+                 "--deadline", "0.000001", "--retries", "1"])
     assert code == 1
     out = capsys.readouterr().out
     assert "quarantined" in out

@@ -96,28 +96,25 @@ def test_cli_top_rejects_bogus_source(capsys):
 # -- the telemetry-dir loader --------------------------------------------------------
 
 
-def test_load_telemetry_dir_degrades_on_partial_writes(telemetry_run,
-                                                       tmp_path):
-    _, tel_dir = telemetry_run
-    torn = shutil.copytree(tel_dir, tmp_path / "tel")
-    # A torn probes.json and a truncated spans.jsonl, mid-stream.
+def test_load_telemetry_dir_raises_naming_damaged_file(telemetry_run,
+                                                        tmp_path, capsys):
+    trace_path, tel_dir = telemetry_run
+    torn = shutil.copytree(tel_dir, tmp_path / "torn")
     (torn / "probes.json").write_text('{"net.active_flows": {"na')
-    spans_path = torn / "spans.jsonl"
+    with pytest.raises(ValueError, match="probes.json"):
+        load_telemetry_dir(torn)
+    assert main(["top", str(torn)]) == 2
+    assert "probes.json" in capsys.readouterr().out
+
+    truncated = shutil.copytree(tel_dir, tmp_path / "truncated")
+    spans_path = truncated / "spans.jsonl"
     spans_path.write_bytes(spans_path.read_bytes()[:-20])
-    with pytest.warns(UserWarning, match="probes.json"):
-        metrics, probes, spans = load_telemetry_dir(torn)
-    assert probes.series == {}
-    assert metrics  # metrics.json survived
-    assert spans  # parseable prefix survived the truncated tail
-
-
-def test_load_telemetry_dir_strict_still_raises(tmp_path):
-    (tmp_path / "metrics.json").write_text("[not json")
-    with pytest.warns(UserWarning, match="metrics.json"):
-        metrics, _, _ = load_telemetry_dir(tmp_path)
-    assert metrics == []
-    with pytest.raises(ValueError):
-        load_telemetry_dir(tmp_path, strict=True)
+    with pytest.raises(ValueError, match="spans.jsonl"):
+        load_telemetry_dir(truncated)
+    capsys.readouterr()
+    assert main(["report", str(trace_path),
+                 "--telemetry", str(truncated)]) == 2
+    assert "spans.jsonl" in capsys.readouterr().out
 
 
 def _fake_pipeline_dir(tmp_path):

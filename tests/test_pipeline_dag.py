@@ -1,4 +1,4 @@
-"""The crash-safe pipeline DAG: wiring, caching, checkpoints, propagation."""
+"""The crash-safe pipeline DAG: wiring, caching, checkpoints, fail-fast."""
 
 import dataclasses
 import shutil
@@ -8,11 +8,8 @@ import pytest
 from repro.experiments.dag import (
     BLOCKED,
     CACHED,
-    CONTINUE,
     DONE,
-    FAIL_FAST,
     QUARANTINED,
-    SKIPPED,
     DAGRunner,
     PipelineCycleError,
     PipelineDAG,
@@ -109,13 +106,6 @@ def test_bad_wiring_is_rejected():
     dag4.add(StageNode("n", "emit", out_paths={"out": "n.txt"}))
     with pytest.raises(PipelineDefinitionError, match="duplicate"):
         dag4.add(StageNode("n", "emit", out_paths={"out": "n.txt"}))
-
-
-def test_descendants_are_transitive():
-    dag = _chain(None)
-    assert dag.descendants("a") == ["b", "c"]
-    assert dag.descendants("b") == ["c"]
-    assert dag.descendants("z-indep") == []
 
 
 # -- signatures and digests ---------------------------------------------------------
@@ -262,49 +252,79 @@ def test_tampered_output_bytes_fail_verification(tmp_path):
 def test_started_but_uncommitted_node_plans_as_interrupted(tmp_path):
     root = tmp_path / "pl"
     with pytest.raises(PipelineFailed):
-        DAGRunner(_chain(tmp_path, poison="b"), root, retry_policy=ONE_SHOT,
-                  on_failure=CONTINUE).run()
+        DAGRunner(_chain(tmp_path, poison="b"), root,
+                  retry_policy=ONE_SHOT).run()
     # b wrote node.json before its attempt and never published
-    # outputs.json; c never started.
+    # outputs.json; c and z-indep (after b in topological order) never
+    # started.
     runner = DAGRunner(_chain(tmp_path), root, retry_policy=ONE_SHOT)
     actions = {entry["node"]: entry["action"] for entry in runner.plan()}
     assert actions == {"a": "cached", "b": "interrupted",
-                       "c": "stale-upstream", "z-indep": "cached"}
+                       "c": "stale-upstream", "z-indep": "run"}
     assert runner.run().states() == {"a": CACHED, "b": DONE, "c": DONE,
-                                     "z-indep": CACHED}
+                                     "z-indep": DONE}
 
 
-# -- failure propagation ------------------------------------------------------------
+# -- plan predicts run ---------------------------------------------------------------
+
+#: Which run states each plan action allows: a ``stale-upstream`` node
+#: re-runs, or stays cached when its upstream reproduced the same bytes
+#: (early cutoff).
+PLAN_PREDICTS = {"cached": {CACHED}, "run": {DONE}, "interrupted": {DONE},
+                 "stale-upstream": {DONE, CACHED}}
+
+
+def _assert_plan_predicts_run(dag, root):
+    runner = DAGRunner(dag, root, retry_policy=ONE_SHOT)
+    plan = {entry["node"]: entry for entry in runner.plan()}
+    result = runner.run()
+    for name, outcome in result.outcomes.items():
+        action = plan[name]["action"]
+        assert outcome.state in PLAN_PREDICTS[action], (name, action,
+                                                        outcome.state)
+        if action != "stale-upstream":
+            assert plan[name]["dir"] == outcome.dir
+    return plan
+
+
+def test_plan_predicts_run_on_cold_complete_interrupted_and_edited_roots(
+        tmp_path):
+    cold = _assert_plan_predicts_run(_chain(tmp_path), tmp_path / "cold")
+    assert {entry["action"] for entry in cold.values()} == {
+        "run", "stale-upstream"}
+
+    complete = _assert_plan_predicts_run(_chain(tmp_path), tmp_path / "cold")
+    assert {entry["action"] for entry in complete.values()} == {"cached"}
+
+    interrupted_root = tmp_path / "interrupted"
+    with pytest.raises(PipelineFailed):
+        DAGRunner(_chain(tmp_path, poison="b"), interrupted_root,
+                  retry_policy=ONE_SHOT).run()
+    interrupted = _assert_plan_predicts_run(_chain(tmp_path),
+                                            interrupted_root)
+    assert interrupted["b"]["action"] == "interrupted"
+
+    edited = _assert_plan_predicts_run(
+        _chain(tmp_path, config={"b": {"tuned": True}}), tmp_path / "cold")
+    assert {name: entry["action"] for name, entry in edited.items()} == {
+        "a": "cached", "b": "run", "c": "stale-upstream", "z-indep": "cached"}
+
+
+# -- fail-fast ----------------------------------------------------------------------
 
 
 def test_fail_fast_blocks_descendants_and_skips_the_rest(tmp_path):
     runner = DAGRunner(_chain(tmp_path, poison="b"), tmp_path / "pl",
-                       retry_policy=ONE_SHOT, on_failure=FAIL_FAST)
+                       retry_policy=ONE_SHOT)
     with pytest.raises(PipelineFailed) as err:
         runner.run()
     result = err.value.result
     assert result.states() == {"a": DONE, "b": QUARANTINED, "c": BLOCKED,
-                               "z-indep": SKIPPED}
+                               "z-indep": BLOCKED}
+    assert all("b" in result.outcomes[name].reason
+               for name in ("c", "z-indep"))
     assert not result.ok
     assert result.failures and result.failures[0].attempts == 1
-
-
-def test_continue_finishes_independent_branches_then_raises(tmp_path):
-    runner = DAGRunner(_chain(tmp_path, poison="b"), tmp_path / "pl",
-                       retry_policy=ONE_SHOT, on_failure=CONTINUE)
-    with pytest.raises(PipelineFailed) as err:
-        runner.run()
-    result = err.value.result
-    assert result.states() == {"a": DONE, "b": QUARANTINED, "c": BLOCKED,
-                               "z-indep": DONE}
-    manifest = result.manifest()
-    assert manifest["ok"] is False
-    assert manifest["nodes"]["c"]["state"] == BLOCKED
-
-
-def test_bad_propagation_mode_is_rejected(tmp_path):
-    with pytest.raises(ValueError, match="on_failure"):
-        DAGRunner(_chain(tmp_path), tmp_path / "pl", on_failure="explode")
 
 
 # -- retries and quarantine ---------------------------------------------------------
@@ -332,8 +352,7 @@ def test_quarantine_sidecar_dedupes_across_resume_cycles(tmp_path):
     for _ in range(2):
         runner = DAGRunner(_chain(tmp_path, poison="b"), root,
                            retry_policy=ONE_SHOT,
-                           quarantine=Quarantine(root / "quarantine.jsonl"),
-                           on_failure=CONTINUE)
+                           quarantine=Quarantine(root / "quarantine.jsonl"))
         with pytest.raises(PipelineFailed):
             runner.run()
     failures = Quarantine.load(root / "quarantine.jsonl")

@@ -156,20 +156,6 @@ def test_signal_fail_throws_into_waiter():
     assert caught == ["boom"]
 
 
-def test_signal_on_fire_callback():
-    sim = Simulator()
-    got = []
-    signal = sim.signal()
-    signal.on_fire(got.append)
-    sim.schedule(1.0, signal.fire, "x")
-    sim.run()
-    assert got == ["x"]
-    # Registering after fire still delivers.
-    signal.on_fire(got.append)
-    sim.run()
-    assert got == ["x", "x"]
-
-
 def test_interrupt_waiting_process():
     sim = Simulator()
     trace = []
