@@ -76,7 +76,7 @@ def test_campaign_survives_sigkilled_worker():
         points = _points(tmp)
         runner = CampaignRunner(
             store=None, workers=WORKERS,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01))
+            retry_policy=RetryPolicy(max_attempts=3))
         started = time.perf_counter()
         outcomes = runner.run(points)
         stressed_s = time.perf_counter() - started

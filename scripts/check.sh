@@ -120,11 +120,13 @@ python -m pytest tests/test_campaign_crash_resume.py -q
 
 # 9b. Supervised-executor suite: campaign points and pipeline nodes
 #    run on one executor (experiments/supervision.py) under one
-#    RetryPolicy (attempt budget, deadline, base delay) — retries,
-#    deadline kills (one fingerprint for a hung task whichever watchdog
-#    path caught it), pool collapse and degradation to in-process runs,
-#    quarantine, fail-fast (every node after a quarantined one
-#    blocked), plan() predicting run() per node, capture nodes
+#    RetryPolicy (attempt budget, deadline) — retries, deadline kills
+#    (one fingerprint for a hung task whichever watchdog path caught
+#    it), worker deaths charged to the one attempt budget (a task that
+#    kills every worker it runs on is quarantined and its caller
+#    lives), quarantine and its damaged-sidecar error, fail-fast
+#    (every node after a quarantined one blocked), plan() predicting
+#    run() per node, capture nodes
 #    retried only by the pipeline's own attempt budget, a deadline-run
 #    node keeping its telemetry, and a worker count that never re-keys
 #    the capture sweep — plus the one capture resolver (memo, then the

@@ -125,10 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "quarantined points are recorded in "
                                "<store>/quarantine.jsonl")
     campaign.add_argument("--retries", type=int, default=3,
-                          help="attempt budget per point: transient worker "
-                               "failures (broken pools, killed workers) are "
-                               "retried with deterministic backoff up to this "
-                               "many attempts before quarantine")
+                          help="attempt budget per point: every failed "
+                               "attempt counts, a killed worker's too, and "
+                               "transient failures are retried at once up "
+                               "to this many attempts before quarantine")
     campaign.add_argument("--deadline", type=float, default=None, metavar="S",
                           help="per-point wall-clock deadline in seconds; a "
                                "hung point is killed by the watchdog and "
@@ -505,8 +505,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.retries < 1:
         print(f"--retries must be >= 1, got {args.retries}")
         return 2
-    quarantine = (Quarantine(store.root / "quarantine.jsonl")
-                  if store is not None else None)
+    try:
+        quarantine = (Quarantine(store.root / "quarantine.jsonl")
+                      if store is not None else None)
+    except ValueError as exc:
+        print(exc)
+        return 2
     policy = RetryPolicy(max_attempts=args.retries, deadline_s=args.deadline)
     telemetry = _telemetry_from_args(args)
     runner = CampaignRunner(store=store, workers=workers, telemetry=telemetry,
@@ -655,11 +659,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if args.retries < 1:
         print(f"--retries must be >= 1, got {args.retries}")
         return 2
+    try:
+        quarantine = Quarantine(root / "quarantine.jsonl")
+    except ValueError as exc:
+        print(exc)
+        return 2
     runner = DAGRunner(
         dag, root,
         retry_policy=RetryPolicy(max_attempts=args.retries,
                                  deadline_s=args.deadline),
-        quarantine=Quarantine(root / "quarantine.jsonl"),
+        quarantine=quarantine,
         telemetry=telemetry,
         node_telemetry=args.telemetry)
 

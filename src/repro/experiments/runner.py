@@ -25,15 +25,16 @@ as JSONL.
 
 Simulation runs on the
 :class:`~repro.experiments.supervision.SupervisedExecutor`, the same
-executor pipeline nodes run on: transient failures are retried with
-deterministic backoff, a deadline kills hung workers, and points that
-exhaust their budget are quarantined while the campaign *completes*:
+executor pipeline nodes run on: every failed attempt, a dead worker
+included, is charged to its point and transient failures are retried
+at once, a deadline kills hung workers, and points that exhaust their
+budget are quarantined while the campaign *completes*:
 :meth:`CampaignRunner.run` then raises
 :class:`~repro.experiments.supervision.CampaignPointsFailed`, which
 carries the partial result set.  Its actions count on the registry as
-``campaign.retries``, ``campaign.deadline_kills``,
-``campaign.pool_failures`` and ``campaign.degraded_serial``, next to
-the runner's own ``campaign.*`` resolution counters.
+``campaign.retries``, ``campaign.deadline_kills`` and
+``campaign.pool_failures``, next to the runner's own ``campaign.*``
+resolution counters.
 :func:`derive_seed` is the one seed rule every entry path uses.
 """
 
@@ -288,7 +289,7 @@ def _simulate(point: CapturePoint, telemetry: Telemetry,
 _RUNNER_STAT_FIELDS = ("points", "points_completed", "store_hits",
                        "simulated", "parallel_simulated",
                        "retries", "deadline_kills", "quarantined",
-                       "pool_failures", "degraded_serial")
+                       "pool_failures")
 
 
 class CampaignRunner:
@@ -301,7 +302,7 @@ class CampaignRunner:
     :class:`~repro.experiments.supervision.SupervisedExecutor`):
 
     ``retry_policy``
-        attempt budget, backoff and per-point deadline
+        attempt budget and per-point deadline
         (:class:`~repro.experiments.supervision.RetryPolicy`).  Deadline
         enforcement needs process isolation, so a configured deadline
         routes even ``workers == 1`` runs through a one-worker pool.

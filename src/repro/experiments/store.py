@@ -41,7 +41,9 @@ entry — and a published entry survives power loss, not just process
 kill.
 Reads are corruption-tolerant: any parse/validation failure is counted
 and treated as a miss, and the next :meth:`put` simply overwrites the
-bad file.
+bad file.  :meth:`CaptureStore.get` and :meth:`CaptureStore.verify`
+judge an entry by one rule: it decodes, and its embedded key hashes to
+its file name.
 """
 
 from __future__ import annotations
@@ -195,7 +197,20 @@ def decode_entry(text: str) -> Tuple[Any, JobTrace]:
 
 def entry_key(text: str) -> Dict[str, Any]:
     """The canonical key embedded in an entry payload's header."""
-    return json.loads(text.splitlines()[0])["store"]["key"]
+    return json.loads(text.partition("\n")[0])["store"]["key"]
+
+
+def _checked_entry(text: str, digest: str) -> Tuple[Any, JobTrace]:
+    """Decode an entry filed under ``digest``: the one validity rule.
+
+    Raises what :func:`decode_entry` raises, and :class:`_MisfiledEntry`
+    when the embedded key does not hash to ``digest`` (a renamed or
+    copied file would otherwise answer for another point).
+    """
+    entry = decode_entry(text)
+    if key_hash(entry_key(text)) != digest:
+        raise _MisfiledEntry(digest)
+    return entry
 
 
 #: The counters a store keeps on its registry as ``store.<name>``.
@@ -238,20 +253,21 @@ class CaptureStore:
 
     def get(self, key: Dict[str, Any]) -> Optional[Tuple[JobResult, JobTrace]]:
         """Look up a capture point; None on miss/corruption/staleness."""
-        path = self.entry_path(key_hash(key))
+        digest = key_hash(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = self.entry_path(digest).read_text(encoding="utf-8")
         except OSError:
             self._count("misses")
             return None
         try:
-            entry = decode_entry(text)
+            entry = _checked_entry(text, digest)
         except _StaleEntry:
             self._count("stale")
             self._count("misses")
             return None
         except Exception:
-            # Truncated write, disk corruption, foreign file: re-simulate.
+            # Truncated write, disk corruption, foreign or misfiled
+            # file: re-simulate.
             self._count("corrupt")
             self._count("misses")
             return None
@@ -339,11 +355,11 @@ class CaptureStore:
             try:
                 text = path.read_text(encoding="utf-8")
                 report.bytes_scanned += len(text)
-                decode_entry(text)
-                if key_hash(entry_key(text)) != path.stem:
-                    problem = "mismatched"
+                _checked_entry(text, path.stem)
             except _StaleEntry:
                 problem = "stale"
+            except _MisfiledEntry:
+                problem = "mismatched"
             except Exception:
                 problem = "corrupt"
             if problem is None:
@@ -406,6 +422,10 @@ class ScrubReport:
 
 class _StaleEntry(Exception):
     """Entry written under a different TRACE_FORMAT_VERSION."""
+
+
+class _MisfiledEntry(Exception):
+    """Entry whose embedded key does not hash to its file name."""
 
 
 def store_from_env(environ: Optional[Dict[str, str]] = None,

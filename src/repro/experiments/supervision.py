@@ -16,11 +16,8 @@ one executor both the
   pure function on the same inputs re-raises the same exception);
   *deadline* expiries sit in between (a hang may be load-dependent, so
   they retry like transients).
-* **retry policy** (:class:`RetryPolicy`) — attempt budget, per-task
-  wall-clock deadline, and a base delay for exponential backoff whose
-  jitter is derived deterministically from the task key, so two runs
-  of the same campaign sleep identically (no ``random`` in the control
-  path).  The growth factor, cap and jitter are module constants.
+* **retry policy** (:class:`RetryPolicy`) — the attempt budget and the
+  per-task wall-clock deadline.  A retry runs at once.
 * **failure fingerprints** (:class:`FailureFingerprint`) — exception
   type + message + a hash of the normalised traceback, so repeated
   failures of the same point are recognisably "the same crash".
@@ -28,10 +25,8 @@ one executor both the
   decision: count the failed attempt, fingerprint it, ask the policy.
 * **the executor** (:class:`SupervisedExecutor`) — runs keyed tasks
   in-process or on one spawn pool, charges every failed attempt to its
-  ledger, kills workers that miss the deadline, reschedules the
-  collateral victims of a broken pool free of charge, falls back to
-  in-process execution after :data:`POOL_FAILURE_LIMIT` consecutive
-  pool collapses, and folds each worker's registry snapshot into the
+  ledger (a worker death included), kills workers that miss the
+  deadline, and folds each worker's registry snapshot into the
   caller's registry under the worker's label.
 * **quarantine** (:class:`Quarantine`) — a ``quarantine.jsonl`` sidecar
   recording each poisoned task's fingerprints; the run completes with
@@ -161,28 +156,15 @@ class FailureFingerprint:
                 f"[{self.classification}, tb {self.traceback_sha256[:10]}]")
 
 
-#: Backoff shape: each retry waits ``BACKOFF`` times longer than the
-#: last, stretched by up to ``JITTER`` of itself and capped at
-#: ``MAX_DELAY`` seconds.
-BACKOFF = 2.0
-MAX_DELAY = 5.0
-JITTER = 0.5
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Attempt budget, deadline and deterministic backoff for one campaign.
+    """Attempt budget and per-task deadline for one campaign or pipeline.
 
-    ``delay`` grows exponentially per attempt from ``base_delay`` and
-    is jittered by a hash of ``(key, attempt)`` — deterministic, so a
-    re-run of the same campaign schedules retries identically (the same
-    property the simulator's seeded RNG gives simulated randomness).
-    ``base_delay=0`` retries without sleeping.  Deterministic failures
-    are never retried: re-running a pure function re-raises.
+    A retry runs at once.  Deterministic failures are never retried:
+    re-running a pure function re-raises.
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.05
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -195,15 +177,6 @@ class RetryPolicy:
         """May a point that has already burned ``attempts`` try again?"""
         return (attempts < self.max_attempts
                 and classification != DETERMINISTIC)
-
-    def delay(self, key: str, attempts: int) -> float:
-        """Backoff before attempt ``attempts + 1`` of point ``key``."""
-        if self.base_delay <= 0:
-            return 0.0
-        raw = self.base_delay * (BACKOFF ** max(0, attempts - 1))
-        digest = hashlib.sha256(f"{key}:{attempts}".encode()).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return min(MAX_DELAY, raw * (1.0 + JITTER * unit))
 
 
 @dataclass
@@ -218,19 +191,17 @@ class AttemptLedger:
     attempts: int = 0
     fingerprints: List[FailureFingerprint] = field(default_factory=list)
 
-    def charge(self, exc: BaseException) -> Optional[float]:
-        """Charge one failed attempt.
+    def charge(self, exc: BaseException) -> bool:
+        """Charge one failed attempt; may the work try again?
 
-        Returns the backoff before the next attempt, or ``None`` when
-        the budget is spent and the work must be quarantined.
+        ``False`` means the budget is spent and the work must be
+        quarantined.
         """
         self.attempts += 1
         fingerprint = FailureFingerprint.from_exception(exc)
         self.fingerprints.append(fingerprint)
-        if not self.policy.should_retry(fingerprint.classification,
-                                        self.attempts):
-            return None
-        return self.policy.delay(self.key, self.attempts)
+        return self.policy.should_retry(fingerprint.classification,
+                                        self.attempts)
 
     def failure(self, job: str, input_gb: float = 0.0,
                 seed: int = 0) -> "PointFailure":
@@ -246,11 +217,6 @@ def terminate_workers(pool: ProcessPoolExecutor) -> None:
             process.terminate()
         except Exception:
             pass
-
-
-#: Consecutive organic pool collapses (a worker died underneath, not
-#: a watchdog kill) after which the executor runs the rest in-process.
-POOL_FAILURE_LIMIT = 3
 
 
 #: How the watchdog polls in-flight tasks when a deadline is set
@@ -324,19 +290,23 @@ class SupervisedExecutor:
     :class:`ProcessPoolExecutor` of up to ``workers`` processes — fresh
     interpreters, so fork-safety of the simulator's global state is
     never relied on.  Either way every failed attempt is charged to the
-    task's :class:`AttemptLedger`, and the supervision actions count on
-    ``registry`` as ``<prefix>.retries``, ``<prefix>.deadline_kills``,
-    ``<prefix>.pool_failures`` and ``<prefix>.degraded_serial``.
+    task's :class:`AttemptLedger` and retried at once while the budget
+    lasts, and the supervision actions count on ``registry`` as
+    ``<prefix>.retries``, ``<prefix>.deadline_kills`` and
+    ``<prefix>.pool_failures``.
 
     On the pool the parent is the watchdog: a task running longer than
     ``policy.deadline_s`` (timed from when a worker started it) has its
     workers terminated and is charged a :class:`DeadlineExpired`
     attempt; so is one whose result shows it overran between ticks.
-    A worker that dies underneath (SIGKILL, OOM) breaks the whole pool
-    and fails every in-flight task; those collateral victims are
-    rescheduled free of charge, and after :data:`POOL_FAILURE_LIMIT`
-    consecutive such collapses the rest run in-process.  A pool task's
-    registry snapshot is merged into ``registry`` when it succeeds.
+    The kill breaks the pool under every other in-flight task, and
+    those collateral victims are rescheduled free of charge.  A worker
+    that dies underneath (SIGKILL, OOM) breaks the pool too: with one
+    task in flight the death is charged to that task as a transient
+    :class:`BrokenProcessPool` attempt; with several, none is charged
+    and each of them then runs alone, one per round, until it settles,
+    so a repeat death names its own cause.  A pool task's registry
+    snapshot is merged into ``registry`` when it succeeds.
     """
 
     def __init__(self, policy: RetryPolicy, registry: MetricsRegistry,
@@ -383,14 +353,13 @@ class SupervisedExecutor:
         return failed
 
     def _charge(self, ledger: AttemptLedger, exc: BaseException,
-                failed: List[AttemptLedger]) -> Optional[float]:
-        """Charge one failed attempt: the backoff, or None once spent."""
-        delay = ledger.charge(exc)
-        if delay is None:
-            failed.append(ledger)
-        else:
+                failed: List[AttemptLedger]) -> bool:
+        """Charge one failed attempt; may the task try again?"""
+        if ledger.charge(exc):
             self._count("retries")
-        return delay
+            return True
+        failed.append(ledger)
+        return False
 
     def _settle(self, call: Callable[[Any, Telemetry], Any], item: Any,
                 ledger: AttemptLedger, telemetry: Telemetry,
@@ -401,11 +370,9 @@ class SupervisedExecutor:
             try:
                 value = call(item, telemetry)
             except Exception as exc:
-                delay = self._charge(ledger, exc, failed)
-                if delay is None:
-                    return
-                time.sleep(delay)
-                continue
+                if self._charge(ledger, exc, failed):
+                    continue
+                return
             on_done(ledger, value)
             return
 
@@ -416,10 +383,12 @@ class SupervisedExecutor:
         deadline = self.policy.deadline_s
         items = dict(tasks)
         ledgers = {key: AttemptLedger(key, self.policy) for key in items}
-        # Unresolved task -> when its next attempt may start (backoff).
-        ready_at = {key: 0.0 for key in items}
+        # Unresolved tasks, in task order.
+        pending = list(items)
+        # Tasks in flight when a worker died under several of them: each
+        # runs alone until it settles, so a repeat death is charged to it.
+        suspects: set = set()
         config = telemetry.config()
-        consecutive_breaks = 0
         pool: Optional[ProcessPoolExecutor] = None
         # Workers post task starts here when a deadline is set.  Each
         # pool gets its own queue: a worker killed mid-post can leave a
@@ -427,11 +396,8 @@ class SupervisedExecutor:
         starts: Optional[Any] = None
 
         def fail(key: str, exc: BaseException) -> None:
-            delay = self._charge(ledgers[key], exc, failed)
-            if delay is None:
-                del ready_at[key]
-            else:
-                ready_at[key] = time.monotonic() + delay
+            if not self._charge(ledgers[key], exc, failed):
+                pending.remove(key)
 
         def expire(key: str) -> None:
             # One wording, with no measured time in it, for both the
@@ -442,38 +408,28 @@ class SupervisedExecutor:
                 f"task {key[:12]} exceeded its {deadline}s deadline"))
 
         try:
-            while ready_at:
-                if consecutive_breaks >= POOL_FAILURE_LIMIT:
-                    # Graceful degradation: the pool keeps collapsing,
-                    # so finish in-process (no deadline — there is
-                    # nothing left to kill safely).
-                    rest = [key for key in items if key in ready_at]
-                    self._count("degraded_serial", len(rest))
-                    for key in rest:
-                        self._settle(call, items[key], ledgers[key],
-                                     telemetry, on_done, failed)
-                    return
-                backoff = min(ready_at.values()) - time.monotonic()
-                if backoff > 0:
-                    time.sleep(backoff)
+            while pending:
                 if pool is None:
                     context = get_context("spawn")
                     starts = context.Queue() if deadline is not None else None
                     pool = ProcessPoolExecutor(
-                        max_workers=min(self.workers, len(ready_at)),
+                        max_workers=min(self.workers, len(pending)),
                         mp_context=context,
                         initializer=_install_start_queue, initargs=(starts,))
                 now = time.monotonic()
+                batch = [key for key in pending if key in suspects][:1]
                 futures = {pool.submit(_run_observed, call, items[key],
                                        config, key): key
-                           for key in items
-                           if key in ready_at and ready_at[key] <= now}
+                           for key in batch or pending}
                 expired: set = set()
                 started: Dict[str, float] = {}
-                killed = broke = False
+                # Tasks the pool collapsed under (the watchdog killed
+                # it, or a worker died), settled once the round is over.
+                # A task's own OSError arrives as a plain exception.
+                broken: Dict[str, BaseException] = {}
                 remaining = set(futures)
                 while remaining:
-                    watching = deadline is not None and not broke
+                    watching = deadline is not None and not broken
                     done, remaining = wait(
                         remaining, timeout=_WATCHDOG_TICK if watching else None,
                         return_when=FIRST_COMPLETED)
@@ -481,16 +437,8 @@ class SupervisedExecutor:
                         key = futures[future]
                         try:
                             value, snapshot, source, ran = future.result()
-                        except BrokenExecutor:
-                            # The pool collapsed under this task: the
-                            # watchdog killed it, or a worker died.  Only
-                            # the expired task is charged; collateral
-                            # victims are rescheduled free — their
-                            # failure says nothing about them.  (A task's
-                            # own OSError arrives as a plain exception.)
-                            broke = True
-                            if key in expired:
-                                expire(key)
+                        except BrokenExecutor as exc:
+                            broken[key] = exc
                             continue
                         except Exception as exc:
                             # The task itself failed in a healthy worker.
@@ -501,7 +449,7 @@ class SupervisedExecutor:
                             expire(key)
                             continue
                         telemetry.registry.merge(snapshot, worker=source)
-                        del ready_at[key]
+                        pending.remove(key)
                         on_done(ledgers[key], value)
                     if watching:
                         _drain_starts(starts, started, since=now)
@@ -512,17 +460,24 @@ class SupervisedExecutor:
                         if overdue:
                             expired.update(overdue)
                             self._count("deadline_kills", len(overdue))
-                            killed = True
                             terminate_workers(pool)
-                # Only an organic collapse (not the watchdog's own
-                # kill) counts toward degrading to in-process runs.
-                organic = broke and not killed
-                consecutive_breaks = consecutive_breaks + 1 if organic else 0
-                if organic:
+                if not broken:
+                    continue
+                if expired:
+                    # The watchdog's kill: only the expired tasks are
+                    # charged; the collateral victims go free.
+                    for key in broken:
+                        if key in expired:
+                            expire(key)
+                else:
                     self._count("pool_failures")
-                if broke:
-                    pool.shutdown(wait=False)
-                    pool = None
+                    if len(broken) == 1:
+                        (key, exc), = broken.items()
+                        fail(key, exc)
+                    else:
+                        suspects.update(broken)
+                pool.shutdown(wait=False)
+                pool = None
             # Every future is done: join the idle workers so none
             # outlives the run and competes with what runs next.
             if pool is not None:
@@ -602,18 +557,17 @@ class Quarantine:
 
     Every quarantined point is one durable JSON line, so post-mortems
     survive the process (the runners also keep this run's failures in
-    memory).  Opening an existing sidecar loads it first, and
-    recording a failure whose :meth:`PointFailure.crash_signature`
-    matches a known line bumps that line's ``occurrences`` (and attempt
-    total) instead of appending a duplicate — so a poison point crashed
-    across ten reruns is *one* line with ``occurrences: 10``.
+    memory).  Opening an existing sidecar loads it first (a damaged one
+    raises, see :meth:`load`), and recording a failure whose
+    :meth:`PointFailure.crash_signature` matches a known line bumps that
+    line's ``occurrences`` (and attempt total) instead of appending a
+    duplicate — so a poison point crashed across ten reruns is *one*
+    line with ``occurrences: 10``.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.failures: List[PointFailure] = []
-        if self.path.exists():
-            self.failures = Quarantine.load(self.path)
+        self.failures = Quarantine.load(self.path)
 
     def record(self, failure: PointFailure) -> PointFailure:
         """Record (or merge) one failure; returns the stored record.
@@ -640,17 +594,24 @@ class Quarantine:
 
     @classmethod
     def load(cls, path: str | Path) -> List[PointFailure]:
-        """Read a sidecar back (tolerating a truncated final line)."""
-        out: List[PointFailure] = []
+        """Read a sidecar back; a missing file holds no failures.
+
+        A line that does not parse raises :class:`ValueError` naming the
+        file and the line, so damage surfaces instead of being erased by
+        the next :meth:`record`, which republishes what was loaded.
+        """
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            return out
-        for line in text.splitlines():
+        except FileNotFoundError:
+            return []
+        out: List[PointFailure] = []
+        for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 out.append(PointFailure.from_dict(json.loads(line)))
-            except (ValueError, KeyError):
-                continue  # torn tail write
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(
+                    f"damaged quarantine sidecar {path}: line {number} "
+                    f"({type(exc).__name__}: {exc})") from exc
         return out

@@ -245,7 +245,7 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
 
     runner = CampaignRunner(
         store=CaptureStore(store_root), workers=2,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
+        retry_policy=RetryPolicy(max_attempts=3),
         quarantine=Quarantine(quarantine_path))
     with pytest.raises(CampaignPointsFailed) as excinfo:
         runner.run(points)
@@ -263,7 +263,7 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
     # without re-simulating; only the quarantined point is attempted again.
     resumed = CampaignRunner(
         store=CaptureStore(store_root), workers=1,
-        retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0))
+        retry_policy=RetryPolicy(max_attempts=1))
     with pytest.raises(CampaignPointsFailed) as excinfo:
         resumed.run(points)
     replayed = excinfo.value.results
@@ -276,7 +276,7 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
     with pytest.raises(CampaignPointsFailed) as excinfo:
         CampaignRunner(
             store=None, workers=1,
-            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
+            retry_policy=RetryPolicy(max_attempts=1),
         ).run(points)
     serial = excinfo.value.results
     for index in range(4):

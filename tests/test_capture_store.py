@@ -159,6 +159,25 @@ def test_mismatched_result_and_trace_is_corrupt(populated):
     assert store.registry.value("store.corrupt") == 1
 
 
+def test_misfiled_entry_is_a_miss_and_verify_agrees(populated):
+    """A valid entry copied to another point's address answers for
+    neither: ``get`` counts it corrupt (a miss), as ``verify`` flags it
+    mismatched."""
+    store, point, _ = populated
+    other = _point(job="wordcount")
+    misfiled = store.entry_path(other.key())
+    misfiled.parent.mkdir(parents=True, exist_ok=True)
+    misfiled.write_text(store.entry_path(point.key()).read_text())
+    misses = store.registry.value("store.misses")  # the fixture's cold run
+
+    assert store.get(other.key_dict()) is None
+    assert store.registry.value("store.corrupt") == 1
+    assert store.registry.value("store.misses") == misses + 1
+    assert store.registry.value("store.hits") == 0
+    report = store.verify()
+    assert (report.ok, report.mismatched, report.corrupt) == (1, 1, 0)
+
+
 def test_writes_leave_no_tmp_droppings(populated):
     store, point, _ = populated
     parent = store.entry_path(point.key()).parent

@@ -64,6 +64,24 @@ def test_campaign_rejects_zero_retries(capsys):
     assert "--retries" in capsys.readouterr().out
 
 
+def test_damaged_quarantine_sidecar_exits_2_and_is_kept(tmp_path, capsys):
+    store, pipeline = tmp_path / "store", tmp_path / "pl"
+    for sidecar in (store / "quarantine.jsonl",
+                    pipeline / "quarantine.jsonl"):
+        sidecar.parent.mkdir(parents=True)
+        sidecar.write_text('{"key": "k1", "job"\n')  # torn line
+    assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 2
+    assert main(["pipeline", "run", "--dir", str(pipeline), "--job", "grep",
+                 "--sizes-gb", "0.0625,0.125"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("damaged quarantine sidecar") == 2
+    assert "quarantine.jsonl: line 1" in out
+    assert not (store / "objects").exists()  # nothing ran
+    for sidecar in (store / "quarantine.jsonl",
+                    pipeline / "quarantine.jsonl"):
+        assert sidecar.read_text() == '{"key": "k1", "job"\n'
+
+
 def test_campaign_failure_exits_nonzero_with_readable_summary(
         tmp_path, monkeypatch, capsys):
     real = CapturePoint.simulate

@@ -22,8 +22,8 @@ from repro.experiments.dag import (
 )
 from repro.experiments.supervision import Quarantine, RetryPolicy
 
-ONE_SHOT = RetryPolicy(max_attempts=1, base_delay=0.0)
-FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.0)
+ONE_SHOT = RetryPolicy(max_attempts=1)
+FAST_RETRIES = RetryPolicy(max_attempts=3)
 
 
 def _emit(text):

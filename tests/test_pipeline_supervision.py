@@ -108,8 +108,7 @@ def test_capture_node_retries_are_the_pipelines_retries(tmp_path,
     # a one-attempt pipeline a transient point failure quarantines it.
     _flaky_second_point(monkeypatch)
     runner = DAGRunner(_capture_only(), tmp_path / "pl",
-                       retry_policy=RetryPolicy(max_attempts=1,
-                                                base_delay=0.0))
+                       retry_policy=RetryPolicy(max_attempts=1))
     with pytest.raises(PipelineFailed) as err:
         runner.run()
     outcome = err.value.result.outcomes["capture"]
@@ -121,8 +120,7 @@ def test_capture_node_retry_simulates_only_the_missing_point(tmp_path,
                                                             monkeypatch):
     simulated, victim = _flaky_second_point(monkeypatch)
     result = DAGRunner(_capture_only(), tmp_path / "pl",
-                       retry_policy=RetryPolicy(max_attempts=2,
-                                                base_delay=0.0)).run()
+                       retry_policy=RetryPolicy(max_attempts=2)).run()
     outcome = result.outcomes["capture"]
     assert outcome.state == DONE
     assert outcome.attempts == 2

@@ -1,9 +1,12 @@
 """Supervision layer: classification, retries, quarantine, deadline
-watchdog, and graceful pool degradation."""
+watchdog, and worker deaths charged to the one attempt budget."""
 
+import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from multiprocessing import get_context
@@ -34,8 +37,9 @@ from repro.obs.telemetry import Telemetry
 
 SMALL = CampaignConfig(nodes=4, hosts_per_rack=2)
 
-FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.01)
+ROOT = Path(__file__).resolve().parents[1]
 
+FAST_RETRIES = RetryPolicy(max_attempts=3)
 
 
 def _point(seed=3, job="grep", input_gb=0.0625, job_kwargs=None):
@@ -166,27 +170,16 @@ def test_retry_policy_validation():
         RetryPolicy(deadline_s=0)
 
 
-def test_backoff_is_deterministic_bounded_and_growing():
-    policy = RetryPolicy(base_delay=0.1)
-    first = policy.delay("key-a", 1)
-    assert first == policy.delay("key-a", 1)  # no random in the control path
-    assert 0.1 <= first <= 0.1 * (1 + supervision.JITTER)
-    assert policy.delay("key-a", 2) > first
-    assert policy.delay("key-a", 50) == supervision.MAX_DELAY  # capped
-    assert policy.delay("key-b", 1) != first  # jitter varies per key
-    assert RetryPolicy(base_delay=0.0).delay("key-a", 1) == 0.0
-
-
 def test_attempt_ledger_counts_fingerprints_and_decides():
-    policy = RetryPolicy(max_attempts=2, base_delay=0.1)
+    policy = RetryPolicy(max_attempts=2)
     ledger = AttemptLedger("key-a", policy)
-    assert ledger.charge(OSError("worker lost")) == policy.delay("key-a", 1)
-    assert ledger.charge(OSError("worker lost")) is None  # budget spent
+    assert ledger.charge(OSError("worker lost")) is True
+    assert ledger.charge(OSError("worker lost")) is False  # budget spent
     assert ledger.attempts == 2
     assert [f.classification for f in ledger.fingerprints] == [TRANSIENT] * 2
 
     poisoned = AttemptLedger("key-b", policy)
-    assert poisoned.charge(ValueError("bad config")) is None  # deterministic
+    assert poisoned.charge(ValueError("bad config")) is False  # deterministic
     failure = poisoned.failure("grep", 0.5, 7)
     assert (failure.key, failure.job, failure.input_gb, failure.seed,
             failure.attempts) == ("key-b", "grep", 0.5, 7, 1)
@@ -214,19 +207,32 @@ def _failure(key="k1"):
                         attempts=1, fingerprints=[fingerprint])
 
 
-def test_quarantine_sidecar_roundtrips_and_tolerates_torn_tail(tmp_path):
+def test_quarantine_sidecar_roundtrips(tmp_path):
     path = tmp_path / "quarantine.jsonl"
     quarantine = Quarantine(path)
     quarantine.record(_failure("k1"))
     quarantine.record(_failure("k2"))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"key": "k3", "job"')  # torn write mid-crash
 
     loaded = Quarantine.load(path)
-    assert [failure.key for failure in loaded] == ["k1", "k2"]
-    assert loaded[0].fingerprints[0].exception_type == "ValueError"
+    assert [failure.to_dict() for failure in loaded] \
+        == [_failure("k1").to_dict(), _failure("k2").to_dict()]
     assert len(quarantine) == 2
+    assert len(Quarantine(path)) == 2
     assert Quarantine.load(tmp_path / "missing.jsonl") == []
+
+
+def test_quarantine_torn_line_raises_and_leaves_the_file(tmp_path):
+    path = tmp_path / "quarantine.jsonl"
+    Quarantine(path).record(_failure("k1"))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"key": "k3", "job"\n')  # torn write mid-crash
+    damaged = path.read_bytes()
+
+    with pytest.raises(ValueError, match=rf"{path.name}: line 2"):
+        Quarantine.load(path)
+    with pytest.raises(ValueError, match="line 2"):
+        Quarantine(path)  # so no record can republish over the damage
+    assert path.read_bytes() == damaged
 
 
 def test_quarantine_dedupes_repeat_fingerprints_across_cycles(tmp_path):
@@ -328,7 +334,7 @@ def test_strict_run_raises_after_completing_everything_else():
     assert "poisoned point" in str(excinfo.value)
 
 
-# -- deadline watchdog and pool degradation -----------------------------------------
+# -- deadline watchdog and worker deaths --------------------------------------------
 
 
 def test_deadline_watchdog_kills_hung_point_and_retry_succeeds(tmp_path):
@@ -336,8 +342,7 @@ def test_deadline_watchdog_kills_hung_point_and_retry_succeeds(tmp_path):
         "grep", 0.0625, 31, SMALL, {"sentinel": str(tmp_path / "hang.once")})
     runner = CampaignRunner(
         store=None, workers=1,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01,
-                                 deadline_s=3.0))
+        retry_policy=RetryPolicy(max_attempts=3, deadline_s=3.0))
     (result, trace), = runner.run([hang])
     assert trace.flow_count() > 0
     assert runner.manifest()["stats"]["deadline_kills"] >= 1
@@ -413,14 +418,71 @@ def test_both_deadline_paths_fingerprint_the_same(monkeypatch):
     assert overran.traceback_sha256 == killed.traceback_sha256
 
 
-def test_repeated_pool_collapse_degrades_to_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(supervision, "POOL_FAILURE_LIMIT", 1)
-    kill = KillOncePoint.from_campaign(
-        "grep", 0.0625, 32, SMALL, {"sentinel": str(tmp_path / "kill.once")})
-    healthy = _point(seed=33)
-    runner = CampaignRunner(store=None, workers=2, retry_policy=FAST_RETRIES)
-    outcomes = runner.run([healthy, kill])
-    assert all(outcome is not None for outcome in outcomes)
-    assert runner.manifest()["stats"]["pool_failures"] >= 1
-    assert runner.manifest()["stats"]["degraded_serial"] >= 1
-    assert not runner.failures
+def _kill_or_echo(item, telemetry):
+    """Executor task: SIGKILL the process running it, or echo ``item``."""
+    if item == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def killer_scenario(workers, deadline_s, healthy):
+    """Run one worker-killing task beside ``healthy`` echo tasks under a
+    three-attempt budget; summarise the outcome as JSON-ready data."""
+    registry = MetricsRegistry()
+    executor = SupervisedExecutor(
+        RetryPolicy(max_attempts=3, deadline_s=deadline_s), registry,
+        prefix="test", workers=workers)
+    tasks = [("killer", "kill")] + [(f"healthy-{index}", index)
+                                   for index in range(healthy)]
+    done = {}
+    failed = executor.run(_kill_or_echo, tasks, Telemetry.disabled(),
+                          lambda ledger, value: done.update({ledger.key: value}))
+    return {"done": done,
+            "failed": {ledger.key: [[f.exception_type, f.classification]
+                                    for f in ledger.fingerprints]
+                       for ledger in failed},
+            "pool_failures": registry.value("test.pool_failures")}
+
+
+_KILLER_CHILD = """
+import json, sys
+from tests.test_supervision import killer_scenario
+
+print(json.dumps(killer_scenario(*json.loads(sys.argv[1]))))
+"""
+
+
+def _run_killer_scenario(workers, deadline_s, healthy):
+    """:func:`killer_scenario` in a child process, so an executor that
+    ran the killer in its own process fails this test instead of
+    killing pytest."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)]))
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLER_CHILD,
+         json.dumps([workers, deadline_s, healthy])],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=240)
+    assert child.returncode == 0, (
+        f"the executor's own process died (exit {child.returncode}): "
+        f"{child.stderr[-2000:]}")
+    return json.loads(child.stdout.strip().splitlines()[-1])
+
+
+def test_worker_killer_is_charged_beside_healthy_tasks():
+    """Several tasks in flight when a worker dies: none is charged, each
+    then runs alone, and the killer's repeat deaths are its own."""
+    report = _run_killer_scenario(workers=2, deadline_s=None, healthy=2)
+    assert report["failed"] == {
+        "killer": [["BrokenProcessPool", TRANSIENT]] * 3}
+    assert report["done"] == {"healthy-0": 0, "healthy-1": 1}
+    assert report["pool_failures"] >= 3
+
+
+def test_lone_worker_killer_under_a_deadline_is_charged():
+    """A pipeline node's case: one task, one worker, a deadline that
+    never fires; every worker death is charged to the task."""
+    report = _run_killer_scenario(workers=1, deadline_s=30.0, healthy=0)
+    assert report["failed"] == {
+        "killer": [["BrokenProcessPool", TRANSIENT]] * 3}
+    assert report["done"] == {}
+    assert report["pool_failures"] == 3
